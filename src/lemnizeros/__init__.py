@@ -20,7 +20,6 @@ from .exact import (
 from .numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
-    eval_horner,
     f_eval,
     fprime_factor,
     principal_sqrt,
@@ -83,7 +82,6 @@ __all__ = [
     "convergence_report",
     "divides_and_level_field",
     "ek_scaled_coefficients",
-    "eval_horner",
     "f_eval",
     "figure_level_curves",
     "figure_zero_plot",

@@ -19,8 +19,8 @@ from mpmath import mp, mpc, mpf
 
 from .exact import build_polynomial
 from .geometry import branch_polyline, divides_and_level_field, level_field_csv
-from .numerics import PrecisionConfig, to_mpc
-from .rootfinder import RootSet, find_roots
+from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
+from .rootfinder import CertificationError, RootSet, find_roots
 
 _PINCH_EXCLUSION = 0.05  # |z - 1/3| below this is too close to the pinch for theta stats
 
@@ -84,8 +84,9 @@ def verify_lemmas(
     cfg: PrecisionConfig = PrecisionConfig(),
     roots: dict[int, RootSet] | None = None,
 ) -> list[LemmaReport]:
-    """LemmaReport per degree; rootfinder failures are recorded on the
-    report (error field) without aborting the rest of the campaign."""
+    """LemmaReport per degree; certification and precision failures are
+    recorded on the report (error field) without aborting the rest of the
+    campaign, while any other exception propagates."""
     ns = sorted(set(int(n) for n in n_range))
     if any(n < 1 for n in ns):
         raise ValueError("verify_lemmas: degrees must be >= 1")
@@ -103,7 +104,7 @@ def verify_lemmas(
                 rs = find_roots(build_polynomial(n), cfg, start=start)
             prev = rs
             reports.append(_lemma_report(n, rs))
-        except Exception as exc:  # per-n isolation: campaign continues
+        except (CertificationError, PrecisionExhaustedError) as exc:  # per-n isolation
             reports.append(
                 LemmaReport(n, 0, "violated", False, mpf("nan"), mpf("nan"), mpf("nan"), 0, str(exc))
             )
@@ -117,7 +118,9 @@ class ZeroDatum:
     root: mpc
     value_residual: mpf
     branch_distance: mpf
-    theta: mpf | None  # phase of z(1-z)^2 / (4/27); None too close to the pinch
+    # phase of sqrt(z)(1-z), principal root, which winds once around the right
+    # branch (z(1-z)^2 winds twice); None too close to the pinch
+    theta: mpf | None
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ def convergence_report(
                 if abs(z - third) < mpf(_PINCH_EXCLUSION):
                     excluded += 1
                 elif z.real > third:
-                    theta = mp.arg(g * 27 / 4)
+                    theta = mp.arg(mp.sqrt(z) * (1 - z))
                     thetas.append(theta)
                 data.append(ZeroDatum(z, residual, distance, theta))
             gap_min = gap_max = ratio = None

@@ -2,9 +2,8 @@
 
 The working scalar everywhere is mpmath's binary floating point (`mpf`/`mpc`)
 at an explicit precision in bits; no function here reads or leaves behind
-global precision state.  Alongside plain evaluation this module provides a
-running first-order rounding-error bound for Horner evaluation, which is what
-the certification and escalation logic downstream feeds on.
+global precision state.  PrecisionConfig carries the escalation policy that
+the rootfinder follows when a certificate comes out too weak.
 
 f_z(t) = t(1 - z t^2) is the cubic whose powers are integrated downstream;
 its zeros are {0, +1/sqrt(z), -1/sqrt(z)} and its critical points sit at
@@ -15,12 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
-
-from .exact import ExactPolynomial, build_polynomial
 
 DEFAULT_BITS = 128
 DEFAULT_MAX_BITS = 4096
@@ -55,11 +51,6 @@ class PrecisionConfig:
         if bits >= self.max_bits:
             raise PrecisionExhaustedError(f"precision exhausted at {self.max_bits} bits")
         return min(bits * self.escalation_factor, self.max_bits)
-
-
-def working(bits: int):
-    """Context manager setting the mpmath precision to exactly `bits`."""
-    return mp.workprec(bits)
 
 
 def to_mpf(x, bits: int) -> mpf:
@@ -129,57 +120,3 @@ def structural_points(z: mpc, bits: int) -> StructuralPoints:
         inv = 1 / principal_sqrt(z, bits)
         inv3 = 1 / principal_sqrt(3 * z, bits)
         return StructuralPoints((mpc(0), inv, -inv), (inv3, -inv3))
-
-
-@lru_cache(maxsize=None)
-def _rounded_coefficients(degree: int, bits: int) -> tuple[mpf, ...]:
-    """Family coefficients rounded to `bits`; cached since the family has
-    exactly one member per degree."""
-    p = build_polynomial(degree)
-    return tuple(to_mpf(c, bits) for c in p.coefficients)
-
-
-def _abs1(w) -> mpf:
-    """1-norm |re| + |im|: cheap upper proxy for the modulus."""
-    if isinstance(w, mpc):
-        return abs(w.real) + abs(w.imag)
-    return abs(w)
-
-
-def eval_horner(
-    p: ExactPolynomial,
-    z: mpc,
-    cfg: PrecisionConfig = PrecisionConfig(),
-    decisive: bool = False,
-) -> tuple[mpc, mpf]:
-    """Horner evaluation of the family polynomial with an error bound.
-
-    Coefficients are rounded from their exact rationals at the working
-    precision before use.  The returned bound is a conservative first-order
-    accumulation of per-operation rounding (not interval arithmetic).
-
-    With decisive=True the precision is escalated until the bound is smaller
-    than |value| (so sign/zero decisions are safe); if the ceiling is reached
-    while still ambiguous a PrecisionExhaustedError is raised.
-    """
-    bits = cfg.bits
-    while True:
-        value, err = _horner_once(p, z, bits)
-        if not decisive or err < abs(value):
-            return value, err
-        bits = cfg.escalate(bits)  # raises PrecisionExhaustedError at the ceiling
-
-
-def _horner_once(p: ExactPolynomial, z, bits: int) -> tuple[mpc, mpf]:
-    coeffs = _rounded_coefficients(p.degree, bits)
-    with mp.workprec(bits):
-        z = mpc(z)
-        u = mpf(2) ** (-bits)
-        az = _abs1(z)
-        s = mpc(coeffs[p.degree])
-        err = abs(coeffs[p.degree]) * u
-        for m in range(p.degree - 1, -1, -1):
-            s = s * z + coeffs[m]
-            # 4u covers complex multiply + add + coefficient rounding
-            err = err * az + (_abs1(s) + abs(coeffs[m])) * 4 * u
-        return s, err

@@ -230,8 +230,8 @@ def integral_full(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
     """(n+1) * Gauss-Legendre integral of f_z(t)^n over the real segment [0,1].
 
     Node count max(64, 2n) exceeds the exactness threshold for the degree-3n
-    integrand, so the value differs from the Horner evaluation of the
-    polynomial only by rounding; that identity is a primary cross-check.
+    integrand, so the value differs from the exact value of the polynomial
+    only by rounding; that identity is a primary cross-check.
     """
     if n < 1:
         raise ValueError("integral_full: n must be >= 1")

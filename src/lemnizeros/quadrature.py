@@ -62,27 +62,3 @@ def _weight(k: int, x: mpf) -> mpf:
     else:
         dpk = k * (x * pk - pk1) / (x * x - 1)
     return 2 / ((1 - x * x) * dpk * dpk)
-
-
-def integrate_01(fn, count: int, bits: int):
-    """Gauss-Legendre integral of fn over [0, 1]."""
-    rule = legendre_rule(count, bits)
-    with mp.workprec(bits):
-        half = mpf(1) / 2
-        total = 0
-        for x, w in rule:
-            total += w * fn(half * (x + 1))
-        return half * total
-
-
-def integrate_panels(fn, breakpoints, count: int, bits: int):
-    """Composite Gauss-Legendre over consecutive [b_k, b_{k+1}] panels."""
-    rule = legendre_rule(count, bits)
-    with mp.workprec(bits):
-        total = 0
-        for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-            mid = (a + b) / 2
-            rad = (b - a) / 2
-            for x, w in rule:
-                total += rad * w * fn(mid + rad * x)
-        return total

@@ -7,20 +7,20 @@ while the simultaneous iteration is self-correcting.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
-disks pin down all n zeros.  Both evaluations carry running rounding-error
-bounds, and the solve is restarted at escalated precision whenever the
-certificate comes out too weak.  The monomial-basis conditioning of this
-family grows like 7^n near the real end of the zero curve (~2.81 bits per
-degree), so the starting precision is chosen accordingly; the 128-bit
-default in PrecisionConfig remains the floor for small n.
+disks pin down all n zeros.  Both values are computed exactly (the
+coefficients are rationals and each root estimate is a dyadic rational), so
+only the final radius is rounded, upwards.  The solve is restarted at
+escalated precision whenever the certificate comes out too weak.  The monomial-basis conditioning of this
+family grows like 7^n near the real end of the zero curve, log2 7 ~ 2.81
+bits per degree, so the starting precision is chosen accordingly; the
+128-bit default in PrecisionConfig remains the floor for small n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import ceil, lcm
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -28,6 +28,7 @@ from mpmath.libmp import (
     fhalf,
     fone,
     from_man_exp,
+    from_rational,
     fzero,
     mpc_abs,
     mpc_add,
@@ -38,6 +39,7 @@ from mpmath.libmp import (
     mpf_cmp,
     mpf_div,
     mpf_mul,
+    mpf_sqrt,
 )
 
 from .exact import ExactPolynomial, build_polynomial
@@ -66,9 +68,9 @@ class CertificationError(RuntimeError):
 class RootSet:
     """The n computed zeros with residuals and certified inclusion radii.
 
-    residuals[j] is a rigorous upper bound on |p(root_j)| (computed value
-    plus its evaluation-error bound); inclusion_radii[j] is the radius of a
-    disk guaranteed to contain a true zero.  overlaps flags disks that touch
+    residuals[j] is |p(root_j)| rounded up from its exact value;
+    inclusion_radii[j] is the radius of a disk guaranteed to contain a true
+    zero.  overlaps flags disks that touch
     another disk, in which case the set does not isolate all zeros.
     """
 
@@ -185,10 +187,10 @@ def find_roots(
 def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
     """Fill residuals and inclusion radii for computed roots.
 
-    radius_j = n (|p(z_j)| + err) / (|p'(z_j)| - err'): a disk at z_j of this
-    radius contains at least one true zero.  Raises CertificationError when
-    some |p'(z_j)| is indistinguishable from zero at this precision (which
-    would signal a multiple root; the family is not expected to have any).
+    radius_j = n |p(z_j)| / |p'(z_j)|, from the exact values of exact_horner
+    rounded up at `bits`: a disk at z_j of this radius contains at least one
+    true zero (the classical inclusion theorem, see Rump 2003).  Raises CertificationError when some p'(z_j) is exactly
+    zero or some root estimate is not finite.
     """
     if isinstance(roots, RootSet):
         bits = bits or roots.precision_used
@@ -196,7 +198,6 @@ def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
     if bits is None:
         raise ValueError("certify: bits required when roots is a plain sequence")
     n = p.degree
-    pc, dc = _fraction_coefficients(p.degree)
     with mp.workprec(bits):
         zs = [mpc(z) for z in roots]
         if len(zs) != n:
@@ -204,15 +205,17 @@ def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
         residuals = []
         radii = []
         for z in zs:
-            v, ev = _horner_frac(pc, z, bits)
-            dv, edv = _horner_frac(dc, z, bits)
-            if abs(dv) <= edv:
+            try:
+                (vr, vi), (dr, di), scale = exact_horner(p, z)
+            except ValueError as exc:
+                raise CertificationError(f"certification failed: {exc}") from exc
+            v2, d2 = vr * vr + vi * vi, dr * dr + di * di
+            if d2 == 0:
                 raise CertificationError(
-                    "certification failed: |p'| below its evaluation error "
-                    f"bound at root {mpmath.nstr(z, 17)} (possible multiple root)"
+                    f"certification failed: p' vanishes at root {mpmath.nstr(z, 17)}"
                 )
-            residuals.append(abs(v) + ev)
-            radii.append(n * (abs(v) + ev) / (abs(dv) - edv))
+            residuals.append(_sqrt_up(v2, scale * scale, bits))
+            radii.append(_sqrt_up(n * n * v2, d2, bits))
         order = sorted(range(n), key=lambda i: (zs[i].real, zs[i].imag))
         zs = [zs[i] for i in order]
         residuals = [residuals[i] for i in order]
@@ -223,6 +226,34 @@ def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
                 if abs(zs[i] - zs[j]) < radii[i] + radii[j]:
                     overlaps[i] = overlaps[j] = True
         return RootSet(n, tuple(zs), tuple(residuals), tuple(radii), bits, tuple(overlaps))
+
+
+def _sqrt_up(num: int, den: int, bits: int) -> mpf:
+    """sqrt(num / den) rounded up to `bits`."""
+    return mp.make_mpf(mpf_sqrt(from_rational(num, den, bits, "u"), bits, "u"))
+
+
+def exact_horner(p: ExactPolynomial, z) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """p(z) and p'(z) exactly, at a finite binary floating-point point z.
+
+    With C_m = c_m L and z = (X + iY) 2^-k, one homogenised Horner loop in
+    Gaussian integers gives P = p(z) L 2^(kn) and D = p'(z) L 2^(kn).  Returns
+    (P, D, L 2^(kn)) with P and D as (real, imag) integer pairs.  Raises
+    ValueError when z is not finite.
+    """
+    n = p.degree
+    coeffs, scale = _integer_coefficients(n)
+    z = mpmath.mpmathify(z)
+    if not mpmath.isfinite(z):
+        raise ValueError(f"exact_horner: {z} is not finite")
+    (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
+    k = max(0, -xe, -ye)
+    x, y = (-xm if xs else xm) << (xe + k), (-ym if ys else ym) << (ye + k)
+    vr, vi, dr, di = coeffs[n], 0, 0, 0
+    for m in range(n - 1, -1, -1):
+        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+        vr, vi = vr * x - vi * y + (coeffs[m] << (k * (n - m))), vr * y + vi * x
+    return (vr, vi), (dr << k, di << k), scale << (k * n)
 
 
 def rootset_csv(rs: RootSet, out=None) -> str:
@@ -245,42 +276,25 @@ def _dec(x: mpf, digits: int) -> str:
 
 
 def _suggested_bits(n: int) -> int:
-    """Empirical conditioning of the family in the monomial basis: the
-    near-real-axis zeros cost ~2.9 bits per degree to pin down, plus slack
-    for the certification target."""
+    """Starting precision: 2.9 bits per degree, the 2.81 growth rate of the
+    conditioning (see the module docstring) plus margin, and slack for the
+    certification target."""
     return 96 + ceil(2.9 * n)
 
 
 @lru_cache(maxsize=None)
-def _fraction_coefficients(degree: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(p, p') coefficient vectors of the family member, exact."""
-    p = build_polynomial(degree)
-    pc = p.coefficients
-    dc = tuple(m * c for m, c in enumerate(pc) if m >= 1)
-    return pc, dc
+def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
+    """((C_0, ..., C_n), L): the family coefficients scaled to integers
+    C_m = c_m L by the lcm L of their denominators."""
+    pc = build_polynomial(degree).coefficients
+    scale = lcm(*(c.denominator for c in pc))
+    return tuple(c.numerator * (scale // c.denominator) for c in pc), scale
 
 
 @lru_cache(maxsize=None)
 def _rounded_coeff_pairs(degree: int, bits: int):
     """Coefficients of p as libmp mpc pairs at the working precision."""
-    pc, _ = _fraction_coefficients(degree)
-    return tuple((to_mpf(c, bits)._mpf_, fzero) for c in pc)
-
-
-def _horner_frac(coeffs: tuple[Fraction, ...], z: mpc, bits: int) -> tuple[mpc, mpf]:
-    """Horner with a running first-order rounding bound, for exact-rational
-    coefficient vectors (used for both p and p' during certification)."""
-    with mp.workprec(bits):
-        rounded = [to_mpf(c, bits) for c in coeffs]
-        z = mpc(z)
-        u = mpf(2) ** (-bits)
-        az = abs(z.real) + abs(z.imag)
-        s = mpc(rounded[-1])
-        err = abs(rounded[-1]) * u
-        for c in rounded[-2::-1]:
-            s = s * z + c
-            err = err * az + (abs(s.real) + abs(s.imag) + abs(c)) * 4 * u
-        return s, err
+    return tuple((to_mpf(c, bits)._mpf_, fzero) for c in build_polynomial(degree).coefficients)
 
 
 def _aberth_family(p: ExactPolynomial, start, bits: int):

@@ -17,7 +17,7 @@ from mpmath import mp, mpc, mpf
 from lemnizeros.analysis import convergence_report, figure_zero_plot
 from lemnizeros.exact import build_polynomial, ek_scaled_coefficients
 from lemnizeros.geometry import ZERO_BASIN, basin_classify, saddle_comparison
-from lemnizeros.numerics import eval_horner, to_mpc
+from lemnizeros.numerics import to_mpc
 from lemnizeros.paths import (
     halfplane_bound_check,
     integral_full,
@@ -26,6 +26,8 @@ from lemnizeros.paths import (
     tail_integral,
     trace_path,
 )
+from lemnizeros.rootfinder import exact_horner
+
 BITS = 128
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -158,14 +160,15 @@ def test_criterion_05_integral_representation_identity():
             for z in zs:
                 zz = mpc(z)
                 quad = integral_full(n, zz, BITS)
-                horner, _ = eval_horner(p, zz)
+                (vr, vi), _, scale = exact_horner(p, zz)
+                horner = mpc(mpf(vr) / scale, mpf(vi) / scale)
                 worst = max(worst, abs(quad - horner) / abs(horner))
     _conclude(
         "05 integral representation",
         t0,
         30,
         worst < mpf("1e-10"),
-        f"(n+1) quadrature == Horner for n = 1..20 x 100 z; worst rel {mpmath.nstr(worst, 3)}",
+        f"(n+1) quadrature == exact Horner for n = 1..20 x 100 z; worst rel {mpmath.nstr(worst, 3)}",
     )
 
 

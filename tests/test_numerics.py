@@ -1,22 +1,23 @@
-"""Arbitrary-precision scalar layer: square-root branch, Horner with bounds."""
+"""Arbitrary-precision scalar layer: square-root branch, exact Horner."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc, mpf, polyval
 
 from lemnizeros.exact import build_polynomial
 from lemnizeros.numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
-    eval_horner,
     f_eval,
     fprime_factor,
     principal_sqrt,
     structural_points,
     to_mpc,
+    to_mpf,
 )
+from lemnizeros.rootfinder import exact_horner
 
 BITS = 128
 
@@ -104,50 +105,39 @@ class TestPrincipalSqrt:
 
 
 class TestEvalHorner:
+    """Exact Gaussian-integer Horner evaluation of the family polynomial."""
+
     def test_value_at_origin_is_one(self):
         for n in (1, 5, 40):
-            v, err = eval_horner(build_polynomial(n), to_mpc(0, BITS))
-            assert v == 1
+            v, _, scale = exact_horner(build_polynomial(n), to_mpc(0, BITS))
+            assert v == (scale, 0)
 
     def test_linear_root(self):
-        v, err = eval_horner(build_polynomial(1), to_mpc(2, BITS))
-        assert abs(v) <= err
+        # z = 2 is an exact root of 1 - z/2, where p' = -1/2
+        v, d, scale = exact_horner(build_polynomial(1), to_mpc(2, BITS))
+        assert v == (0, 0)
+        assert (Fraction(d[0], scale), d[1]) == (Fraction(-1, 2), 0)
 
     def test_quadratic_root(self):
         with mp.workprec(BITS):
             y = mp.sqrt(mpf(7) / 3 - mpf(49) / 25)
-            z = mpc(mpf(7) / 5, y)
-        v, err = eval_horner(build_polynomial(2), z)
-        assert abs(v) <= 4 * err
+            z = mpc(mpf(7) / 5, y)  # 128-bit approximation of the true root
+        (vr, vi), _, scale = exact_horner(build_polynomial(2), z)
+        assert 0 < abs(Fraction(vr, scale)) + abs(Fraction(vi, scale)) < Fraction(1, 2 ** (BITS - 4))
 
     @pytest.mark.parametrize("n", [3, 17, 50])
     def test_double_precision_agreement(self, n):
-        # value at P and at 2P agree within the bound reported at P
+        # the exact value and a polyval at 2P agree within polyval's rounding
         rng = random.Random(n)
         p = build_polynomial(n)
-        for _ in range(20):
-            with mp.workprec(BITS):
+        with mp.workprec(2 * BITS):
+            cs = [to_mpf(c, 2 * BITS) for c in reversed(p.coefficients)]
+            for _ in range(20):
                 z = mpc(rng.uniform(-(n + 1), n + 1), rng.uniform(-(n + 1), n + 1))
-            v1, e1 = eval_horner(p, z, PrecisionConfig(bits=BITS))
-            v2, _ = eval_horner(p, z, PrecisionConfig(bits=2 * BITS))
-            with mp.workprec(2 * BITS):
-                assert abs(v1 - v2) <= e1
-
-    def test_decisive_escalates(self):
-        p = build_polynomial(2)
-        cfg = PrecisionConfig(bits=64, max_bits=1024)
-        with mp.workprec(200):
-            y = mp.sqrt(mpf(7) / 3 - mpf(49) / 25)
-            z = mpc(mpf(7) / 5, y)  # 200-bit approximation of the true root
-        v, err = eval_horner(p, z, cfg, decisive=True)
-        assert abs(v) > err  # decided once precision beats the 200-bit proximity
-
-    def test_decisive_exhausts_on_exact_zero(self):
-        # z = 2 is an exact root of the n = 1 member: no precision can ever
-        # prove its sign, which must surface as precision exhaustion
-        cfg = PrecisionConfig(bits=64, max_bits=256)
-        with pytest.raises(PrecisionExhaustedError):
-            eval_horner(build_polynomial(1), to_mpc(2, 64), cfg, decisive=True)
+                (vr, vi), _, scale = exact_horner(p, z)
+                size = polyval([abs(c) for c in cs], abs(z))
+                err = abs(polyval(cs, z) - mpc(mpf(vr) / scale, mpf(vi) / scale))
+                assert err <= 8 * n * size * mpf(2) ** (-2 * BITS)
 
 
 class TestStructure:

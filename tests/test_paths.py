@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from lemnizeros.exact import build_polynomial
-from lemnizeros.numerics import eval_horner, to_mpc
+from lemnizeros.numerics import to_mpc
 from lemnizeros.paths import (
     PathResolutionError,
     SaddleProximityError,
@@ -19,6 +19,7 @@ from lemnizeros.paths import (
     trace_path,
     zero_equation_residual,
 )
+from lemnizeros.rootfinder import exact_horner
 
 BITS = 128
 
@@ -115,7 +116,8 @@ class TestIntegralFull:
             with mp.workprec(BITS):
                 z = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 quad = integral_full(n, z, BITS)
-                horner, _ = eval_horner(p, z)
+                (vr, vi), _, scale = exact_horner(p, z)
+                horner = mpc(mpf(vr) / scale, mpf(vi) / scale)
                 assert abs(quad - horner) <= mpf("1e-10") * abs(horner)
 
 

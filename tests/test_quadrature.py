@@ -1,20 +1,21 @@
-"""Gauss-Legendre rules: exactness, symmetry, panel composition."""
+"""Gauss-Legendre rules: exactness, symmetry."""
 
 import pytest
 from mpmath import mp, mpf
 
-from lemnizeros.quadrature import integrate_01, integrate_panels, legendre_rule
+from lemnizeros.quadrature import legendre_rule
 
 BITS = 128
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 8, 64])
 def test_monomial_exactness(count):
-    # exact for all degrees <= 2*count - 1, up to rounding
+    # exact on [0, 1] for all degrees <= 2*count - 1, up to rounding
+    rule = legendre_rule(count, BITS)
     with mp.workprec(BITS):
         tol = mpf(2) ** (16 - BITS)
         for k in (0, 1, count, 2 * count - 1):
-            got = integrate_01(lambda t, k=k: t**k, count, BITS)
+            got = sum(w * ((x + 1) / 2) ** k for x, w in rule) / 2
             assert abs(got - mpf(1) / (k + 1)) < tol
 
 
@@ -34,14 +35,6 @@ def test_nodes_symmetric_and_weights_positive():
 def test_odd_rule_contains_exact_zero_once():
     rule = legendre_rule(7, BITS)
     assert sum(1 for x, _ in rule if x == 0) == 1
-
-
-def test_panels_match_single_interval():
-    with mp.workprec(BITS):
-        f = lambda t: (1 + t) ** 5
-        whole = integrate_01(f, 32, BITS)
-        split = integrate_panels(f, [mpf(0), mpf("0.3"), mpf("0.9"), mpf(1)], 32, BITS)
-        assert abs(whole - split) < mpf(2) ** (16 - BITS)
 
 
 def test_rejects_empty_rule():

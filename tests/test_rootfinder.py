@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc, mpf, polyval
 
+from lemnizeros import rootfinder
 from lemnizeros.exact import build_polynomial
-from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
+from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc, to_mpf
 from lemnizeros.rootfinder import (
+    RADIUS_REL_TOL,
     CertificationError,
     certify,
     find_roots,
@@ -158,10 +160,39 @@ class TestCertify:
         redone = certify(build_polynomial(2), dup, rs.precision_used)
         assert not redone.disks_disjoint()
 
-    def test_derivative_zero_fails(self):
-        # p'(z) vanishes at z = -c_1/(2 c_2) = 1.4 for the degree-2 member
+    def test_near_critical_point_overlaps(self):
+        # p' vanishes at 7/5 for the degree-2 member; at a dyadic approximation
+        # of that point it is tiny, so two copies get huge, overlapping disks
+        rs = certify(build_polynomial(2), [to_mpc(Fraction(7, 5), BITS)] * 2, BITS)
+        assert not rs.disks_disjoint()
+        assert rs.max_relative_radius() > 1e10 * RADIUS_REL_TOL
+
+    def test_vanishing_derivative_fails(self, monkeypatch):
+        monkeypatch.setattr(rootfinder, "exact_horner", lambda p, z: ((1, 0), (0, 0), 1))
         with pytest.raises(CertificationError):
-            certify(build_polynomial(2), [to_mpc(Fraction(7, 5), BITS)] * 2, BITS)
+            certify(build_polynomial(2), [to_mpc(1, BITS)] * 2, BITS)
+
+    def test_exact_root_has_zero_residual(self):
+        rs = certify(build_polynomial(1), [to_mpc(2, BITS)], BITS)
+        assert rs.residuals == (0,)
+        assert rs.inclusion_radii == (0,)
+
+    @pytest.mark.parametrize("n", [3, 17, 45])
+    def test_bounds_against_high_precision(self, n, root_cache):
+        # residual >= |p(z)| and radius >= n|p(z)|/|p'(z)|, each within one
+        # upward rounding, against an evaluation at 8x the working precision
+        rs = root_cache([n])[n]
+        bits = rs.precision_used
+        p = build_polynomial(n)
+        with mp.workprec(8 * bits):
+            cs = [to_mpf(c, 8 * bits) for c in reversed(p.coefficients)]
+            dcs = [m * c for m, c in zip(range(n, 0, -1), cs)]
+            tol = mpf(2) ** (2 - bits)
+            for z, res, rad in zip(rs.roots, rs.residuals, rs.inclusion_radii):
+                v = abs(polyval(cs, z))
+                r = n * v / abs(polyval(dcs, z))
+                assert v <= res <= v * (1 + tol)
+                assert r <= rad <= r * (1 + tol)
 
     def test_wrong_cardinality_fails(self):
         with pytest.raises(CertificationError):
