@@ -3,7 +3,14 @@
 All zeros are refined together by Ehrlich-Aberth sweeps (Newton corrections
 with pairwise repulsion, applied in place).  Deflation is deliberately not
 used: the zeros cluster along a curve and deflation compounds error there,
-while the simultaneous iteration is self-correcting.
+while the simultaneous iteration is self-correcting.  The sweeps run in
+fixed point on plain Python integers: every root and coefficient is a
+Gaussian integer at one shared scale 2^-(prec+8), the 8 guard bits absorbing
+the floor rounding of each shift and division.  The zeros lie in |z| < 2, so
+the integers stay near prec bits, and a sweep skips the per-operation
+normalisation that libmp's floating-point tuples cost in pure Python.
+Values enter the scale once and leave it, rounded to the working precision,
+once.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -20,27 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil, inf, isqrt, lcm, log2
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    fhalf,
-    fone,
-    from_man_exp,
-    from_rational,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_div,
-    mpc_mul,
-    mpc_sub,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_mul,
-    mpf_sqrt,
-)
+from mpmath.libmp import from_man_exp, from_rational, mpf_sqrt
 
 from .exact import ExactPolynomial, build_polynomial
 from .numerics import (
@@ -55,8 +46,7 @@ from .numerics import (
 # target is max(RADIUS_REL_TOL, 2^(32-bits)).
 RADIUS_REL_TOL = mpf("1e-20")
 
-_MPC_ZERO = (fzero, fzero)
-_MPC_ONE = (fone, fzero)
+_GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
 _CTRL = 53  # control-flow comparisons don't need full precision
 
 
@@ -291,19 +281,14 @@ def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (scale // c.denominator) for c in pc), scale
 
 
-@lru_cache(maxsize=None)
-def _rounded_coeff_pairs(degree: int, bits: int):
-    """Coefficients of p as libmp mpc pairs at the working precision."""
-    return tuple((to_mpf(c, bits)._mpf_, fzero) for c in build_polynomial(degree).coefficients)
-
-
 def _aberth_family(p: ExactPolynomial, start, bits: int):
     """Ehrlich-Aberth solve for the family polynomial at fixed precision."""
-    coeffs = _rounded_coeff_pairs(p.degree, bits)
-    start_pairs = [(to_mpc(z, bits).real._mpf_, to_mpc(z, bits).imag._mpf_) for z in start]
-    roots, status, sweeps = _aberth_core(coeffs, start_pairs, bits)
-    with mp.workprec(bits):
-        return [mpc(mpf(re), mpf(im)) for (re, im) in roots], status, sweeps
+    scale = bits + _GUARD
+    ints, lcm_den = _integer_coefficients(p.degree)
+    coeffs = [((c << scale) // lcm_den, 0) for c in ints]
+    roots = [_to_fixed(to_mpc(z, bits), scale) for z in start]
+    roots, status, sweeps = _aberth_core(coeffs, roots, bits)
+    return [_from_fixed(z, scale, bits) for z in roots], status, sweeps
 
 
 def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
@@ -322,17 +307,49 @@ def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
             start = [
                 centroid + bound * mp.exp(mpc(0, 2 * mp.pi * k / d + offset)) for k in range(d)
             ]
-        pairs = [(mpc(z).real._mpf_, mpc(z).imag._mpf_) for z in start]
-        tuples = tuple((mpc(c).real._mpf_, mpc(c).imag._mpf_) for c in cs)
-        roots, status, _ = _aberth_core(tuples, pairs, bits)
+        scale = bits + _GUARD
+        fixed = [_to_fixed(c, scale) for c in cs]
+        roots, status, _ = _aberth_core(fixed, [_to_fixed(mpc(z), scale) for z in start], bits)
         if status != "converged":
             # fall back to one escalation; the cubic is benign except at the pinch
-            roots, status, _ = _aberth_core(tuples, roots, 2 * bits)
-        return [mpc(mpf(re), mpf(im)) for (re, im) in roots]
+            fixed = [(x << bits, y << bits) for x, y in fixed]
+            roots = [(x << bits, y << bits) for x, y in roots]
+            roots, status, _ = _aberth_core(fixed, roots, 2 * bits)
+            scale += bits
+        return [_from_fixed(z, scale, bits) for z in roots]
+
+
+def _to_fixed(z: mpc, scale: int) -> tuple[int, int]:
+    """z as a Gaussian integer at scale 2^-scale, rounded down (exact when
+    no bit of z lies below 2^-scale)."""
+    return _mpf_to_fixed(z.real._mpf_, scale), _mpf_to_fixed(z.imag._mpf_, scale)
+
+
+def _mpf_to_fixed(x, scale: int) -> int:
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    shift = exp + scale
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _from_fixed(z: tuple[int, int], scale: int, bits: int) -> mpc:
+    """The Gaussian integer z at scale 2^-scale as an mpc rounded to `bits`."""
+    return mp.make_mpc(tuple(from_man_exp(v, -scale, bits, "n") for v in z))
 
 
 def _aberth_core(coeffs, roots, prec, stall_window: int = 10):
-    """In-place Ehrlich-Aberth sweeps on raw libmp pairs.
+    """Ehrlich-Aberth sweeps, in place, on fixed-point Gaussian integers.
+
+    Coefficients (ascending) and roots are (re, im) integer pairs at one
+    shared scale 2^-P, P = prec + _GUARD, so x stands for x / 2^P.  A
+    product is one integer multiply and a right shift by P, and a complex
+    quotient is one floor division by the squared modulus of the divisor;
+    every shift and division rounds towards minus infinity.  The
+    zeros of interest lie in |z| < 2, so the integers carry about P bits and
+    the guard bits absorb the error that accumulates over a Horner loop.
+    This avoids libmp's per-operation normalisation of (sign, mantissa,
+    exponent) tuples, which in pure Python dominated the solve.
 
     Stops 'converged' when every relative correction in a sweep is below
     2^(8-prec).  For an ill-conditioned polynomial the corrections instead
@@ -343,63 +360,76 @@ def _aberth_core(coeffs, roots, prec, stall_window: int = 10):
     meaning anything is wrong.  A separate sweep budget bounds the global
     phase.  The caller certifies the returned configuration either way; a
     'plateau' exit at adequate precision is the normal terminal state.
+    Relative corrections are compared as log2 values: math.log2 reads the
+    top bits of an integer of any size, where a float conversion would
+    overflow beyond 2^1024.
     """
     n = len(coeffs) - 1
+    P = prec + _GUARD
+    one, one3 = 1 << P, 1 << (3 * P)
+    tiny = 1 << (P - prec)  # 2^-prec, the stand-in for a zero difference
+    lead, rest = coeffs[-1], coeffs[-2::-1]
     roots = list(roots)
-    threshold = from_man_exp(1, 8 - prec)
-    freeze_threshold = from_man_exp(1, 4 - prec)
-    endgame_mark = from_man_exp(1, -40)
     frozen = [False] * n
-    history: list[tuple] = []
+    history: list[float] = []
     global_budget = 60 + 2 * n
     max_sweeps = 120 + 6 * n
     for sweep in range(1, max_sweeps + 1):
-        worst = fzero
+        worst = -inf
         all_ok = True
         for i in range(n):
             if frozen[i]:
                 continue
-            z = roots[i]
-            s = coeffs[-1]
-            d = _MPC_ZERO
-            for c in coeffs[-2::-1]:
-                d = mpc_add(mpc_mul(d, z, prec), s, prec)
-                s = mpc_add(mpc_mul(s, z, prec), c, prec)
-            if s == _MPC_ZERO:
+            zr, zi = roots[i]
+            sr, si = lead
+            dr = di = 0
+            for cr, ci in rest:
+                dr, di = ((dr * zr - di * zi) >> P) + sr, ((dr * zi + di * zr) >> P) + si
+                sr, si = ((sr * zr - si * zi) >> P) + cr, ((sr * zi + si * zr) >> P) + ci
+            if not (sr or si):
                 frozen[i] = True
                 continue
-            if d == _MPC_ZERO:
-                roots[i] = mpc_add(z, (from_man_exp(1, -prec // 2), fzero), prec)
+            if not (dr or di):
+                roots[i] = (zr + (1 << (P + (-prec // 2))), zi)
                 all_ok = False
                 continue
-            w = mpc_div(s, d, prec)
-            acc = _MPC_ZERO
-            for j in range(n):
-                if j == i:
-                    continue
-                diff = mpc_sub(z, roots[j], prec)
-                if diff == _MPC_ZERO:
-                    diff = (from_man_exp(1, -prec), fzero)
-                acc = mpc_add(acc, mpc_div(_MPC_ONE, diff, prec), prec)
-            denom = mpc_sub(_MPC_ONE, mpc_mul(w, acc, prec), prec)
-            corr = w if denom == _MPC_ZERO else mpc_div(w, denom, prec)
-            roots[i] = mpc_sub(z, corr, prec)
-            scale = mpf_add(fone, mpc_abs(z, _CTRL), _CTRL)
-            rel = mpf_div(mpc_abs(corr, _CTRL), scale, _CTRL)
-            if mpf_cmp(rel, threshold) >= 0:
+            wr, wi = _fixed_div(sr, si, dr, di, P)
+            ar = ai = 0  # sum of 1/(z_i - z_j) at scale 2^-2P
+            for xr, xi in roots[:i] + roots[i + 1 :]:
+                er, ei = zr - xr, zi - xi
+                ee = er * er + ei * ei
+                if not ee:
+                    er, ee = tiny, tiny * tiny
+                t = one3 // ee
+                ar += er * t
+                ai -= ei * t
+            ar >>= P
+            ai >>= P
+            qr = one - ((wr * ar - wi * ai) >> P)
+            qi = -((wr * ai + wi * ar) >> P)
+            cr, ci = (wr, wi) if not (qr or qi) else _fixed_div(wr, wi, qr, qi, P)
+            roots[i] = (zr - cr, zi - ci)
+            cc = cr * cr + ci * ci
+            rel = log2(cc) / 2 - log2(isqrt(zr * zr + zi * zi) + one) if cc else -inf
+            if rel >= 8 - prec:
                 all_ok = False
-            elif mpf_cmp(rel, freeze_threshold) < 0:
+            elif rel < 4 - prec:
                 frozen[i] = True
-            if mpf_cmp(rel, worst) > 0:
-                worst = rel
+            worst = max(worst, rel)
         history.append(worst)
         if all_ok:
             return roots, "converged", sweep
-        in_endgame = mpf_cmp(worst, endgame_mark) < 0
+        in_endgame = worst < -40
         if in_endgame and len(history) > stall_window:
-            old = history[-1 - stall_window]
-            if mpf_cmp(worst, mpf_mul(old, fhalf, _CTRL)) > 0:
+            if worst > history[-1 - stall_window] - 1:
                 return roots, "plateau", sweep
         if not in_endgame and sweep >= global_budget:
             return roots, "stall", sweep
     return roots, "stall", max_sweeps
+
+
+def _fixed_div(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:
+    """(ar + i ai) / (br + i bi) for Gaussian integers at scale 2^-scale,
+    by floor division of a conj(b) by |b|^2."""
+    bb = br * br + bi * bi
+    return ((ar * br + ai * bi) << scale) // bb, ((ai * br - ar * bi) << scale) // bb

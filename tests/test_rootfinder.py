@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, polyval
+from mpmath.libmp import from_man_exp
 
 from lemnizeros import rootfinder
 from lemnizeros.exact import build_polynomial
@@ -137,6 +138,14 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(build_polynomial(3), start=[mpc(1)])
 
+    def test_wide_precision(self):
+        # 2048 bits: squared moduli exceed the float range, so the kernel's
+        # control flow must never convert a whole integer to float
+        rs = find_roots(build_polynomial(12), PrecisionConfig(bits=2048, max_bits=2048))
+        assert rs.precision_used == 2048
+        assert rs.disks_disjoint() and rs.conjugation_closed()
+        assert rs.max_relative_radius() <= RADIUS_REL_TOL
+
     def test_precision_exhausted(self):
         cfg = PrecisionConfig(bits=64, max_bits=64)
         with pytest.raises(PrecisionExhaustedError) as err:
@@ -230,3 +239,38 @@ class TestCsvAndCubic:
     def test_cubic_rejects_degenerate(self):
         with pytest.raises(ValueError):
             solve_complex_poly([to_mpc(1, BITS), to_mpc(0, BITS)], BITS)
+
+    def test_complex_cubic(self):
+        # (z - 1)(z - i)(z + 2 - i/2): non-real coefficients and roots
+        coeffs = [mpc(0.5, 2), mpc(-2.5, -0.5), mpc(1, -1.5), mpc(1)]
+        roots = solve_complex_poly(coeffs, BITS)
+        assert _match_greedily(roots, [1, 1j, -2 + 0.5j]) < 2.0 ** (8 - BITS)
+
+
+class TestFixedPoint:
+    SCALE = BITS + rootfinder._GUARD
+
+    @pytest.mark.parametrize(
+        "man, exp",
+        [
+            (0, 0),
+            (-(2**BITS - 1), -SCALE),  # lowest bit at the scale
+            (5, 3 - SCALE),
+            (2**BITS - 1, -BITS),
+            (-(2**BITS - 1), 7),  # above the scale and above 1
+        ],
+    )
+    def test_round_trip_is_exact(self, man, exp):
+        x = mp.make_mpf(from_man_exp(man, exp))
+        with mp.workprec(BITS):
+            z = mpc(x, -x)
+        fixed = rootfinder._to_fixed(z, self.SCALE)
+        assert fixed == (man << (exp + self.SCALE), -man << (exp + self.SCALE))
+        back = rootfinder._from_fixed(fixed, self.SCALE, BITS)
+        assert back.real._mpf_ == z.real._mpf_ and back.imag._mpf_ == z.imag._mpf_
+
+    @pytest.mark.parametrize("man, want", [(3, 1), (-3, -2), (1, 0), (-1, -1)])
+    def test_below_the_scale_rounds_down(self, man, want):
+        # man/2 units of the scale: the last bit lies below it
+        x = mp.make_mpf(from_man_exp(man, -self.SCALE - 1))
+        assert rootfinder._to_fixed(mpc(x), self.SCALE) == (want, 0)
