@@ -3,24 +3,29 @@
 All zeros are refined together by Ehrlich-Aberth sweeps (Newton corrections
 with pairwise repulsion, applied in place).  Deflation is deliberately not
 used: the zeros cluster along a curve and deflation compounds error there,
-while the simultaneous iteration is self-correcting.  The sweeps run in
-fixed point on plain Python integers: every root and coefficient is a
-Gaussian integer at one shared scale 2^-(prec+8), the 8 guard bits absorbing
-the floor rounding of each shift and division.  The zeros lie in |z| < 2, so
-the integers stay near prec bits, and a sweep skips the per-operation
-normalisation that libmp's floating-point tuples cost in pure Python.
-Values enter the scale once and leave it, rounded to the working precision,
-once.
+while the simultaneous iteration is self-correcting.  A cold solve starts on
+that curve, the right branch of the lemniscate |z (1-z)^2| = 4/27 which the
+zeros approach as n grows, with the seeds equally spaced in the phase of
+sqrt(z) (1-z), so the sweeps refine the curve rather than find it.  The
+sweeps run in fixed point on plain Python integers: every root and
+coefficient is a Gaussian integer at one shared scale 2^-(prec+8), the 8
+guard bits absorbing the floor rounding of each shift and division.  The
+zeros lie in |z| < 2, so the integers stay near prec bits, and a sweep skips
+the per-operation normalisation that libmp's floating-point tuples cost in
+pure Python.  Values enter the scale once and leave it, rounded to the
+working precision, once.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
 disks pin down all n zeros.  Both values are computed exactly (the
 coefficients are rationals and each root estimate is a dyadic rational), so
-only the final radius is rounded, upwards.  The solve is restarted at
-escalated precision whenever the certificate comes out too weak.  The monomial-basis conditioning of this
-family grows like 7^n near the real end of the zero curve, log2 7 ~ 2.81
-bits per degree, so the starting precision is chosen accordingly; the
-128-bit default in PrecisionConfig remains the floor for small n.
+only the final radius is rounded, upwards, by an integer square root of the
+exact ratio scaled to about twice the working precision.  The solve is
+restarted at escalated precision whenever the certificate comes out too
+weak.  The monomial-basis conditioning of this family grows like 7^n near
+the real end of the zero curve, log2 7 ~ 2.81 bits per degree, so the
+starting precision is chosen accordingly; the 128-bit default in
+PrecisionConfig remains the floor for small n.
 """
 
 from __future__ import annotations
@@ -31,14 +36,13 @@ from math import ceil, inf, isqrt, lcm, log2
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_sqrt
+from mpmath.libmp import from_man_exp
 
 from .exact import ExactPolynomial, build_polynomial
 from .numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
     to_mpc,
-    to_mpf,
 )
 
 # Certified-radius acceptance target, relative to 1 + |root|.  At low working
@@ -47,6 +51,7 @@ from .numerics import (
 RADIUS_REL_TOL = mpf("1e-20")
 
 _GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
+_SEED_SCALE = 64  # fixed-point bits of the lemniscate seeds
 _CTRL = 53  # control-flow comparisons don't need full precision
 
 
@@ -106,28 +111,47 @@ class RootSet:
 
 
 def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
-    """Starting configuration: n points on a circle around the root centroid.
+    """Starting configuration: n points on the right branch of the lemniscate
+    |z (1-z)^2| = 4/27 (Re z > 1/3), the curve the zeros approach.
 
-    The centroid is the exact Vieta mean -c_{n-1}/(n c_n); the circle radius
-    min(n+1, 2) * 0.8 comfortably brackets the zero curve, and an irrational
-    angular offset (golden angle) avoids locking onto coefficient symmetries.
-    For n = 1 the centroid itself already is the root.
+    Seed k is the point where sqrt(z) (1-z) = (2/sqrt 27) e^(i phi_k),
+    phi_k = 2 pi (k + 1/2) / n, a phase that winds once around the branch.
+    No phi_k is 0, so no seed sits on the pinch z = 1/3;
+    phi_(n-1-k) = 2 pi - phi_k, so the set is closed under conjugation, and
+    odd n has the real seed 4/3 at phi = pi.  With s = sqrt(z) a seed solves
+    s - s^3 = w_k; the seeds with phi_k in [pi, 2 pi) are found by
+    continuation in k from s = 2/sqrt 3, each by Newton steps from the
+    previous s until the correction stops shrinking, and the rest are their
+    conjugates.  The arithmetic is on Gaussian integers at the fixed scale
+    2^-_SEED_SCALE, so the seeds are the same on every platform and depend
+    on `bits` only through their final rounding.
     """
     if n < 1:
         raise ValueError("initial_points: n must be >= 1")
-    p = build_polynomial(n)
-    centroid = -p.coefficients[n - 1] / (n * p.coefficients[n])
-    with mp.workprec(bits):
-        c = to_mpf(centroid, bits)
-        if n == 1:
-            return [mpc(c)]
-        radius = mpf(min(n + 1, 2)) * mpf(8) / 10
-        offset = mp.pi * (mp.sqrt(5) - 1)  # golden angle
-        points = []
-        for k in range(n):
-            theta = 2 * mp.pi * k / n + offset
-            points.append(mpc(c + radius * mp.cos(theta), radius * mp.sin(theta)))
-        return points
+    P = _SEED_SCALE
+    one = 1 << P
+    with mp.workprec(P + 16):
+        rr, ri = _to_fixed(mp.expjpi(mpf(2) / n), P)
+        wr, wi = _to_fixed(mp.expjpi(mpf(2 * (n // 2) + 1) / n) * 2 / mp.sqrt(27), P)
+        sr, si = _to_fixed(mpc(2 / mp.sqrt(3)), P)
+    points = [None] * n
+    for k in range(n // 2, n):
+        if k > n // 2:
+            wr, wi = (wr * rr - wi * ri) >> P, (wr * ri + wi * rr) >> P
+        last = inf
+        while True:
+            ar, ai = (sr * sr - si * si) >> P, (2 * sr * si) >> P
+            br, bi = (ar * sr - ai * si) >> P, (ar * si + ai * sr) >> P
+            cr, ci = _fixed_div(sr - br - wr, si - bi - wi, one - 3 * ar, -3 * ai, P)
+            sr, si = sr - cr, si - ci
+            cc = cr * cr + ci * ci
+            if cc < 256 or cc >= last:  # at the rounding floor of the scale
+                break
+            last = cc
+        zr, zi = (sr * sr - si * si) >> P, (2 * sr * si) >> P
+        points[k] = _from_fixed((zr, zi), P, bits)
+        points[n - 1 - k] = _from_fixed((zr, -zi), P, bits)
+    return points
 
 
 def find_roots(
@@ -141,6 +165,9 @@ def find_roots(
 
     `start` optionally seeds the iteration (e.g. with the certified roots of
     the previous degree during a campaign); it must hold exactly n points.
+    Without it the iteration starts from the lemniscate seeds of
+    initial_points.  Each inclusion radius is an upper bound rounded in
+    integers (see certify).
     """
     n = p.degree
     bits = min(max(cfg.bits, _suggested_bits(n)), cfg.max_bits)
@@ -178,9 +205,10 @@ def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
     """Fill residuals and inclusion radii for computed roots.
 
     radius_j = n |p(z_j)| / |p'(z_j)|, from the exact values of exact_horner
-    rounded up at `bits`: a disk at z_j of this radius contains at least one
-    true zero (the classical inclusion theorem, see Rump 2003).  Raises CertificationError when some p'(z_j) is exactly
-    zero or some root estimate is not finite.
+    rounded up at `bits` by _sqrt_up: a disk at z_j of this radius contains
+    at least one true zero (the classical inclusion theorem, see Rump 2003).
+    Raises CertificationError when some p'(z_j) is exactly zero or some root
+    estimate is not finite.
     """
     if isinstance(roots, RootSet):
         bits = bits or roots.precision_used
@@ -211,16 +239,33 @@ def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
         residuals = [residuals[i] for i in order]
         radii = [radii[i] for i in order]
         overlaps = [False] * n
+        rmax = max(radii, default=0)
         for i in range(n):
+            reach = radii[i] + rmax
             for j in range(i + 1, n):
+                # Real parts ascend, and the rounded |zs[j] - zs[i]| is at
+                # least the rounded real difference, so once that reaches
+                # radii[i] + rmax no later disk can meet disk i.
+                if zs[j].real - zs[i].real >= reach:
+                    break
                 if abs(zs[i] - zs[j]) < radii[i] + radii[j]:
                     overlaps[i] = overlaps[j] = True
         return RootSet(n, tuple(zs), tuple(residuals), tuple(radii), bits, tuple(overlaps))
 
 
 def _sqrt_up(num: int, den: int, bits: int) -> mpf:
-    """sqrt(num / den) rounded up to `bits`."""
-    return mp.make_mpf(mpf_sqrt(from_rational(num, den, bits, "u"), bits, "u"))
+    """sqrt(num / den) rounded up to `bits`, for integers num >= 0, den > 0.
+
+    In integers only: with q = ceil(num 4^s / den) carrying about 2 bits + 4
+    bits and r = ceil(sqrt(q)), sqrt(num / den) <= r 2^-s, and r has about
+    bits + 2 bits, so libmp only rounds a number of that width upwards.
+    """
+    s = (2 * bits + 4 - num.bit_length() + den.bit_length()) // 2
+    q = -((-num << 2 * s) // den) if s >= 0 else -(-num // (den << -2 * s))
+    r = isqrt(q)
+    if r * r < q:
+        r += 1
+    return mp.make_mpf(from_man_exp(r, -s, bits, "u"))
 
 
 def exact_horner(p: ExactPolynomial, z) -> tuple[tuple[int, int], tuple[int, int], int]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, polyval
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, mpf_sqrt
 
 from lemnizeros import rootfinder
 from lemnizeros.exact import build_polynomial
@@ -59,13 +59,37 @@ class TestInitialPoints:
         for p in initial_points(n):
             assert abs(p) < n + 1
 
-    def test_centroid_matches_vieta_mean(self):
-        pts = initial_points(2)
-        mean = sum(pts) / 2
-        assert abs(mean - mpf(7) / 5) < 1e-30  # -c_1/(2 c_2) = 1.4
+    @pytest.mark.parametrize("n", [*range(1, 13), 45, 60])
+    def test_seeds_on_the_lemniscate(self, n):
+        # seed k: |z (1-z)^2| = 4/27, Re z > 1/3, and sqrt(z)(1-z) has phase
+        # 2 pi (k + 1/2) / n, so the seeds wind once around the right branch
+        pts = initial_points(n)
+        assert len({(p.real, p.imag) for p in pts}) == n
+        tol = mpf(2) ** -40
+        with mp.workprec(BITS):
+            for k, z in enumerate(pts):
+                assert abs(abs(z * (1 - z) ** 2) / (mpf(4) / 27) - 1) < tol
+                assert z.real > mpf(1) / 3
+                phase = mp.arg(mp.sqrt(z) * (1 - z)) % (2 * mp.pi)
+                assert abs(phase - 2 * mp.pi * (k + mpf(1) / 2) / n) < tol
 
-    def test_degree_one_sits_on_the_root(self):
-        assert initial_points(1) == [mpc(2)]
+    @pytest.mark.parametrize("n", [*range(1, 13), 45, 60])
+    def test_seeds_closed_under_conjugation(self, n):
+        pts = initial_points(n)
+        for k in range(n):
+            z, w = pts[k], pts[n - 1 - k]
+            assert w.real == z.real and w.imag + z.imag == 0  # exact: no rounding to 0
+        if n % 2:
+            middle = pts[n // 2]
+            assert middle.imag == 0
+            with mp.workprec(BITS):
+                assert abs(middle - mpf(4) / 3) < mpf(2) ** -60
+
+    def test_seeds_repeat_exactly(self):
+        first, again = initial_points(60, 270), initial_points(60, 270)
+        assert [(z.real._mpf_, z.imag._mpf_) for z in first] == [
+            (z.real._mpf_, z.imag._mpf_) for z in again
+        ]
 
 
 class TestFindRoots:
@@ -169,6 +193,26 @@ class TestCertify:
         redone = certify(build_polynomial(2), dup, rs.precision_used)
         assert not redone.disks_disjoint()
 
+    def test_overlap_flags_match_all_pairs(self):
+        # one wide disk reaches past several small ones in real-part order,
+        # so the flags show whether the pair scan stops too early
+        n = 10
+        rs = find_roots(build_polynomial(n))
+        bits = rs.precision_used
+        with mp.workprec(bits):
+            zs = list(rs.roots)
+            for k, d in [(1, mpf("0.02")), (4, mpf("1e-3")), (7, mpf("0.3"))]:
+                zs[k] += d
+            out = certify(build_polynomial(n), zs, bits)
+            flags = [False] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    zi, zj = out.roots[i], out.roots[j]
+                    if abs(zi - zj) < out.inclusion_radii[i] + out.inclusion_radii[j]:
+                        flags[i] = flags[j] = True
+        assert out.overlaps == tuple(flags)
+        assert 2 < sum(flags) < n
+
     def test_near_critical_point_overlaps(self):
         # p' vanishes at 7/5 for the degree-2 member; at a dyadic approximation
         # of that point it is tiny, so two copies get huge, overlapping disks
@@ -212,6 +256,44 @@ class TestCertify:
         again = certify(build_polynomial(4), rs)
         assert again.precision_used == rs.precision_used
         assert _match_greedily(again.roots, rs.roots) == 0
+
+
+class TestSqrtUp:
+    BIG = 3**13000 + 7  # over 20 000 bits
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (0, 1),
+            (0, 3**40),
+            (1, 1),
+            (2, 1),
+            (1, 3),
+            (4 * 10**40 + 1, 10**40),  # just above 4: rounding q down gives exactly 2
+            (4 * 10**200 + 1, 10**200),
+            (10**6 + 1, 7),
+            (BIG, 1),
+            (1, BIG),
+            (BIG, 5**8000 + 1),
+            (BIG * BIG + 1, BIG),
+        ],
+        ids=lambda v: f"{v.bit_length()}b",
+    )
+    @pytest.mark.parametrize("bits", [53, 128, 300])
+    def test_upper_bound_within_one_ulp(self, num, den, bits):
+        v = rootfinder._sqrt_up(num, den, bits)
+        sign, man, exp, bc = v._mpf_
+        assert not sign
+        value = Fraction(man) * Fraction(2) ** exp
+        assert value * value >= Fraction(num, den)
+        # reference: libmp rounds num/den up, then its square root up
+        old = mp.make_mpf(mpf_sqrt(from_rational(num, den, bits, "u"), bits, "u"))
+        if not num:
+            assert v == old == 0
+            return
+        _, oman, oexp, obc = old._mpf_
+        ulp = Fraction(2) ** (max(exp + bc, oexp + obc) - bits)
+        assert abs(value - Fraction(oman) * Fraction(2) ** oexp) <= ulp
 
 
 class TestCsvAndCubic:
