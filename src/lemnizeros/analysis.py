@@ -2,12 +2,14 @@
 
 verify_lemmas drives the rootfinder across a range of degrees and turns the
 certified root sets into per-degree verdicts (containment disk, unit-circle
-escape, half-plane location, Vieta product).  convergence_report measures how
-fast the zeros approach the lemniscate: per-root value residuals
-| |z(1-z)^2| - 4/27 |, Euclidean distances to the sampled right branch, and
-the angular spreading of the roots along the branch.  The figure emitters
-write deterministic CSV/SVG artifacts; contouring and styling are left to
-the consumer.
+escape, half-plane location, Vieta product).  Every degree is one cold solve
+from the lemniscate seeds, independent of its neighbours, so a campaign over
+a range gives each degree the roots a single-degree run gives it.
+convergence_report measures how fast the zeros approach the lemniscate:
+per-root value residuals | |z(1-z)^2| - 4/27 |, Euclidean distances to the
+sampled right branch, and the angular spreading of the roots along the
+branch.  The figure emitters write deterministic CSV/SVG artifacts;
+contouring and styling are left to the consumer.
 """
 
 from __future__ import annotations
@@ -63,20 +65,10 @@ def _lemma_report(n: int, rs: RootSet) -> LemmaReport:
 
 
 def certified_roots_range(ns, cfg: PrecisionConfig = PrecisionConfig()) -> dict[int, RootSet]:
-    """Certified RootSets for every degree in ns (sorted ascending solve
-    order); consecutive degrees warm-start from the previous solution, which
-    is what makes long campaigns affordable."""
-    out: dict[int, RootSet] = {}
-    prev: RootSet | None = None
-    for n in sorted(set(int(n) for n in ns)):
-        start = None
-        if prev is not None and prev.degree == n - 1:
-            with mp.workprec(prev.precision_used):
-                start = list(prev.roots) + [mpc(1, mpf(1) / 7)]
-        rs = find_roots(build_polynomial(n), cfg, start=start)
-        out[n] = rs
-        prev = rs
-    return out
+    """Certified RootSets for every degree in ns, keyed by degree.  Each
+    degree is solved on its own from the lemniscate seeds, so its roots are
+    the same whichever other degrees ns holds."""
+    return {n: find_roots(build_polynomial(n), cfg) for n in sorted(set(int(n) for n in ns))}
 
 
 def verify_lemmas(
@@ -84,25 +76,21 @@ def verify_lemmas(
     cfg: PrecisionConfig = PrecisionConfig(),
     roots: dict[int, RootSet] | None = None,
 ) -> list[LemmaReport]:
-    """LemmaReport per degree; certification and precision failures are
-    recorded on the report (error field) without aborting the rest of the
-    campaign, while any other exception propagates."""
+    """LemmaReport per degree, in ascending order.  A degree's RootSet comes
+    from `roots` when given there, otherwise from its own solve, so a report
+    does not depend on the other degrees in n_range.  Certification and
+    precision failures are recorded on the report (error field) without
+    aborting the rest of the campaign, while any other exception propagates."""
     ns = sorted(set(int(n) for n in n_range))
     if any(n < 1 for n in ns):
         raise ValueError("verify_lemmas: degrees must be >= 1")
     reports = []
-    prev: RootSet | None = None
     for n in ns:
         try:
             if roots is not None and n in roots:
                 rs = roots[n]
             else:
-                start = None
-                if prev is not None and prev.degree == n - 1:
-                    with mp.workprec(prev.precision_used):
-                        start = list(prev.roots) + [mpc(1, mpf(1) / 7)]
-                rs = find_roots(build_polynomial(n), cfg, start=start)
-            prev = rs
+                rs = find_roots(build_polynomial(n), cfg)
             reports.append(_lemma_report(n, rs))
         except (CertificationError, PrecisionExhaustedError) as exc:  # per-n isolation
             reports.append(

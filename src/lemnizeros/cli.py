@@ -2,9 +2,10 @@
 
 Every invocation is described by a RunConfig; a run is a pure function of
 it, and outputs land in a subdirectory named by a content hash of the
-mathematical fields (the output directory itself does not influence the
-hash).  Re-running an already-completed configuration into the same --out
-reuses the cached artifacts.
+mathematical fields (neither the output directory nor the worker count
+influences the hash: each degree is solved on its own, so the artifacts are
+the same bytes for any --workers).  Re-running an already-completed
+configuration into the same --out reuses the cached artifacts.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, 3 root
 certification failure, 4 precision exhausted, 5 path tracing failure.
@@ -19,16 +20,17 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import mpmath
 from mpmath import mp, mpf
 
 from . import analysis
-from .exact import build_polynomial, coefficients_csv
+from .exact import coefficients_csv
 from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
 from .paths import PathError, path_csv, trace_path
-from .rootfinder import CertificationError, RootSet, find_roots, rootset_csv
+from .rootfinder import CertificationError, RootSet, rootset_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,8 +44,9 @@ VIETA_TOL = mpf("1e-10")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on.  `out` is where artifacts land and is
-    deliberately excluded from the content hash."""
+    """Everything a run depends on.  `out` (where artifacts land) and
+    `workers` (how many processes solve) change no artifact, so both are
+    left out of the content hash."""
 
     command: str
     n: int | None = None
@@ -61,10 +64,10 @@ class RunConfig:
     res: int = 64
     out: str | None = None
 
-    def to_text(self, include_out: bool = True) -> str:
+    def to_text(self, hashed_only: bool = False) -> str:
         lines = []
         for f in fields(self):
-            if f.name == "out" and not include_out:
+            if hashed_only and f.name in ("out", "workers"):
                 continue
             v = getattr(self, f.name)
             if v is None:
@@ -75,7 +78,7 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_text(include_out=False).encode()).hexdigest()[:12]
+        return hashlib.sha256(self.to_text(hashed_only=True).encode()).hexdigest()[:12]
 
     def precision(self) -> PrecisionConfig:
         return PrecisionConfig(bits=self.precision_bits, max_bits=max(self.max_bits, self.precision_bits))
@@ -160,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision-bits", type=int, default=None)
         p.add_argument("--max-bits", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory (hash-named subdir per run)")
-        p.add_argument("--workers", type=int, default=None, help="worker processes (0 = all cores)")
+        p.add_argument("--workers", type=int, default=None, help="solve processes (0 = all cores)")
         if degrees:
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO..HI")
@@ -222,7 +225,6 @@ def _outdir(cfg: RunConfig) -> Path | None:
         return None
     d = Path(cfg.out) / f"{cfg.command}-{cfg.content_hash()}"
     d.mkdir(parents=True, exist_ok=True)
-    (d / "runconfig.txt").write_text(cfg.to_text(), encoding="utf-8")
     return d
 
 
@@ -233,31 +235,30 @@ def _emit(directory: Path | None, name: str, text: str, quiet: bool = False) -> 
         sys.stdout.write(text)
 
 
-def _solve_one(payload) -> RootSet:
-    n, bits, max_bits = payload
-    return find_roots(build_polynomial(n), PrecisionConfig(bits=bits, max_bits=max_bits))
-
-
 def _solve_degrees(cfg: RunConfig, ns: list[int]) -> dict[int, RootSet]:
-    """workers == 1: sequential chain with warm starts; workers > 1: per-n
-    independent solves (deterministic regardless of pool scheduling)."""
+    """Certified RootSets for the degrees ns, keyed by degree.  Every degree
+    is solved on its own by certified_roots_range, in this process or, with
+    workers > 1, one degree per pool task; the worker count only sets how
+    many processes run the solves, so the roots are the same for any value."""
     pcfg = cfg.precision()
     if cfg.workers <= 1:
         return analysis.certified_roots_range(ns, pcfg)
-    payloads = [(n, pcfg.bits, pcfg.max_bits) for n in sorted(set(ns))]
+    singles = [[n] for n in sorted(set(ns))]
     try:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            solved = list(pool.map(_solve_one, payloads))
-    except (OSError, PermissionError):  # restricted environments: same plan, serial
-        solved = [_solve_one(p) for p in payloads]
-    return {rs.degree: rs for rs in solved}
+            parts = list(pool.map(analysis.certified_roots_range, singles, repeat(pcfg)))
+    except OSError:  # restricted environments: the same solves, serial
+        return analysis.certified_roots_range(ns, pcfg)
+    return {n: rs for part in parts for n, rs in part.items()}
 
 
 def run(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
-    if outdir is not None and (outdir / "DONE").exists():
-        print(f"cached: {outdir}")
-        return EXIT_OK
+    if outdir is not None:
+        if (outdir / "DONE").exists():
+            print(f"cached: {outdir}")
+            return EXIT_OK
+        (outdir / "runconfig.txt").write_text(cfg.to_text(), encoding="utf-8")
 
     code = _dispatch(cfg, outdir)
     if code == EXIT_OK and outdir is not None:

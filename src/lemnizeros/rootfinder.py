@@ -154,27 +154,19 @@ def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
     return points
 
 
-def find_roots(
-    p: ExactPolynomial,
-    cfg: PrecisionConfig = PrecisionConfig(),
-    start=None,
-) -> RootSet:
+def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> RootSet:
     """All n zeros of p, certified; escalates precision until the
     certificate is strong (disjoint conjugation-closed disks, radii below
     RADIUS_REL_TOL relative) or the precision ceiling is hit.
 
-    `start` optionally seeds the iteration (e.g. with the certified roots of
-    the previous degree during a campaign); it must hold exactly n points.
-    Without it the iteration starts from the lemniscate seeds of
-    initial_points.  Each inclusion radius is an upper bound rounded in
-    integers (see certify).
+    The iteration starts from the lemniscate seeds of initial_points, so the
+    result is a function of p and cfg alone; an escalated retry starts from
+    the previous rung's estimates.  Each inclusion radius is an upper bound
+    rounded in integers (see certify).
     """
     n = p.degree
     bits = min(max(cfg.bits, _suggested_bits(n)), cfg.max_bits)
-    if start is None:
-        start = initial_points(n, bits)
-    elif len(start) != n:
-        raise ValueError(f"find_roots: start must hold exactly {n} points")
+    start = initial_points(n, bits)
     trace: list[str] = []
     while True:
         raw, status, sweeps = _aberth_family(p, start, bits)

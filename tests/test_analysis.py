@@ -52,6 +52,25 @@ class TestVerifyLemmas:
             verify_lemmas([0, 2])
 
 
+
+class TestDegreeIndependence:
+    """A degree's certified roots and verdicts do not depend on which other
+    degrees the campaign holds: exact equality, roots and radii included."""
+
+    def test_range_solve_matches_single_degree(self):
+        in_range = analysis.certified_roots_range(range(2, 13))[12]
+        alone = analysis.certified_roots_range([12])[12]
+        assert in_range.roots == alone.roots
+        assert in_range.inclusion_radii == alone.inclusion_radii
+        assert in_range == alone
+
+    def test_campaign_report_matches_single_degree(self):
+        in_range = verify_lemmas(range(2, 13))[-1]
+        alone = verify_lemmas([12])[0]
+        assert in_range.n == alone.n == 12
+        assert in_range == alone
+
+
 class TestConvergence:
     def test_median_helper(self):
         assert _median([3, 1, 2]) == 2

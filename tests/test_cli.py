@@ -53,6 +53,11 @@ class TestParsing:
         b = RunConfig(command="roots", n=5, out="/tmp/b")
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != RunConfig(command="roots", n=6).content_hash()
+        # the worker count changes no artifact, so it must not rename the run
+        one = RunConfig(command="roots", n=5, workers=1)
+        two = RunConfig(command="roots", n=5, workers=2)
+        assert one.content_hash() == two.content_hash() == a.content_hash()
+        assert "workers = 2" in two.to_text()  # still recorded in runconfig.txt
 
 
 class TestCommands:
@@ -132,10 +137,16 @@ class TestCommands:
         assert any((d / "level_field.csv").exists() for d in tmp_path.glob("figure-*"))
 
     def test_cache_reuse(self, tmp_path):
-        first = run_cli("coeffs", "--n", "3", "--out", str(tmp_path))
-        again = run_cli("coeffs", "--n", "3", "--out", str(tmp_path))
+        first = run_cli("coeffs", "--n", "3", "--workers", "1", "--out", str(tmp_path))
+        again = run_cli("coeffs", "--n", "3", "--workers", "1", "--out", str(tmp_path))
         assert first.returncode == again.returncode == 0
         assert "cached" in again.stdout
+        # another worker count hits the same cache and leaves the record of
+        # the run that wrote the artifacts alone
+        other = run_cli("coeffs", "--n", "3", "--workers", "2", "--out", str(tmp_path))
+        assert "cached" in other.stdout
+        (record,) = tmp_path.glob("coeffs-*/runconfig.txt")
+        assert "workers = 1" in record.read_text(encoding="utf-8")
 
     def test_config_file_equivalent_to_flags(self, tmp_path):
         out_a = tmp_path / "a"
@@ -160,6 +171,18 @@ class TestCommands:
             assert res.returncode == 0
             outs.append(next(out.glob("verify-*/lemmas.csv")).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_roots_independent_of_workers(self, tmp_path):
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            res = run_cli("roots", "--n-range", "10..20", "--workers", workers, "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            (csv,) = out.glob("roots-*/roots.csv")
+            written.append((csv.parent.name, csv.read_bytes()))
+        assert written[0][0] == written[1][0]
+        assert written[0][1] == written[1][1]
+        assert len(written[0][1].splitlines()) == 1 + sum(range(10, 21))
 
     def test_usage_without_command(self):
         res = run_cli()

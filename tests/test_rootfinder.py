@@ -149,19 +149,6 @@ class TestFindRoots:
             assert all(abs(z) + r < n + 1 for z, r in zip(rs.roots, rs.inclusion_radii))
             assert max(abs(z) - r for z, r in zip(rs.roots, rs.inclusion_radii)) > 1
 
-    def test_warm_start_agrees_with_cold(self):
-        p = build_polynomial(7)
-        cold = find_roots(p)
-        prev = find_roots(build_polynomial(6))
-        with mp.workprec(prev.precision_used):
-            start = list(prev.roots) + [mpc(1, mpf(1) / 7)]
-        warm = find_roots(p, start=start)
-        assert _match_greedily(warm.roots, cold.roots) < 1e-25
-
-    def test_wrong_start_length_rejected(self):
-        with pytest.raises(ValueError):
-            find_roots(build_polynomial(3), start=[mpc(1)])
-
     def test_wide_precision(self):
         # 2048 bits: squared moduli exceed the float range, so the kernel's
         # control flow must never convert a whole integer to float
