@@ -237,7 +237,7 @@ def residual_slope(reports: list[LemniscateReport]) -> mpf | None:
 # CSV / SVG emission
 
 
-def roots_report_csv(reports: list[LemniscateReport], roots: dict[int, RootSet], out=None) -> str:
+def roots_report_csv(reports: list[LemniscateReport], roots: dict[int, RootSet]) -> str:
     """Per-root CSV (n, j, re, im, residual, inclusion_radius,
     value_residual, branch_distance, theta)."""
     lines = ["n,j,re,im,residual,inclusion_radius,value_residual,branch_distance,theta"]
@@ -251,13 +251,10 @@ def roots_report_csv(reports: list[LemniscateReport], roots: dict[int, RootSet],
                 f"{mpmath.nstr(datum.value_residual, 20)},{mpmath.nstr(datum.branch_distance, 20)},"
                 f"{theta}"
             )
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def summary_csv(reports: list[LemniscateReport], out=None) -> str:
+def summary_csv(reports: list[LemniscateReport]) -> str:
     """Per-degree CSV (n, max_value_residual, median_value_residual, min_re,
     max_modulus, theta_gap_ratio)."""
     lines = ["n,max_value_residual,median_value_residual,min_re,max_modulus,theta_gap_ratio"]
@@ -268,13 +265,10 @@ def summary_csv(reports: list[LemniscateReport], out=None) -> str:
             f"{mpmath.nstr(rep.median_value_residual, 20)},{mpmath.nstr(rep.min_real_part, 20)},"
             f"{mpmath.nstr(rep.max_modulus, 20)},{ratio}"
         )
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def lemma_csv(reports: list[LemmaReport], out=None) -> str:
+def lemma_csv(reports: list[LemmaReport]) -> str:
     """Per-degree CSV of lemma verdicts."""
     lines = [
         "n,root_count,ek_disk,outside_unit_circle,min_real_part,max_modulus,"
@@ -287,10 +281,7 @@ def lemma_csv(reports: list[LemmaReport], out=None) -> str:
             f"{mpmath.nstr(r.product_deviation, 10)},{r.precision_used},"
             f"{'' if r.error is None else r.error}"
         )
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 _FIGURE_N_LIST = (5, 10, 16, 23, 40, 60)

@@ -52,8 +52,8 @@ class RunConfig:
     n: int | None = None
     n_range: tuple[int, int] | None = None
     n_list: tuple[int, ...] | None = None
-    precision_bits: int = 128
-    max_bits: int = 4096
+    precision_bits: int = PrecisionConfig().bits
+    max_bits: int = PrecisionConfig().max_bits
     theta_grid: int = 2048
     steps: int = 512
     path_tol: str | None = None

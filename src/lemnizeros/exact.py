@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable
 
 
@@ -202,15 +202,12 @@ def _jacobi_in_z(n: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
             continue
         # (-z)^s (1-z)^(n-s) expanded into monomials
         for j in range(n - s + 1):
-            acc[s + j] += coef * (-1) ** s * _binom_frac(Fraction(n - s), j) * (-1) ** j
+            acc[s + j] += coef * (-1) ** (s + j) * comb(n - s, j)
     return acc
 
 
-def coefficients_csv(ns: Iterable[int], out=None) -> str:
-    """CSV of exact coefficients, columns (n, m, numerator, denominator).
-
-    Writes to the file-like `out` when given; always returns the text.
-    """
+def coefficients_csv(ns: Iterable[int]) -> str:
+    """CSV of exact coefficients, columns (n, m, numerator, denominator)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "m", "numerator", "denominator"])
@@ -218,7 +215,4 @@ def coefficients_csv(ns: Iterable[int], out=None) -> str:
         p = build_polynomial(n)
         for m, c in enumerate(p.coefficients):
             writer.writerow([n, m, c.numerator, c.denominator])
-    text = buf.getvalue()
-    if out is not None:
-        out.write(text)
-    return text
+    return buf.getvalue()

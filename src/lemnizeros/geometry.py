@@ -186,7 +186,7 @@ def divides_and_level_field(z, window, res: int, bits: int = DEFAULT_BITS) -> Le
         return LevelField(z, (re_min, re_max, im_min, im_max), res, tuple(rows), divides)
 
 
-def level_field_csv(field: LevelField, out=None) -> str:
+def level_field_csv(field: LevelField) -> str:
     """CSV (re_t, im_t, abs_f) of the sampled field, divide lines as leading
     comment rows; row-major, deterministic."""
     lines = []
@@ -200,23 +200,17 @@ def level_field_csv(field: LevelField, out=None) -> str:
         for k in range(field.resolution):
             t = field.grid_point(j, k)
             lines.append(f"{_dec(t.real)},{_dec(t.imag)},{_dec(field.values[j][k])}")
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def lemniscate_csv(points: list[LemniscatePoint], out=None) -> str:
+def lemniscate_csv(points: list[LemniscatePoint]) -> str:
     """CSV (theta, re_z, im_z, residual) for lemniscate points."""
     lines = ["theta,re_z,im_z,residual"]
     for pt in points:
         lines.append(
             f"{_dec(pt.theta)},{_dec(pt.z.real)},{_dec(pt.z.imag)},{_dec(pt.residual, 10)}"
         )
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

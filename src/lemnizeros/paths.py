@@ -212,7 +212,7 @@ def trace_path(
         return SteepestPath(z, samples, tuple(quad), t_end, label, path_tol, bits)
 
 
-def path_csv(path: SteepestPath, out=None) -> str:
+def path_csv(path: SteepestPath) -> str:
     """CSV (r, re_t, im_t, implicit_residual) over all stored samples."""
     lines = ["r,re_t,im_t,implicit_residual"]
     for r, t in path.samples:
@@ -220,10 +220,7 @@ def path_csv(path: SteepestPath, out=None) -> str:
             f"{mpmath.nstr(r, 24)},{mpmath.nstr(t.real, 24)},"
             f"{mpmath.nstr(t.imag, 24)},{mpmath.nstr(path.implicit_residual(r, t), 8)}"
         )
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def integral_full(n: int, z, bits: int = DEFAULT_BITS) -> mpc:

@@ -1,5 +1,16 @@
 """Certified computation of all n zeros of the family polynomial.
 
+The solve and its certificate work in w = 1 - z.  There the family is a
+positive multiple of S_n(w) = sum_k (b)_k / k! w^k with b = (n+1)/2, the
+degree-n section of (1-w)^(-b): every coefficient is at least 1, and
+evaluation near the zeros loses a fraction of a bit per degree, where the
+monomial basis in z loses about 2.6.  The w coefficients are integers from
+an exact Taylor shift of the paper's monomial coefficients, so nothing but
+those coefficients enters the certificate, and every solve starts at the
+configured working precision whatever the degree.  At the 160-bit default
+the certificate sits 2 to 7 bits below that precision for n <= 80 and
+loses about 0.2 bits per degree beyond (149 bits at n = 100, 128 at 200).
+
 All zeros are refined together by Ehrlich-Aberth sweeps (Newton corrections
 with pairwise repulsion, applied in place).  Deflation is deliberately not
 used: the zeros cluster along a curve and deflation compounds error there,
@@ -9,11 +20,11 @@ zeros approach as n grows, with the seeds equally spaced in the phase of
 sqrt(z) (1-z), so the sweeps refine the curve rather than find it.  The
 sweeps run in fixed point on plain Python integers: every root and
 coefficient is a Gaussian integer at one shared scale 2^-(prec+8), the 8
-guard bits absorbing the floor rounding of each shift and division.  The
-zeros lie in |z| < 2, so the integers stay near prec bits, and a sweep skips
-the per-operation normalisation that libmp's floating-point tuples cost in
-pure Python.  Values enter the scale once and leave it, rounded to the
-working precision, once.
+guard bits absorbing the floor rounding of each shift and division, and
+w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.  A sweep skips the
+per-operation normalisation that libmp's floating-point tuples cost in pure
+Python.  Values enter the scale once and leave it, rounded to the working
+precision, once.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -21,18 +32,14 @@ disks pin down all n zeros.  Both values are computed exactly (the
 coefficients are rationals and each root estimate is a dyadic rational), so
 only the final radius is rounded, upwards, by an integer square root of the
 exact ratio scaled to about twice the working precision.  The solve is
-restarted at escalated precision whenever the certificate comes out too
-weak.  The monomial-basis conditioning of this family grows like 7^n near
-the real end of the zero curve, log2 7 ~ 2.81 bits per degree, so the
-starting precision is chosen accordingly; the 128-bit default in
-PrecisionConfig remains the floor for small n.
+restarted at doubled precision whenever the certificate comes out too weak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, inf, isqrt, lcm, log2
+from math import inf, isqrt, lcm, log2
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -155,17 +162,20 @@ def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
 
 
 def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> RootSet:
-    """All n zeros of p, certified; escalates precision until the
-    certificate is strong (disjoint conjugation-closed disks, radii below
-    RADIUS_REL_TOL relative) or the precision ceiling is hit.
+    """All n zeros of p, certified; starts at cfg.bits and doubles the
+    precision until the certificate is strong (disjoint conjugation-closed
+    disks, radii below RADIUS_REL_TOL relative) or the precision ceiling is
+    hit.
 
     The iteration starts from the lemniscate seeds of initial_points, so the
-    result is a function of p and cfg alone; an escalated retry starts from
-    the previous rung's estimates.  Each inclusion radius is an upper bound
-    rounded in integers (see certify).
+    result is a function of p and cfg alone.  In the w basis one rung
+    suffices at the default precision at every degree tried (up to 200);
+    the doubling is the safety net, and a retry starts from the previous
+    rung's estimates.  Each inclusion radius is an upper bound rounded in
+    integers (see certify).
     """
     n = p.degree
-    bits = min(max(cfg.bits, _suggested_bits(n)), cfg.max_bits)
+    bits = cfg.bits
     start = initial_points(n, bits)
     trace: list[str] = []
     while True:
@@ -190,7 +200,7 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
                 f"{cfg.max_bits} bits for n={n}; trace: {'; '.join(trace)}"
             )
         bits = cfg.escalate(bits)
-        start = raw  # warm start: the stalled estimates seed the retry
+        start = raw  # the previous rung's estimates seed the retry
 
 
 def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
@@ -263,10 +273,12 @@ def _sqrt_up(num: int, den: int, bits: int) -> mpf:
 def exact_horner(p: ExactPolynomial, z) -> tuple[tuple[int, int], tuple[int, int], int]:
     """p(z) and p'(z) exactly, at a finite binary floating-point point z.
 
-    With C_m = c_m L and z = (X + iY) 2^-k, one homogenised Horner loop in
-    Gaussian integers gives P = p(z) L 2^(kn) and D = p'(z) L 2^(kn).  Returns
-    (P, D, L 2^(kn)) with P and D as (real, imag) integer pairs.  Raises
-    ValueError when z is not finite.
+    With z = (X + iY) 2^-k, so that w = 1 - z = W 2^-k for the Gaussian
+    integer W = (2^k - X) - iY, one homogenised Horner loop over the w
+    coefficients C_k of _integer_coefficients gives P = p(z) L 2^(kn) and
+    D = p'(z) L 2^(kn), the derivative in w negated.  Returns (P, D, L 2^(kn))
+    with P and D as (real, imag) integer pairs.  Raises ValueError when z is
+    not finite.
     """
     n = p.degree
     coeffs, scale = _integer_coefficients(n)
@@ -275,15 +287,16 @@ def exact_horner(p: ExactPolynomial, z) -> tuple[tuple[int, int], tuple[int, int
         raise ValueError(f"exact_horner: {z} is not finite")
     (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
     k = max(0, -xe, -ye)
-    x, y = (-xm if xs else xm) << (xe + k), (-ym if ys else ym) << (ye + k)
+    x = (1 << k) - ((-xm if xs else xm) << (xe + k))
+    y = (ym if ys else -ym) << (ye + k)
     vr, vi, dr, di = coeffs[n], 0, 0, 0
     for m in range(n - 1, -1, -1):
         dr, di = dr * x - di * y + vr, dr * y + di * x + vi
         vr, vi = vr * x - vi * y + (coeffs[m] << (k * (n - m))), vr * y + vi * x
-    return (vr, vi), (dr << k, di << k), scale << (k * n)
+    return (vr, vi), (-dr << k, -di << k), scale << (k * n)
 
 
-def rootset_csv(rs: RootSet, out=None) -> str:
+def rootset_csv(rs: RootSet) -> str:
     """CSV (n, j, re, im, residual, inclusion_radius); re/im at 40 significant
     digits, enough to round-trip the first 128 bits of each value."""
     lines = ["n,j,re,im,residual,inclusion_radius"]
@@ -292,40 +305,52 @@ def rootset_csv(rs: RootSet, out=None) -> str:
             f"{rs.degree},{j},{_dec(z.real, 40)},{_dec(z.imag, 40)},"
             f"{_dec(rs.residuals[j], 10)},{_dec(rs.inclusion_radii[j], 10)}"
         )
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _dec(x: mpf, digits: int) -> str:
     return mpmath.nstr(x, digits)
 
 
-def _suggested_bits(n: int) -> int:
-    """Starting precision: 2.9 bits per degree, the 2.81 growth rate of the
-    conditioning (see the module docstring) plus margin, and slack for the
-    certification target."""
-    return 96 + ceil(2.9 * n)
-
-
 @lru_cache(maxsize=None)
 def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
-    """((C_0, ..., C_n), L): the family coefficients scaled to integers
-    C_m = c_m L by the lcm L of their denominators."""
+    """((C_0, ..., C_n), L) with p(z) L = sum_k C_k w^k, w = 1 - z.
+
+    L is the lcm of the denominators of the paper's monomial coefficients
+    c_m, and the C_k come from c_m L by an exact integer Taylor shift, so
+    they rest on those coefficients alone.  Every C_k is positive, and
+    C_k / C_0 = (b)_k / k! with b = (n+1)/2.
+    """
     pc = build_polynomial(degree).coefficients
     scale = lcm(*(c.denominator for c in pc))
-    return tuple(c.numerator * (scale // c.denominator) for c in pc), scale
+    a = [c.numerator * (scale // c.denominator) for c in pc]
+    # p(1 + u) by repeated synthetic division, then u = -w
+    for i in range(degree):
+        for j in range(degree - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return tuple(-c if k % 2 else c for k, c in enumerate(a)), scale
 
 
 def _aberth_family(p: ExactPolynomial, start, bits: int):
-    """Ehrlich-Aberth solve for the family polynomial at fixed precision."""
+    """Ehrlich-Aberth solve for the family polynomial at fixed precision, in
+    w = 1 - z on the coefficients C_k / C_0 = (b)_k / k!.
+
+    Each of these is at least 1.  Their denominators are powers of two
+    below 2^(2k), so they are exact at the scale 2^-(bits+8) for
+    n <= (bits+8)/2; for larger n the fixed-point coefficients are
+    rounded down, each by less than 2^-(bits+8).  Seeds and results pass
+    between z and w exactly in fixed point.
+    """
     scale = bits + _GUARD
-    ints, lcm_den = _integer_coefficients(p.degree)
-    coeffs = [((c << scale) // lcm_den, 0) for c in ints]
-    roots = [_to_fixed(to_mpc(z, bits), scale) for z in start]
+    one = 1 << scale
+    ints, _ = _integer_coefficients(p.degree)
+    coeffs = [((c << scale) // ints[0], 0) for c in ints]
+    roots = []
+    for z in start:
+        x, y = _to_fixed(to_mpc(z, bits), scale)
+        roots.append((one - x, -y))
     roots, status, sweeps = _aberth_core(coeffs, roots, bits)
-    return [_from_fixed(z, scale, bits) for z in roots], status, sweeps
+    return [_from_fixed((one - x, -y), scale, bits) for x, y in roots], status, sweeps
 
 
 def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
@@ -375,31 +400,23 @@ def _from_fixed(z: tuple[int, int], scale: int, bits: int) -> mpc:
     return mp.make_mpc(tuple(from_man_exp(v, -scale, bits, "n") for v in z))
 
 
-def _aberth_core(coeffs, roots, prec, stall_window: int = 10):
+def _aberth_core(coeffs, roots, prec):
     """Ehrlich-Aberth sweeps, in place, on fixed-point Gaussian integers.
 
     Coefficients (ascending) and roots are (re, im) integer pairs at one
     shared scale 2^-P, P = prec + _GUARD, so x stands for x / 2^P.  A
     product is one integer multiply and a right shift by P, and a complex
     quotient is one floor division by the squared modulus of the divisor;
-    every shift and division rounds towards minus infinity.  The
-    zeros of interest lie in |z| < 2, so the integers carry about P bits and
-    the guard bits absorb the error that accumulates over a Horner loop.
-    This avoids libmp's per-operation normalisation of (sign, mantissa,
-    exponent) tuples, which in pure Python dominated the solve.
+    every shift and division rounds towards minus infinity.  The guard bits
+    absorb the error that accumulates over a Horner loop.  This avoids
+    libmp's per-operation normalisation of (sign, mantissa, exponent)
+    tuples, which in pure Python dominated the solve.
 
     Stops 'converged' when every relative correction in a sweep is below
-    2^(8-prec).  For an ill-conditioned polynomial the corrections instead
-    plateau at the evaluation noise floor, which sits above that threshold;
-    the plateau is detected by the one-bit-in-`stall_window`-sweeps rule,
-    armed only once corrections are small (below 2^-40), because during the
-    early global reorganization the worst correction hovers without that
-    meaning anything is wrong.  A separate sweep budget bounds the global
-    phase.  The caller certifies the returned configuration either way; a
-    'plateau' exit at adequate precision is the normal terminal state.
-    Relative corrections are compared as log2 values: math.log2 reads the
-    top bits of an integer of any size, where a float conversion would
-    overflow beyond 2^1024.
+    2^(8-prec), and 'stall' after max_sweeps otherwise; the caller certifies
+    the returned configuration either way.  Relative corrections are
+    compared as log2 values: math.log2 reads the top bits of an integer of
+    any size, where a float conversion would overflow beyond 2^1024.
     """
     n = len(coeffs) - 1
     P = prec + _GUARD
@@ -408,11 +425,8 @@ def _aberth_core(coeffs, roots, prec, stall_window: int = 10):
     lead, rest = coeffs[-1], coeffs[-2::-1]
     roots = list(roots)
     frozen = [False] * n
-    history: list[float] = []
-    global_budget = 60 + 2 * n
     max_sweeps = 120 + 6 * n
     for sweep in range(1, max_sweeps + 1):
-        worst = -inf
         all_ok = True
         for i in range(n):
             if frozen[i]:
@@ -452,16 +466,8 @@ def _aberth_core(coeffs, roots, prec, stall_window: int = 10):
                 all_ok = False
             elif rel < 4 - prec:
                 frozen[i] = True
-            worst = max(worst, rel)
-        history.append(worst)
         if all_ok:
             return roots, "converged", sweep
-        in_endgame = worst < -40
-        if in_endgame and len(history) > stall_window:
-            if worst > history[-1 - stall_window] - 1:
-                return roots, "plateau", sweep
-        if not in_endgame and sweep >= global_budget:
-            return roots, "stall", sweep
     return roots, "stall", max_sweeps
 
 

@@ -86,7 +86,7 @@ class TestCommands:
         assert abs(float(rows[1][3]) - 0.6110100926607787) < 1e-12
 
     def test_roots_precision_exhausted_exit_code(self):
-        res = run_cli("roots", "--n", "24", "--precision-bits", "64", "--max-bits", "64")
+        res = run_cli("roots", "--n", "204", "--precision-bits", "64", "--max-bits", "64")
         assert res.returncode == 4
         assert "precision exhausted" in res.stderr
 

@@ -40,11 +40,11 @@ def _newton_sqrt(z, bits):
 class TestPrecisionConfig:
     def test_defaults(self):
         cfg = PrecisionConfig()
-        assert (cfg.bits, cfg.escalation_factor, cfg.max_bits) == (128, 2, 4096)
+        assert (cfg.bits, cfg.max_bits) == (160, 4096)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(bits=32), dict(escalation_factor=1), dict(bits=256, max_bits=128)],
+        [dict(bits=32), dict(bits=63), dict(bits=256, max_bits=128)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

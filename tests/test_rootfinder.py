@@ -1,6 +1,7 @@
 """Root solver: closed-form small cases, eigenvalue oracles, certification."""
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mpmath import mp, mpc, mpf, polyval
 from mpmath.libmp import from_man_exp, from_rational, mpf_sqrt
 
 from lemnizeros import rootfinder
-from lemnizeros.exact import build_polynomial
+from lemnizeros.exact import build_polynomial, pochhammer
 from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc, to_mpf
 from lemnizeros.rootfinder import (
     RADIUS_REL_TOL,
@@ -158,10 +159,42 @@ class TestFindRoots:
         assert rs.max_relative_radius() <= RADIUS_REL_TOL
 
     def test_precision_exhausted(self):
+        # in the w basis 64 bits certify every degree up to 203
         cfg = PrecisionConfig(bits=64, max_bits=64)
         with pytest.raises(PrecisionExhaustedError) as err:
-            find_roots(build_polynomial(24), cfg)
+            find_roots(build_polynomial(204), cfg)
         assert "64" in str(err.value)
+
+
+class TestWBasis:
+    """The solve and its certificate run in w = 1 - z, where the family is a
+    section of (1 - w)^(-b) with positive coefficients."""
+
+    def test_coefficients_are_the_binomial_section(self):
+        for n in range(1, 61):
+            cs, _ = rootfinder._integer_coefficients(n)
+            b = Fraction(n + 1, 2)
+            assert len(cs) == n + 1 and all(c > 0 for c in cs)
+            for k, c in enumerate(cs):
+                assert Fraction(c, cs[0]) == pochhammer(b, k) / factorial(k)
+
+    def test_coefficients_represent_p(self):
+        # sum_k C_k (1 - z)^k = p(z) L, checked at a rational point
+        z = Fraction(3, 7)
+        for n in (1, 2, 7, 30):
+            cs, scale = rootfinder._integer_coefficients(n)
+            want = sum(c * z**m for m, c in enumerate(build_polynomial(n).coefficients))
+            assert sum(c * (1 - z) ** k for k, c in enumerate(cs)) == want * scale
+
+    @pytest.mark.parametrize("n", range(1, 81))
+    def test_one_rung_at_the_default_precision(self, n, root_cache):
+        bits = PrecisionConfig().bits
+        p = build_polynomial(n)
+        _, status, _ = rootfinder._aberth_family(p, initial_points(n, bits), bits)
+        assert status == "converged"
+        rs = root_cache([n])[n]
+        assert rs.precision_used == bits
+        assert rs.max_relative_radius() <= mpf(2) ** -150
 
 
 class TestCertify:
@@ -285,7 +318,7 @@ class TestSqrtUp:
 
 class TestCsvAndCubic:
     def test_csv_round_trips_at_128_bits(self):
-        rs = find_roots(build_polynomial(2))
+        rs = find_roots(build_polynomial(2), PrecisionConfig(bits=128))
         text = rootset_csv(rs)
         lines = text.strip().split("\n")
         assert lines[0] == "n,j,re,im,residual,inclusion_radius"
