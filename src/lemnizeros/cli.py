@@ -26,7 +26,7 @@ from pathlib import Path
 import mpmath
 from mpmath import mp, mpf
 
-from . import analysis
+from . import analysis, geometry, paths
 from .exact import coefficients_csv
 from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
 from .paths import PathError, path_csv, trace_path
@@ -52,7 +52,7 @@ class RunConfig:
     n: int | None = None
     n_range: tuple[int, int] | None = None
     n_list: tuple[int, ...] | None = None
-    precision_bits: int = PrecisionConfig().bits
+    precision_bits: int | None = None  # None: the command's default, see bits()
     max_bits: int = PrecisionConfig().max_bits
     theta_grid: int = 2048
     steps: int = 512
@@ -69,7 +69,7 @@ class RunConfig:
         for f in fields(self):
             if hashed_only and f.name in ("out", "workers"):
                 continue
-            v = getattr(self, f.name)
+            v = self.bits() if f.name == "precision_bits" else getattr(self, f.name)
             if v is None:
                 continue
             if isinstance(v, tuple):
@@ -80,8 +80,21 @@ class RunConfig:
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text(hashed_only=True).encode()).hexdigest()[:12]
 
+    def bits(self) -> int:
+        """The working precision: --precision-bits, else the command's
+        default.  trace and figure --kind level keep the 128 bits of the
+        path and level-field modules; the solver commands start at
+        PrecisionConfig().bits."""
+        if self.precision_bits is not None:
+            return self.precision_bits
+        if self.command == "trace":
+            return paths.DEFAULT_BITS
+        if self.command == "figure" and self.kind == "level":
+            return geometry.DEFAULT_BITS
+        return PrecisionConfig().bits
+
     def precision(self) -> PrecisionConfig:
-        return PrecisionConfig(bits=self.precision_bits, max_bits=max(self.max_bits, self.precision_bits))
+        return PrecisionConfig(bits=self.bits(), max_bits=max(self.max_bits, self.bits()))
 
     def degrees(self) -> list[int]:
         if self.n is not None:
@@ -324,8 +337,8 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
                 else (Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(3, 2))
             )
             re_q, im_q = parse_rational_complex(cfg.z)
-            z = to_mpc(re_q, cfg.precision_bits, im_q)
-            text = analysis.figure_level_curves(z, window, cfg.res, cfg.precision_bits)
+            z = to_mpc(re_q, cfg.bits(), im_q)
+            text = analysis.figure_level_curves(z, window, cfg.res, cfg.bits())
             _emit(outdir, "level_field.csv", text)
             if outdir is not None:
                 print(f"wrote {outdir / 'level_field.csv'}")
@@ -334,12 +347,12 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
 
     if cfg.command == "trace":
         re_q, im_q = parse_rational_complex(cfg.z)
-        z = to_mpc(re_q, cfg.precision_bits, im_q)
+        z = to_mpc(re_q, cfg.bits(), im_q)
         path = trace_path(
             z,
             steps=cfg.steps,
             path_tol=None if cfg.path_tol is None else mpf(cfg.path_tol),
-            bits=cfg.precision_bits,
+            bits=cfg.bits(),
         )
         _emit(outdir, "path.csv", path_csv(path))
         print(

@@ -33,11 +33,11 @@ class TestVerifyLemmas:
 
     def test_error_isolation(self):
         cfg = PrecisionConfig(bits=64, max_bits=64)
-        reports = verify_lemmas([2, 204], cfg)
+        reports = verify_lemmas([2, 240], cfg)
         by_n = {r.n: r for r in reports}
         assert by_n[2].error is None
-        assert by_n[204].error is not None  # 64 bits cannot certify degree 204
-        assert "64" in by_n[204].error
+        assert by_n[240].error is not None  # 64 bits cannot certify degree 240
+        assert "64" in by_n[240].error
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lemnizeros.cli import RunConfig, parse_rational_complex, parse_run_config_text
+from lemnizeros.numerics import PrecisionConfig
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +60,16 @@ class TestParsing:
         assert one.content_hash() == two.content_hash() == a.content_hash()
         assert "workers = 2" in two.to_text()  # still recorded in runconfig.txt
 
+    def test_precision_default_per_command(self):
+        # the solver commands start at the solver's default; the path and
+        # level-field commands keep the 128 bits of their modules
+        assert RunConfig(command="roots", n=5).precision().bits == PrecisionConfig().bits
+        assert RunConfig(command="figure", kind="zeros").bits() == PrecisionConfig().bits
+        assert RunConfig(command="trace", z="4/3").bits() == 128
+        assert RunConfig(command="figure", kind="level", z="4/3").bits() == 128
+        assert RunConfig(command="trace", z="4/3", precision_bits=200).bits() == 200
+        assert "precision_bits = 128" in RunConfig(command="trace", z="4/3").to_text()
+
 
 class TestCommands:
     def test_coeffs_stdout(self):
@@ -86,7 +97,7 @@ class TestCommands:
         assert abs(float(rows[1][3]) - 0.6110100926607787) < 1e-12
 
     def test_roots_precision_exhausted_exit_code(self):
-        res = run_cli("roots", "--n", "204", "--precision-bits", "64", "--max-bits", "64")
+        res = run_cli("roots", "--n", "240", "--precision-bits", "64", "--max-bits", "64")
         assert res.returncode == 4
         assert "precision exhausted" in res.stderr
 
