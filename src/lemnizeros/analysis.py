@@ -164,12 +164,14 @@ def convergence_report(
     branch_samples: int = 2048,
     roots: dict[int, RootSet] | None = None,
 ) -> list[LemniscateReport]:
-    """LemniscateReport for each degree in ascending n_list order."""
+    """LemniscateReport for each degree in ascending n_list order.  The
+    reference branch is sampled at geometry's default precision; it needs no
+    certificate."""
     ns = sorted(set(int(n) for n in n_list))
     if any(n < 1 for n in ns):
         raise ValueError("convergence_report: degrees must be >= 1")
     bits = cfg.bits
-    polyline = [complex(v) for v in branch_polyline(branch_samples, bits)]
+    polyline = [complex(v) for v in branch_polyline(branch_samples)]
     if roots is None:
         roots = certified_roots_range(ns, cfg)
     reports = []
@@ -297,10 +299,11 @@ def figure_zero_plot(
 ) -> tuple[str, str]:
     """(svg_text, csv_text): the right lemniscate branch with root markers,
     one panel per degree, three panels per row.  The CSV carries every
-    plotted coordinate as (n, kind, re, im) with kind in {branch, root}."""
+    plotted coordinate as (n, kind, re, im) with kind in {branch, root}.
+    The branch is a plotting aid, drawn at geometry's default precision
+    whatever cfg.bits is."""
     ns = sorted(set(int(n) for n in n_list))
-    bits = cfg.bits
-    branch = branch_polyline(branch_samples, bits)
+    branch = branch_polyline(branch_samples)
     if roots is None:
         roots = certified_roots_range(ns, cfg)
 

@@ -87,20 +87,14 @@ def principal_sqrt(z: mpc, bits: int) -> mpc:
         return mpmath.sqrt(z)
 
 
-def f_eval(z: mpc, t: mpc, bits: int | None = None) -> mpc:
-    """t(1 - z t^2)."""
-    if bits is None:
-        return t * (1 - z * t * t)
-    with mp.workprec(bits):
-        return mpc(t) * (1 - mpc(z) * mpc(t) * mpc(t))
+def f_eval(z: mpc, t: mpc) -> mpc:
+    """t(1 - z t^2), at the caller's working precision."""
+    return t * (1 - z * t * t)
 
 
-def fprime_factor(z: mpc, t: mpc, bits: int | None = None) -> mpc:
+def fprime_factor(z: mpc, t: mpc) -> mpc:
     """1 - 3 z t^2, the derivative factor vanishing at the saddles."""
-    if bits is None:
-        return 1 - 3 * z * t * t
-    with mp.workprec(bits):
-        return 1 - 3 * mpc(z) * mpc(t) * mpc(t)
+    return 1 - 3 * z * t * t
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,17 @@ guard bits absorbing the floor rounding of each shift and division, and
 w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.  A sweep skips the
 per-operation normalisation that libmp's floating-point tuples cost in pure
 Python.  Values enter the scale once and leave it, rounded to the working
-precision, once.
+precision, once.  The seeds are closed under conjugation, and the solve
+copies each root onto its partner, so the root set is exactly closed under
+conjugation by construction.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
 disks pin down all n zeros.  Both values are computed exactly (the
 coefficients are rationals and each root estimate is a dyadic rational), so
 only the final radius is rounded, upwards, by an integer square root of the
-exact ratio scaled to about twice the working precision.  The solve is
+exact ratio scaled to about twice the working precision.  p is real, so one
+exact evaluation serves both members of a conjugate pair.  The solve is
 restarted at doubled precision whenever the certificate comes out too weak.
 """
 
@@ -90,32 +93,6 @@ class RootSet:
         with mp.workprec(_CTRL):
             return max(r / (1 + abs(z)) for r, z in zip(self.inclusion_radii, self.roots))
 
-    def conjugation_closed(self) -> bool:
-        """True when the multiset of roots equals its conjugate, pairing
-        roots greedily within summed inclusion radii."""
-        with mp.workprec(self.precision_used):
-            n = self.degree
-            used = [False] * n
-            for i in range(n):
-                if used[i]:
-                    continue
-                zi, ri = self.roots[i], self.inclusion_radii[i]
-                if abs(zi.imag) <= ri:
-                    used[i] = True
-                    continue
-                target = mpc(zi.real, -zi.imag)
-                match = None
-                for j in range(n):
-                    if j == i or used[j]:
-                        continue
-                    if abs(self.roots[j] - target) <= ri + self.inclusion_radii[j]:
-                        match = j
-                        break
-                if match is None:
-                    return False
-                used[i] = used[match] = True
-            return True
-
 
 def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
     """Starting configuration: n points on the right branch of the lemniscate
@@ -163,12 +140,12 @@ def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
 
 def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> RootSet:
     """All n zeros of p, certified; starts at cfg.bits and doubles the
-    precision until the certificate is strong (disjoint conjugation-closed
-    disks, radii below RADIUS_REL_TOL relative) or the precision ceiling is
-    hit.
+    precision until the certificate is strong (disjoint disks, radii below
+    RADIUS_REL_TOL relative) or the precision ceiling is hit.
 
     The iteration starts from the lemniscate seeds of initial_points, so the
-    result is a function of p and cfg alone.  In the w basis one rung
+    result is a function of p and cfg alone, and the root set is exactly
+    closed under conjugation (see _aberth_family).  In the w basis one rung
     suffices at the default precision at every degree tried (up to 200);
     the doubling is the safety net, and a retry starts from the previous
     rung's estimates.  Each inclusion radius is an upper bound rounded in
@@ -187,12 +164,7 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
         except CertificationError:
             pass
         target = max(RADIUS_REL_TOL, mpf(2) ** (32 - bits))
-        if (
-            rs is not None
-            and rs.disks_disjoint()
-            and rs.conjugation_closed()
-            and rs.max_relative_radius() <= target
-        ):
+        if rs is not None and rs.disks_disjoint() and rs.max_relative_radius() <= target:
             return rs
         if bits >= cfg.max_bits:
             raise PrecisionExhaustedError(
@@ -203,43 +175,44 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
         start = raw  # the previous rung's estimates seed the retry
 
 
-def certify(p: ExactPolynomial, roots, bits: int | None = None) -> RootSet:
-    """Fill residuals and inclusion radii for computed roots.
+def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
+    """Fill residuals and inclusion radii for the computed roots, rounded to
+    `bits`, and sort them by (real, imaginary) part.
 
     radius_j = n |p(z_j)| / |p'(z_j)|, from the exact values of exact_horner
     rounded up at `bits` by _sqrt_up: a disk at z_j of this radius contains
     at least one true zero (the classical inclusion theorem, see Rump 2003).
-    Raises CertificationError when some p'(z_j) is exactly zero or some root
+    p is real, so p(conj z) = conj p(z): a root whose exact conjugate or
+    exact copy was already evaluated reuses that residual and radius, and a
+    conjugate-closed set costs one exact evaluation per pair.  Raises
+    CertificationError when some p'(z_j) is exactly zero or some root
     estimate is not finite.
     """
-    if isinstance(roots, RootSet):
-        bits = bits or roots.precision_used
-        roots = roots.roots
-    if bits is None:
-        raise ValueError("certify: bits required when roots is a plain sequence")
     n = p.degree
     with mp.workprec(bits):
         zs = [mpc(z) for z in roots]
         if len(zs) != n:
             raise CertificationError(f"certification failed: expected {n} roots, got {len(zs)}")
-        residuals = []
-        radii = []
+        done: dict[tuple[mpf, mpf], tuple[mpf, mpf]] = {}  # (residual, radius)
+        values = []
         for z in zs:
-            try:
-                (vr, vi), (dr, di), scale = exact_horner(p, z)
-            except ValueError as exc:
-                raise CertificationError(f"certification failed: {exc}") from exc
-            v2, d2 = vr * vr + vi * vi, dr * dr + di * di
-            if d2 == 0:
-                raise CertificationError(
-                    f"certification failed: p' vanishes at root {mpmath.nstr(z, 17)}"
-                )
-            residuals.append(_sqrt_up(v2, scale * scale, bits))
-            radii.append(_sqrt_up(n * n * v2, d2, bits))
+            key = (z.real, abs(z.imag))
+            if key not in done:
+                try:
+                    (vr, vi), (dr, di), scale = exact_horner(p, z)
+                except ValueError as exc:
+                    raise CertificationError(f"certification failed: {exc}") from exc
+                v2, d2 = vr * vr + vi * vi, dr * dr + di * di
+                if d2 == 0:
+                    raise CertificationError(
+                        f"certification failed: p' vanishes at root {mpmath.nstr(z, 17)}"
+                    )
+                done[key] = _sqrt_up(v2, scale * scale, bits), _sqrt_up(n * n * v2, d2, bits)
+            values.append(done[key])
         order = sorted(range(n), key=lambda i: (zs[i].real, zs[i].imag))
         zs = [zs[i] for i in order]
-        residuals = [residuals[i] for i in order]
-        radii = [radii[i] for i in order]
+        residuals = [values[i][0] for i in order]
+        radii = [values[i][1] for i in order]
         overlaps = [False] * n
         rmax = max(radii, default=0)
         for i in range(n):
@@ -340,6 +313,15 @@ def _aberth_family(p: ExactPolynomial, start, bits: int):
     n <= (bits+8)/2; for larger n the fixed-point coefficients are
     rounded down, each by less than 2^-(bits+8).  Seeds and results pass
     between z and w exactly in fixed point.
+
+    The seeds of initial_points pair k with n-1-k as exact conjugates, and
+    p is real, so its zeros pair up the same way.  After the sweeps, still in fixed point,
+    root n-1-k is set to the conjugate of root k for k < n//2, and for odd n
+    the middle root (the real zero near 4/3) to its real part.  Both steps
+    are exact, and the final rounding is symmetric in sign, so the returned
+    set is exactly closed under conjugation.  A root that had wandered to
+    its partner's zero would leave two coinciding disks, which certify
+    flags as an overlap.
     """
     scale = bits + _GUARD
     one = 1 << scale
@@ -350,6 +332,12 @@ def _aberth_family(p: ExactPolynomial, start, bits: int):
         x, y = _to_fixed(to_mpc(z, bits), scale)
         roots.append((one - x, -y))
     roots, status, sweeps = _aberth_core(coeffs, roots, bits)
+    n = len(roots)
+    for k in range(n // 2):
+        x, y = roots[k]
+        roots[n - 1 - k] = (x, -y)
+    if n % 2:
+        roots[n // 2] = (roots[n // 2][0], 0)
     return [_from_fixed((one - x, -y), scale, bits) for x, y in roots], status, sweeps
 
 

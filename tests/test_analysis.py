@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from lemnizeros import analysis
+from lemnizeros import analysis, geometry
 from lemnizeros.analysis import (
     _median,
     convergence_report,
@@ -15,6 +15,7 @@ from lemnizeros.analysis import (
     summary_csv,
     verify_lemmas,
 )
+from lemnizeros.geometry import branch_polyline
 from lemnizeros.numerics import PrecisionConfig
 
 
@@ -133,6 +134,18 @@ class TestFigures:
         a = figure_zero_plot(ns, branch_samples=64, roots=root_cache(ns))
         b = figure_zero_plot(ns, branch_samples=64, roots=root_cache(ns))
         assert a == b
+
+    def test_zero_plot_branch_at_geometry_precision(self, root_cache):
+        # the branch is a plotting aid: it is drawn at geometry's 128-bit
+        # default, not at the root solver's working precision
+        ns = [5]
+        _, csv_text = figure_zero_plot(ns, PrecisionConfig(), 1024, roots=root_cache(ns))
+        got = [r.split(",")[2:] for r in csv_text.strip().split("\n") if r.startswith("5,branch,")]
+        want = [
+            [analysis._f(v.real), analysis._f(v.imag)]
+            for v in branch_polyline(1024, geometry.DEFAULT_BITS)
+        ]
+        assert got == want
 
     def test_level_curail_csv(self):
         text = figure_level_curves(1, (-1.5, 1.5, -1.5, 1.5), 16)

@@ -1,12 +1,13 @@
 """Root solver: closed-form small cases, eigenvalue oracles, certification."""
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, polyval
-from mpmath.libmp import from_man_exp, from_rational, mpf_sqrt
+from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sqrt
 
 from lemnizeros import rootfinder
 from lemnizeros.exact import build_polynomial, pochhammer
@@ -15,6 +16,7 @@ from lemnizeros.rootfinder import (
     RADIUS_REL_TOL,
     CertificationError,
     certify,
+    exact_horner,
     find_roots,
     initial_points,
     rootset_csv,
@@ -33,6 +35,13 @@ def _match_greedily(found, expected):
         j = min(range(len(found)), key=lambda i: abs(complex(found[i]) - complex(e)))
         worst = max(worst, abs(complex(found.pop(j)) - complex(e)))
     return worst
+
+
+def _exactly_closed(roots):
+    """True when the multiset of roots equals its exact conjugate (mpf_neg
+    negates without rounding)."""
+    keys = [(z.real._mpf_, z.imag._mpf_) for z in roots]
+    return Counter(keys) == Counter((x, mpf_neg(y)) for x, y in keys)
 
 
 def _companion_eigenvalues_mp(n: int, bits: int = 192):
@@ -145,7 +154,7 @@ class TestFindRoots:
         rs = find_roots(build_polynomial(n))
         assert len(rs.roots) == n
         assert rs.disks_disjoint()
-        assert rs.conjugation_closed()
+        assert _exactly_closed(rs.roots)
         with mp.workprec(rs.precision_used):
             assert all(abs(z) + r < n + 1 for z, r in zip(rs.roots, rs.inclusion_radii))
             assert max(abs(z) - r for z, r in zip(rs.roots, rs.inclusion_radii)) > 1
@@ -155,7 +164,7 @@ class TestFindRoots:
         # control flow must never convert a whole integer to float
         rs = find_roots(build_polynomial(12), PrecisionConfig(bits=2048, max_bits=2048))
         assert rs.precision_used == 2048
-        assert rs.disks_disjoint() and rs.conjugation_closed()
+        assert rs.disks_disjoint() and _exactly_closed(rs.roots)
         assert rs.max_relative_radius() <= RADIUS_REL_TOL
 
     def test_precision_exhausted(self):
@@ -207,6 +216,44 @@ class TestWBasis:
             build_polynomial(n), initial_points(n, bits), bits
         )
         assert status == "converged" and sweeps <= 40
+
+
+class TestConjugateClosure:
+    """p is real, so the family's root set is closed under conjugation; the
+    solve makes it so exactly, and certify evaluates one root per pair."""
+
+    @pytest.mark.parametrize("n", range(1, 81))
+    def test_closed_by_construction(self, n, root_cache):
+        roots = root_cache([n])[n].roots
+        assert _exactly_closed(roots)
+        assert sum(1 for z in roots if z.imag == 0) == n % 2
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_one_exact_evaluation_per_pair(self, n, root_cache, monkeypatch):
+        rs = root_cache([n])[n]
+        calls = []
+
+        def counted(p, z):
+            calls.append(z)
+            return exact_horner(p, z)
+
+        monkeypatch.setattr(rootfinder, "exact_horner", counted)
+        again = certify(build_polynomial(n), rs.roots, rs.precision_used)
+        assert len(calls) == (n + 1) // 2
+        assert again == rs
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_mirroring_gives_equal_values(self, n, root_cache):
+        rs = root_cache([n])[n]
+        bits = rs.precision_used
+        p = build_polynomial(n)
+        with mp.workprec(bits):
+            mirrored = certify(p, [z.conjugate() for z in rs.roots], bits)
+            assert mirrored == rs
+            # a lone point and its conjugate, no partner in the input
+            z = mpc("1.25", "0.375")
+            one, other = (certify(build_polynomial(1), [v], bits) for v in (z, z.conjugate()))
+        assert (one.residuals, one.inclusion_radii) == (other.residuals, other.inclusion_radii)
 
 
 class TestCertify:
@@ -285,7 +332,7 @@ class TestCertify:
 
     def test_rootset_passthrough(self):
         rs = find_roots(build_polynomial(4))
-        again = certify(build_polynomial(4), rs)
+        again = certify(build_polynomial(4), rs.roots, rs.precision_used)
         assert again.precision_used == rs.precision_used
         assert _match_greedily(again.roots, rs.roots) == 0
 
