@@ -31,11 +31,11 @@ from .rootfinder import CertificationError, RootSet, certify, find_roots, initia
 from .geometry import (
     LemniscatePoint,
     LevelField,
+    basin_boundary,
     basin_classify,
     divides_and_level_field,
     lemniscate_branch,
     lemniscate_residual,
-    parabola_boundary,
     saddle_comparison,
 )
 from .paths import (
@@ -76,6 +76,7 @@ __all__ = [
     "PrecisionExhaustedError",
     "RootSet",
     "SteepestPath",
+    "basin_boundary",
     "basin_classify",
     "build_polynomial",
     "certify",
@@ -93,7 +94,6 @@ __all__ = [
     "jacobi_correspondence",
     "lemniscate_branch",
     "lemniscate_residual",
-    "parabola_boundary",
     "pochhammer",
     "principal_sqrt",
     "saddle_asymptotic",

@@ -71,27 +71,19 @@ def certified_roots_range(ns, cfg: PrecisionConfig = PrecisionConfig()) -> dict[
     return {n: find_roots(build_polynomial(n), cfg) for n in sorted(set(int(n) for n in ns))}
 
 
-def verify_lemmas(
-    n_range,
-    cfg: PrecisionConfig = PrecisionConfig(),
-    roots: dict[int, RootSet] | None = None,
-) -> list[LemmaReport]:
-    """LemmaReport per degree, in ascending order.  A degree's RootSet comes
-    from `roots` when given there, otherwise from its own solve, so a report
-    does not depend on the other degrees in n_range.  Certification and
-    precision failures are recorded on the report (error field) without
-    aborting the rest of the campaign, while any other exception propagates."""
+def verify_lemmas(n_range, cfg: PrecisionConfig = PrecisionConfig()) -> list[LemmaReport]:
+    """LemmaReport per degree, in ascending order.  Each degree is its own
+    solve, so a report does not depend on the other degrees in n_range.
+    Certification and precision failures are recorded on the report (error
+    field) without aborting the rest of the campaign, while any other
+    exception propagates."""
     ns = sorted(set(int(n) for n in n_range))
     if any(n < 1 for n in ns):
         raise ValueError("verify_lemmas: degrees must be >= 1")
     reports = []
     for n in ns:
         try:
-            if roots is not None and n in roots:
-                rs = roots[n]
-            else:
-                rs = find_roots(build_polynomial(n), cfg)
-            reports.append(_lemma_report(n, rs))
+            reports.append(_lemma_report(n, find_roots(build_polynomial(n), cfg)))
         except (CertificationError, PrecisionExhaustedError) as exc:  # per-n isolation
             reports.append(
                 LemmaReport(n, 0, "violated", False, mpf("nan"), mpf("nan"), mpf("nan"), 0, str(exc))

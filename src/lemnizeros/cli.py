@@ -248,20 +248,25 @@ def _emit(directory: Path | None, name: str, text: str, quiet: bool = False) -> 
         sys.stdout.write(text)
 
 
-def _solve_degrees(cfg: RunConfig, ns: list[int]) -> dict[int, RootSet]:
-    """Certified RootSets for the degrees ns, keyed by degree.  Every degree
-    is solved on its own by certified_roots_range, in this process or, with
-    workers > 1, one degree per pool task; the worker count only sets how
-    many processes run the solves, so the roots are the same for any value."""
+def _map_degrees(cfg: RunConfig, fn, ns: list[int]) -> list:
+    """fn([n], precision) for each degree n of ns, in ascending order.  Every
+    degree is handled on its own, in this process or, with workers > 1, one
+    degree per pool task; the worker count only sets how many processes run
+    the calls, so the results are the same for any value."""
     pcfg = cfg.precision()
-    if cfg.workers <= 1:
-        return analysis.certified_roots_range(ns, pcfg)
     singles = [[n] for n in sorted(set(ns))]
-    try:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(analysis.certified_roots_range, singles, repeat(pcfg)))
-    except OSError:  # restricted environments: the same solves, serial
-        return analysis.certified_roots_range(ns, pcfg)
+    if cfg.workers > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+                return list(pool.map(fn, singles, repeat(pcfg)))
+        except OSError:  # restricted environments: the same calls, serial
+            pass
+    return [fn(single, pcfg) for single in singles]
+
+
+def _solve_degrees(cfg: RunConfig, ns: list[int]) -> dict[int, RootSet]:
+    """Certified RootSets for the degrees ns, keyed by degree."""
+    parts = _map_degrees(cfg, analysis.certified_roots_range, ns)
     return {n: rs for part in parts for n, rs in part.items()}
 
 
@@ -370,9 +375,9 @@ def _strip_header(csv_text: str) -> str:
 
 def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
     ns = cfg.degrees()
-    pcfg = cfg.precision()
-    solved = _solve_degrees(cfg, ns)
-    reports = analysis.verify_lemmas(ns, pcfg, roots=solved)
+    # one degree per call, so a degree whose solve fails is reported on its
+    # own line while the other degrees still run
+    reports = [r for part in _map_degrees(cfg, analysis.verify_lemmas, ns) for r in part]
     _emit(outdir, "lemmas.csv", analysis.lemma_csv(reports), quiet=True)
 
     errors = [r for r in reports if r.error is not None]

@@ -155,10 +155,10 @@ class JacobiCorrespondence:
     leading_factor: Fraction
 
 
-def jacobi_correspondence(n: int, verify: bool = True) -> JacobiCorrespondence:
+def jacobi_correspondence(n: int) -> JacobiCorrespondence:
     """Jacobi parameters (alpha, beta) = ((n+1)/2, -(n+1)) for degree n.
 
-    With verify=True the identity is established by exact coefficient
+    The identity is established on every call by exact coefficient
     comparison: the Jacobi polynomial is expanded through its generalized
     binomial sum (an independent formula), composed with w = 1 - 2z, and
     matched term by term against build_polynomial(n) times leading_factor.
@@ -168,13 +168,11 @@ def jacobi_correspondence(n: int, verify: bool = True) -> JacobiCorrespondence:
     alpha = Fraction(n + 1, 2)
     beta = Fraction(-(n + 1))
     leading = pochhammer(1 + alpha, n) / factorial(n)
-    corr = JacobiCorrespondence(n, alpha, beta, (Fraction(1), Fraction(-2)), leading)
-    if verify:
-        lhs = _jacobi_in_z(n, alpha, beta)
-        rhs = [leading * c for c in build_polynomial(n).coefficients]
-        if lhs != rhs:
-            raise AssertionError(f"jacobi correspondence failed coefficient check at n={n}")
-    return corr
+    lhs = _jacobi_in_z(n, alpha, beta)
+    rhs = [leading * c for c in build_polynomial(n).coefficients]
+    if lhs != rhs:
+        raise AssertionError(f"jacobi correspondence failed coefficient check at n={n}")
+    return JacobiCorrespondence(n, alpha, beta, (Fraction(1), Fraction(-2)), leading)
 
 
 def _binom_frac(x: Fraction, k: int) -> Fraction:

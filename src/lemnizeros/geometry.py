@@ -5,9 +5,12 @@ pinched at z = 1/3: the loop with Re(z) > 1/3 (the "right branch", crossing
 the real axis again at z = 4/3) is the attractor of the polynomial zeros.
 The t-plane side of the story is the basin geometry of |f_z(t)|: the plane
 splits along "continental divides" through the saddles +-1/sqrt(3z), and
-whether the point t = 1 drains to 1/sqrt(z) or to 0 is decided by
-Re(sqrt(z)) against 1/sqrt(3) - in z-plane terms, by the parabola with
-vertex 1/3 and imaginary-axis intercepts +-2i/3.
+whether the point t = 1 drains to 1/sqrt(z) or to 0 is decided by the side
+of the divide it starts on.  In u = sqrt(z) t the steepest path is the
+Newton flow of u - u^3, whose divide is the stable manifold of the saddle
+1/sqrt(3): the hyperbola 3 Re(u)^2 - Im(u)^2 = 1.  At t = 1 that reads
+|z| + 2 Re(z) = 1 in the z-plane, a curve with vertex 1/3 and
+imaginary-axis intercepts +-i.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ ZERO_BASIN = "zero-basin"
 INV_SQRT_BASIN = "inv-sqrt-z-basin"
 BOUNDARY = "boundary"
 
+_PINCH_TOL = 1e-8  # |z - 1/3| at or below this is labelled the pinch
+
 
 def lemniscate_residual(z, bits: int = DEFAULT_BITS) -> mpf:
     """| |z(1-z)^2| - 4/27 |, the value-space distance to the lemniscate."""
@@ -45,11 +50,7 @@ class LemniscatePoint:
     residual: mpf
 
 
-def lemniscate_branch(
-    theta_grid,
-    bits: int = DEFAULT_BITS,
-    pinch_tol: float = 1e-8,
-) -> list[LemniscatePoint]:
+def lemniscate_branch(theta_grid, bits: int = DEFAULT_BITS) -> list[LemniscatePoint]:
     """Right-branch lemniscate points for each phase in theta_grid.
 
     Solves the cubic z^3 - 2z^2 + z = (4/27) e^(i theta) (three roots via
@@ -72,7 +73,7 @@ def lemniscate_branch(
             third = mpf(1) / 3
             keep = []
             for z in roots:
-                if abs(z - third) <= pinch_tol:
+                if abs(z - third) <= _PINCH_TOL:
                     keep.append(LemniscatePoint(z, theta, "pinch", lemniscate_residual(z, bits)))
                 elif z.real > third:
                     keep.append(LemniscatePoint(z, theta, "right", lemniscate_residual(z, bits)))
@@ -96,20 +97,20 @@ def branch_polyline(samples: int = 2048, bits: int = DEFAULT_BITS) -> list[mpc]:
     return pts
 
 
-def basin_classify(z, bits: int = DEFAULT_BITS, uncertainty=0) -> str:
-    """Which zero of f_z the point t = 1 drains to, by Re(sqrt(z)) vs 1/sqrt(3).
+def basin_classify(z, bits: int = DEFAULT_BITS) -> str:
+    """Which zero of f_z the point t = 1 drains to, by the side of the divide.
 
-    Returns "inv-sqrt-z-basin" when Re(sqrt(z)) > 1/sqrt(3) + tau,
-    "zero-basin" when below 1/sqrt(3) - tau, and "boundary" within the band,
-    where tau = max(2^(4-bits), declared input uncertainty).  The cut
-    (z <= 0 real) is outside the domain.
+    With gap = |z| + 2 Re(z) - 1 (zero on the divide, see basin_boundary),
+    returns "inv-sqrt-z-basin" when gap > tau, "zero-basin" when
+    gap < -tau, and "boundary" within the band, where tau = 2^(4-bits).
+    The cut (z <= 0 real) is outside the domain.
     """
     with mp.workprec(bits):
         z = to_mpc(z, bits)
         if z == 0 or (z.imag == 0 and z.real < 0):
             raise ValueError("basin_classify: z on the branch cut or zero")
-        tau = max(mpf(2) ** (4 - bits), mpf(uncertainty))
-        gap = principal_sqrt(z, bits).real - 1 / mp.sqrt(3)
+        tau = mpf(2) ** (4 - bits)
+        gap = abs(z) + 2 * z.real - 1
         if gap > tau:
             return INV_SQRT_BASIN
         if gap < -tau:
@@ -117,24 +118,25 @@ def basin_classify(z, bits: int = DEFAULT_BITS, uncertainty=0) -> str:
         return BOUNDARY
 
 
-def parabola_boundary(y_grid, bits: int = DEFAULT_BITS) -> list[mpc]:
-    """Points x + iy with x = 1/3 - (3/4) y^2, the locus Re(sqrt(z)) = 1/sqrt(3).
+def basin_boundary(y_grid, bits: int = DEFAULT_BITS) -> list[mpc]:
+    """Points x + iy with x = (2 - sqrt(1 + 3y^2))/3, the locus |z| + 2 Re(z) = 1.
 
-    This parabola (vertex 1/3, intercepts +-2i/3) separates the two basin
-    classifications; every returned point lands in the "boundary" band.
+    This is the divide 3 Re(u)^2 - Im(u)^2 = 1 of u = sqrt(z) (vertex 1/3,
+    intercepts +-i); it separates the two basin classifications, and every
+    returned point lands in the "boundary" band.
     """
     out = []
     with mp.workprec(bits):
         for y in y_grid:
             yy = to_mpf(Fraction(y) if isinstance(y, (int, Fraction)) else y, bits)
-            out.append(mpc(mpf(1) / 3 - mpf(3) / 4 * yy * yy, yy))
+            out.append(mpc((2 - mp.sqrt(1 + 3 * yy * yy)) / 3, yy))
     return out
 
 
 @dataclass(frozen=True)
 class DivideLine:
-    """A continental divide: line through a saddle, perpendicular to the
-    segment joining -1/sqrt(z) and 1/sqrt(z)."""
+    """A continental divide's tangent at its saddle: the line through the
+    saddle perpendicular to the segment joining -1/sqrt(z) and 1/sqrt(z)."""
 
     point: mpc
     direction: mpc  # unit vector along the line

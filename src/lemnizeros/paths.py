@@ -8,9 +8,10 @@ piece along the curve of constant arg f_z, parametrized implicitly by
 
     t (1 - z t^2) = r (1 - z),    0 <= r <= 1,  t(1) = 1.
 
-The path is traced by marching r from 1 downward with a fourth-order
-predictor on dt/dr = (1-z)/(1-3zt^2) and a Newton correction back onto the
-implicit curve after every step.  Sample placement doubles as quadrature:
+The path is traced by Newton continuation in r from 1 downward: each sample
+is the Newton solution of the implicit equation at its r, started from the
+previous sample, whose first step is the Euler predictor on
+dt/dr = (1-z)/(1-3zt^2).  Sample placement doubles as quadrature:
 the r-nodes are composite Gauss-Legendre panels refined geometrically
 toward r = 1, where the factor r^(n-1) concentrates; the tail integral is
 then a weighted sum over the stored samples at spectral accuracy.
@@ -33,7 +34,7 @@ DEFAULT_BITS = 128
 DEFAULT_STEPS = 512
 _PANEL_NODES = 8
 _GEOMETRIC_DEPTH_CAP = 16
-_PREDICTOR_MAX_STEP = Fraction(1, 128)
+_HALFPLANE_WINDOW = (0.9, 1.0)  # r-range of halfplane_bound_check
 
 
 class PathError(RuntimeError):
@@ -128,7 +129,7 @@ def trace_path(
         else:
             basin = basin_classify(z, bits)
             if basin == BOUNDARY:
-                raise ValueError("trace_path: z lies on the basin boundary (parabola)")
+                raise ValueError("trace_path: z lies on the basin divide")
             if basin == ZERO_BASIN:
                 label, predicted = "zero", mpc(0)
             else:
@@ -144,23 +145,14 @@ def trace_path(
                 nodes.append((mid + rad * x, rad * w))
 
         one_minus_z = 1 - z
-        h_max = to_mpf(_PREDICTOR_MAX_STEP, bits)
         saddle_floor = 10 * path_tol
-
-        def derivative(t):
-            d = fprime_factor(z, t)
-            if abs(d) < saddle_floor:
-                raise SaddleProximityError(
-                    f"saddle proximity: |1-3zt^2| = {mpmath.nstr(abs(d), 8)} during predictor"
-                )
-            return one_minus_z / d
-
         noise_floor = mpf(2) ** (16 - bits) * (1 + abs(z))
 
         def correct(r, t):
-            # Newton back onto t(1-zt^2) = r(1-z); tolerance scales with r so
-            # the constant-argument property holds uniformly along the path,
-            # floored at the evaluation noise of the residual itself.
+            # Newton from the previous sample onto t(1-zt^2) = r(1-z); the
+            # tolerance scales with r so the constant-argument property holds
+            # uniformly along the path, floored at the evaluation noise of the
+            # residual itself.
             target = r * one_minus_z
             tol = max(path_tol * abs(one_minus_z) * r, noise_floor)
             for _ in range(80):
@@ -177,32 +169,15 @@ def trace_path(
                 f"saddle proximity: correction failed to converge at r = {mpmath.nstr(r, 8)}"
             )
 
-        def march(r_from, t_from, r_to):
-            # RK4 predictor in substeps no longer than h_max, then correct.
-            t = t_from
-            r = r_from
-            remaining = r_from - r_to
-            substeps = max(1, int(mp.ceil(remaining / h_max)))
-            h = -remaining / substeps
-            for _ in range(substeps):
-                k1 = derivative(t)
-                k2 = derivative(t + h / 2 * k1)
-                k3 = derivative(t + h / 2 * k2)
-                k4 = derivative(t + h * k3)
-                t = t + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                r = r + h
-            return correct(r_to, t)
-
         quad: list[tuple[mpf, mpc, mpf]] = []
-        r_cur, t_cur = mpf(1), mpc(1)
+        t_cur = mpc(1)
         for r, w in reversed(nodes):
-            t_cur = march(r_cur, t_cur, r)
-            r_cur = r
+            t_cur = correct(r, t_cur)
             quad.append((r, t_cur, w))
         quad.reverse()
 
-        # land on r = 0: predictor to 0, then Newton on f_z(t) = 0 itself
-        t_end = march(r_cur, t_cur, mpf(0)) if z != 0 else mpc(0)
+        # land on r = 0: Newton on f_z(t) = 0 itself
+        t_end = correct(mpf(0), t_cur)
         if abs(t_end - predicted) > 100 * path_tol:
             raise EndpointMismatchError(
                 f"endpoint mismatch: t(0) = {mpmath.nstr(t_end, 12)}, "
@@ -377,8 +352,8 @@ class HalfplaneVerdict:
     samples_checked: int
 
 
-def halfplane_bound_check(z, path: SteepestPath, window=(0.9, 1.0)) -> HalfplaneVerdict:
-    """Verify the 1/6 lower bound along the path for r in `window`.
+def halfplane_bound_check(z, path: SteepestPath) -> HalfplaneVerdict:
+    """Verify the 1/6 lower bound along the path for r in [0.9, 1].
 
     Applies to z in the zero basin (Re(z) < 1/3 side): near r = 1 the
     integrand of the bare tail sum has real part exceeding 1/6, which is
@@ -386,7 +361,7 @@ def halfplane_bound_check(z, path: SteepestPath, window=(0.9, 1.0)) -> Halfplane
     """
     if path.start_label != "zero":
         raise ValueError("halfplane_bound_check: path must start at t = 0")
-    lo, hi = window
+    lo, hi = _HALFPLANE_WINDOW
     with mp.workprec(path.bits):
         z = to_mpc(z, path.bits)
         if z != path.z:

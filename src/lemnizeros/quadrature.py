@@ -57,8 +57,5 @@ def _newton_step(k: int, x: mpf) -> mpf:
 
 def _weight(k: int, x: mpf) -> mpf:
     pk, pk1 = _legendre_pair(k, x)
-    if x == 0:
-        dpk = k * (0 - pk1) / (0 - 1)  # k * P_{k-1}(0)
-    else:
-        dpk = k * (x * pk - pk1) / (x * x - 1)
+    dpk = k * (x * pk - pk1) / (x * x - 1)
     return 2 / ((1 - x * x) * dpk * dpk)

@@ -20,8 +20,8 @@ from lemnizeros.numerics import PrecisionConfig
 
 
 class TestVerifyLemmas:
-    def test_small_degrees(self, root_cache):
-        reports = verify_lemmas([1, 2, 3], roots=root_cache([1, 2, 3]))
+    def test_small_degrees(self):
+        reports = verify_lemmas([1, 2, 3])
         by_n = {r.n: r for r in reports}
         assert by_n[1].ek_disk == "boundary"  # |root| = 2 = n + 1 exactly
         assert by_n[2].ek_disk == "inside"
@@ -152,8 +152,8 @@ class TestFigures:
         lines = text.strip().split("\n")
         assert len(lines) == 3 + 256
 
-    def test_lemma_csv_shape(self, root_cache):
-        reports = verify_lemmas([2, 3], roots=root_cache([2, 3]))
+    def test_lemma_csv_shape(self):
+        reports = verify_lemmas([2, 3])
         text = lemma_csv(reports)
         lines = text.strip().split("\n")
         assert len(lines) == 3

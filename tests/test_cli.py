@@ -123,6 +123,20 @@ class TestCommands:
         assert (sub / "verify.txt").exists()
         assert (sub / "runconfig.txt").exists()
 
+    def test_verify_reports_a_failing_degree_and_the_rest(self, tmp_path):
+        res = run_cli(
+            "verify", "--n-list", "2,240", "--precision-bits", "64", "--max-bits", "64",
+            "--workers", "1", "--out", str(tmp_path),
+        )
+        assert res.returncode == 1
+        assert any(line.startswith("FAIL n=240: ") for line in res.stdout.splitlines())
+        sub = next(tmp_path.glob("verify-*"))
+        rows = (sub / "lemmas.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "240"]
+        assert rows[0].endswith(",")  # n = 2 certifies: empty error column
+        assert not rows[1].endswith(",")
+        assert not (sub / "DONE").exists()
+
     def test_report_and_figures(self, tmp_path):
         res = run_cli(
             "report", "--n-list", "4,8", "--theta-grid", "128", "--out", str(tmp_path)

@@ -168,7 +168,7 @@ class TestJacobiCorrespondence:
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_exact_round_trip(self, n):
-        jacobi_correspondence(n, verify=True)  # raises on any coefficient mismatch
+        jacobi_correspondence(n)  # raises on any coefficient mismatch
 
     def test_detects_wrong_parameters(self):
         import lemnizeros.exact as exact

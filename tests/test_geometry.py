@@ -1,4 +1,4 @@
-"""Lemniscate, basins, parabola, divides, saddle-value equivalence."""
+"""Lemniscate, basins, the basin divide, divides, saddle-value equivalence."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ from lemnizeros.geometry import (
     BOUNDARY,
     INV_SQRT_BASIN,
     ZERO_BASIN,
+    basin_boundary,
     basin_classify,
     branch_polyline,
     divides_and_level_field,
@@ -18,7 +19,6 @@ from lemnizeros.geometry import (
     lemniscate_csv,
     lemniscate_residual,
     level_field_csv,
-    parabola_boundary,
     saddle_comparison,
 )
 from lemnizeros.numerics import principal_sqrt, to_mpc
@@ -107,10 +107,13 @@ class TestBasins:
     def test_examples(self):
         assert basin_classify(1, BITS) == INV_SQRT_BASIN
         assert basin_classify(Fraction(1, 9), BITS) == ZERO_BASIN
-        assert basin_classify(to_mpc(0, BITS, Fraction(2, 3)), BITS) == BOUNDARY
+        assert basin_classify(to_mpc(0, BITS, 1), BITS) == BOUNDARY
 
-    def test_declared_uncertainty_widens_band(self):
-        assert basin_classify(1, BITS, uncertainty=1) == BOUNDARY
+    def test_divide_is_the_hyperbola_not_its_tangent_parabola(self):
+        # between the parabola Re(sqrt z) = 1/sqrt(3) and the divide
+        for re_q, im_q in ((Fraction(9, 50), Fraction(3, 5)), (Fraction(47, 150), Fraction(1, 5)),
+                           (Fraction(49, 300), Fraction(-3, 5)), (Fraction(-1, 100), Fraction(-1))):
+            assert basin_classify(to_mpc(re_q, BITS, im_q), BITS) == ZERO_BASIN
 
     def test_cut_and_zero_rejected(self):
         for z in (0, -1):
@@ -129,29 +132,30 @@ class TestBasins:
                 assert principal_sqrt(z, BITS).real >= 0
 
 
-class TestParabola:
+class TestBasinBoundary:
     def test_vertex_and_intercepts(self):
-        pts = parabola_boundary([0, Fraction(2, 3), Fraction(-2, 3)], BITS)
+        pts = basin_boundary([0, 1, -1], BITS)
         with mp.workprec(BITS):
             assert pts[0] == mpc(mpf(1) / 3, 0)
-            assert abs(pts[1].real) < mpf(2) ** (8 - BITS)  # x = 0 at y = 2/3
-            assert abs(pts[2].real) < mpf(2) ** (8 - BITS)
+            assert pts[1] == mpc(0, 1)  # x = 0 at y = +-1
+            assert pts[2] == mpc(0, -1)
 
-    def test_real_part_of_sqrt_is_constant(self):
+    def test_sqrt_lies_on_the_saddle_hyperbola(self):
+        # u = sqrt(z) on 3 Re(u)^2 - Im(u)^2 = 1, the divide through 1/sqrt(3)
         with mp.workprec(BITS):
             ys = [mpf(k) / 7 - 1 for k in range(15)]
-            target = 1 / mp.sqrt(3)
-            for pt in parabola_boundary(ys, BITS):
-                assert abs(principal_sqrt(pt, BITS).real - target) < mpf(2) ** (8 - BITS)
+            for pt in basin_boundary(ys, BITS):
+                u = principal_sqrt(pt, BITS)
+                assert abs(3 * u.real**2 - u.imag**2 - 1) < mpf(2) ** (8 - BITS)
 
     def test_wide_point(self):
         with mp.workprec(BITS):
-            (pt,) = parabola_boundary([2 / mp.sqrt(3)], BITS)
+            (pt,) = basin_boundary([mp.sqrt(5)], BITS)
             assert abs(pt.real + mpf(2) / 3) < mpf(2) ** (16 - BITS)
 
     def test_all_classify_boundary(self):
         ys = [Fraction(k, 5) for k in range(-5, 6)]
-        for pt in parabola_boundary(ys, BITS):
+        for pt in basin_boundary(ys, BITS):
             assert basin_classify(pt, BITS) == BOUNDARY
 
 

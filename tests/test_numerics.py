@@ -68,7 +68,7 @@ class TestPrincipalSqrt:
         assert abs(got - want) < mpf(2) ** (4 - BITS) * abs(want)
 
     def test_two_thirds_i(self):
-        # sqrt((2/3) i) = (1 + i)/sqrt(3): the parabola intercept case
+        # sqrt((2/3) i) = (1 + i)/sqrt(3): Re(sqrt z) = 1/sqrt(3) exactly
         z = to_mpc(0, BITS, Fraction(2, 3))
         got = principal_sqrt(z, BITS)
         with mp.workprec(BITS):

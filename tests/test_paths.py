@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from lemnizeros.exact import build_polynomial
+from lemnizeros.geometry import basin_boundary
 from lemnizeros.numerics import to_mpc
 from lemnizeros.paths import (
     PathResolutionError,
@@ -79,7 +80,26 @@ class TestTracePath:
         with pytest.raises(ValueError):
             trace_path(1, bits=BITS)
         with pytest.raises(ValueError):
-            trace_path(to_mpc(0, BITS, Fraction(2, 3)), bits=BITS)  # parabola boundary
+            trace_path(to_mpc(0, BITS, 1), bits=BITS)  # on the basin divide
+
+    @pytest.mark.parametrize(
+        "re_q,im_q",
+        [(Fraction(9, 50), Fraction(3, 5)), (Fraction(47, 150), Fraction(1, 5))],
+    )
+    def test_left_of_divide_lands_on_zero(self, re_q, im_q):
+        # right of the parabola Re(sqrt z) = 1/sqrt(3), left of the divide
+        # |z| + 2 Re(z) = 1: t = 1 drains to 0
+        path = trace_path(to_mpc(re_q, BITS, im_q), bits=BITS)
+        assert path.start_label == "zero"
+        assert abs(path.start_point) < mpf("1e-25")
+
+    def test_right_of_divide_lands_on_inv_sqrt(self):
+        for y in (Fraction(3, 5), Fraction(1, 5), -Fraction(3, 5)):
+            with mp.workprec(BITS):
+                (edge,) = basin_boundary([y], BITS)
+                z = edge + mpf(1) / 100
+            path = trace_path(z, bits=BITS)
+            assert path.start_label == "inv-sqrt-z"
 
     def test_saddle_proximity_near_pinch(self):
         with pytest.raises(SaddleProximityError):
