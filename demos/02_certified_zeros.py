@@ -1,10 +1,11 @@
 """Compute and certify all zeros of a degree-60 member.
 
 The solver refines all roots simultaneously and certifies each one with an
-inclusion radius: a disk guaranteed (up to tracked evaluation error) to
-contain a true zero.  The script prints the certificates, then checks the
-classical consequences: containment in |z| < n+1, at least one root outside
-the unit circle, the exact product of moduli, and conjugation closure.
+inclusion radius: a disk guaranteed to contain a true zero (p and p' are
+evaluated exactly at each root, and only the radius is rounded, upwards).
+The script prints the certificates, then checks the classical consequences:
+containment in |z| < n+1, at least one root outside the unit circle, the
+exact product of moduli, and conjugation closure.
 """
 
 import time

@@ -1,9 +1,10 @@
 """Zeros crowding onto the lemniscate: statistics plus figure emission.
 
-Solves the degrees 5, 10, 16, 23, 40, 60, measures the per-root residual
-| |z(1-z)^2| - 4/27 | and the Euclidean distance to the sampled right
-branch, and writes the six-panel SVG (branch + root markers) together with
-CSV data into demos/output/.
+Solves and certifies the degrees 5, 10, 16, 23, 40, 60 once and hands the
+root sets to the report and the figure: the per-root residual
+| |z(1-z)^2| - 4/27 |, the Euclidean distance to the sampled right branch,
+and the six-panel SVG (branch + root markers) with its CSV data, written
+into demos/output/.
 """
 
 from pathlib import Path
@@ -18,7 +19,7 @@ out.mkdir(exist_ok=True)
 
 ns = [5, 10, 16, 23, 40, 60]
 roots = certified_roots_range(ns)
-reports = convergence_report(ns, roots=roots)
+reports = convergence_report(roots)
 
 print("per-degree lemniscate statistics:")
 print(f"{'n':>4} {'median residual':>18} {'max residual':>16} {'min Re':>10} {'gap ratio':>10}")
@@ -29,7 +30,7 @@ for rep in reports:
 print("log-median slope vs log n:", nstr(residual_slope(reports), 5),
       "(the residuals shrink roughly like a power of 1/n)")
 
-svg, csv_text = figure_zero_plot(ns, roots=roots)
+svg, csv_text = figure_zero_plot(roots)
 (out / "figure_zeros.svg").write_text(svg, encoding="utf-8")
 (out / "figure_zeros.csv").write_text(csv_text, encoding="utf-8")
 (out / "summary.csv").write_text(summary_csv(reports), encoding="utf-8")

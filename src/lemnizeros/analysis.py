@@ -1,10 +1,13 @@
 """Verification campaigns over n, convergence statistics, figure data.
 
-verify_lemmas drives the rootfinder across a range of degrees and turns the
-certified root sets into per-degree verdicts (containment disk, unit-circle
-escape, half-plane location, Vieta product).  Every degree is one cold solve
-from the lemniscate seeds, independent of its neighbours, so a campaign over
-a range gives each degree the roots a single-degree run gives it.
+certified_roots_range and verify_lemmas are the only functions here that
+solve.  verify_lemmas drives the rootfinder across a range of degrees and
+turns the certified root sets into per-degree verdicts (containment disk,
+unit-circle escape, half-plane location, Vieta product).  Every degree is one
+cold solve from the lemniscate seeds, independent of its neighbours, so a
+campaign over a range gives each degree the roots a single-degree run gives
+it.  convergence_report and figure_zero_plot take the certified RootSets
+keyed by degree, as certified_roots_range returns them, and never solve.
 convergence_report measures how fast the zeros approach the lemniscate:
 per-root value residuals | |z(1-z)^2| - 4/27 |, Euclidean distances to the
 sampled right branch, and the angular spreading of the roots along the
@@ -15,6 +18,7 @@ contouring and styling are left to the consumer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import median
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -43,24 +47,25 @@ class LemmaReport:
     error: str | None = None
 
 
-def _lemma_report(n: int, rs: RootSet) -> LemmaReport:
+def _lemma_report(rs: RootSet) -> LemmaReport:
+    n = rs.degree
     with mp.workprec(rs.precision_used):
+        moduli = [abs(z) for z in rs.roots]
         bound = n + 1
-        if all(abs(z) + r < bound for z, r in zip(rs.roots, rs.inclusion_radii)):
+        if all(m + r < bound for m, r in zip(moduli, rs.inclusion_radii)):
             ek = "inside"
-        elif all(abs(z) - r <= bound for z, r in zip(rs.roots, rs.inclusion_radii)):
+        elif all(m - r <= bound for m, r in zip(moduli, rs.inclusion_radii)):
             ek = "boundary"
         else:
             ek = "violated"
-        outside = max(abs(z) - r for z, r in zip(rs.roots, rs.inclusion_radii)) > 1
+        outside = max(m - r for m, r in zip(moduli, rs.inclusion_radii)) > 1
         min_re = min(z.real - r for z, r in zip(rs.roots, rs.inclusion_radii))
-        max_mod = max(abs(z) for z in rs.roots)
         prod = mpf(1)
-        for z in rs.roots:
-            prod *= abs(z)
+        for m in moduli:
+            prod *= m
         deviation = abs(prod * (n + 1) / (3 * n + 1) - 1)
         return LemmaReport(
-            n, len(rs.roots), ek, outside, min_re, max_mod, deviation, rs.precision_used
+            n, len(rs.roots), ek, outside, min_re, max(moduli), deviation, rs.precision_used
         )
 
 
@@ -83,7 +88,7 @@ def verify_lemmas(n_range, cfg: PrecisionConfig = PrecisionConfig()) -> list[Lem
     reports = []
     for n in ns:
         try:
-            reports.append(_lemma_report(n, find_roots(build_polynomial(n), cfg)))
+            reports.append(_lemma_report(find_roots(build_polynomial(n), cfg)))
         except (CertificationError, PrecisionExhaustedError) as exc:  # per-n isolation
             reports.append(
                 LemmaReport(n, 0, "violated", False, mpf("nan"), mpf("nan"), mpf("nan"), 0, str(exc))
@@ -120,16 +125,6 @@ class LemniscateReport:
     precision_used: int
 
 
-def _median(values) -> mpf:
-    vs = sorted(values)
-    k = len(vs)
-    if k == 0:
-        raise ValueError("median of empty list")
-    if k % 2:
-        return vs[k // 2]
-    return (vs[k // 2 - 1] + vs[k // 2]) / 2
-
-
 def _branch_distance(z, polyline, bits: int) -> mpf:
     """Euclidean distance from z to the right branch: nearest polyline
     vertex, sharpened by one Newton projection onto the level set where the
@@ -151,25 +146,18 @@ def _branch_distance(z, polyline, bits: int) -> mpf:
 
 
 def convergence_report(
-    n_list,
-    cfg: PrecisionConfig = PrecisionConfig(),
-    branch_samples: int = 2048,
-    roots: dict[int, RootSet] | None = None,
+    roots: dict[int, RootSet], branch_samples: int = 2048
 ) -> list[LemniscateReport]:
-    """LemniscateReport for each degree in ascending n_list order.  The
-    reference branch is sampled at geometry's default precision; it needs no
+    """LemniscateReport for each certified RootSet in roots, in ascending
+    degree order, computed at that set's working precision.  The reference
+    branch is sampled at geometry's default precision; it needs no
     certificate."""
-    ns = sorted(set(int(n) for n in n_list))
-    if any(n < 1 for n in ns):
-        raise ValueError("convergence_report: degrees must be >= 1")
-    bits = cfg.bits
     polyline = [complex(v) for v in branch_polyline(branch_samples)]
-    if roots is None:
-        roots = certified_roots_range(ns, cfg)
     reports = []
-    for n in ns:
+    for n in sorted(roots):
         rs = roots[n]
-        with mp.workprec(max(bits, rs.precision_used)):
+        bits = rs.precision_used
+        with mp.workprec(bits):
             third = mpf(1) / 3
             data = []
             thetas = []
@@ -198,7 +186,7 @@ def convergence_report(
                     n,
                     tuple(data),
                     max(residuals),
-                    _median(residuals),
+                    median(residuals),
                     min(z.real for z in rs.roots),
                     max(abs(z) for z in rs.roots),
                     gap_min,
@@ -283,21 +271,14 @@ _PANEL_PX = 320
 _WORLD = (0.24, 1.44, -0.68, 0.68)  # re_min, re_max, im_min, im_max of each panel
 
 
-def figure_zero_plot(
-    n_list=_FIGURE_N_LIST,
-    cfg: PrecisionConfig = PrecisionConfig(),
-    branch_samples: int = 1024,
-    roots: dict[int, RootSet] | None = None,
-) -> tuple[str, str]:
+def figure_zero_plot(roots: dict[int, RootSet], branch_samples: int = 1024) -> tuple[str, str]:
     """(svg_text, csv_text): the right lemniscate branch with root markers,
-    one panel per degree, three panels per row.  The CSV carries every
-    plotted coordinate as (n, kind, re, im) with kind in {branch, root}.
-    The branch is a plotting aid, drawn at geometry's default precision
-    whatever cfg.bits is."""
-    ns = sorted(set(int(n) for n in n_list))
+    one panel per degree of roots in ascending order, three panels per row.
+    The CSV carries every plotted coordinate as (n, kind, re, im) with kind
+    in {branch, root}.  The branch is a plotting aid, drawn at geometry's
+    default precision whatever precision the roots carry."""
+    ns = sorted(roots)
     branch = branch_polyline(branch_samples)
-    if roots is None:
-        roots = certified_roots_range(ns, cfg)
 
     csv_lines = ["n,kind,re,im"]
     for n in ns:

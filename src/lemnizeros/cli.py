@@ -310,10 +310,8 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
         return _run_verify(cfg, outdir)
 
     if cfg.command == "report":
-        ns = cfg.degrees()
-        pcfg = cfg.precision()
-        solved = _solve_degrees(cfg, ns)
-        reports = analysis.convergence_report(ns, pcfg, branch_samples=cfg.theta_grid, roots=solved)
+        solved = _solve_degrees(cfg, cfg.degrees())
+        reports = analysis.convergence_report(solved, cfg.theta_grid)
         _emit(outdir, "roots_report.csv", analysis.roots_report_csv(reports, solved), quiet=True)
         _emit(outdir, "summary.csv", analysis.summary_csv(reports))
         slope = analysis.residual_slope(reports)
@@ -324,10 +322,7 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
     if cfg.command == "figure":
         if cfg.kind == "zeros":
             ns = cfg.degrees() if (cfg.n or cfg.n_list or cfg.n_range) else list(analysis._FIGURE_N_LIST)
-            solved = _solve_degrees(cfg, ns)
-            svg, csv_text = analysis.figure_zero_plot(
-                ns, cfg.precision(), branch_samples=cfg.theta_grid or 1024, roots=solved
-            )
+            svg, csv_text = analysis.figure_zero_plot(_solve_degrees(cfg, ns), cfg.theta_grid)
             _emit(outdir, "figure_zeros.svg", svg, quiet=True)
             _emit(outdir, "figure_zeros.csv", csv_text)
             if outdir is not None:
@@ -374,10 +369,9 @@ def _strip_header(csv_text: str) -> str:
 
 
 def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
-    ns = cfg.degrees()
     # one degree per call, so a degree whose solve fails is reported on its
     # own line while the other degrees still run
-    reports = [r for part in _map_degrees(cfg, analysis.verify_lemmas, ns) for r in part]
+    reports = [r for part in _map_degrees(cfg, analysis.verify_lemmas, cfg.degrees()) for r in part]
     _emit(outdir, "lemmas.csv", analysis.lemma_csv(reports), quiet=True)
 
     errors = [r for r in reports if r.error is not None]
@@ -388,10 +382,11 @@ def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
 
     def check(name: str, passed: bool, detail: str):
         nonlocal ok
+        passed = passed and bool(checked)  # no certified degree backs a PASS
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
-    span = f"n={min(ns)}..{max(ns)}"
+    span = f"n={checked[0].n}..{checked[-1].n}" if checked else "no certified degree"
     check("root-count", all(r.root_count == r.n for r in checked), f"{span}, each degree yields n certified roots")
     check("ek-disk", all(r.ek_disk == "inside" for r in strict),
           f"{span}, all certified roots inside |z| < n+1"

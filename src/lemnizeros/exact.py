@@ -14,6 +14,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable
 
@@ -59,8 +60,10 @@ class ExactPolynomial:
         return abs(self.coefficients[0] / self.coefficients[self.degree])
 
 
+@lru_cache(maxsize=None)
 def build_polynomial(n: int) -> ExactPolynomial:
-    """Exact coefficients of the degree-n family member.
+    """Exact coefficients of the degree-n family member, cached per degree
+    (the result is frozen).
 
     Uses the multiplicative recurrence
 

@@ -149,8 +149,10 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
     suffices at the default precision at every degree tried (up to 200);
     the doubling is the safety net, and a retry starts from the previous
     rung's estimates.  Each inclusion radius is an upper bound rounded in
-    integers (see certify).
+    integers (see certify).  Raises ValueError when p is not the family
+    member of its degree.
     """
+    _require_family(p)
     n = p.degree
     bits = cfg.bits
     start = initial_points(n, bits)
@@ -186,8 +188,10 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
     exact copy was already evaluated reuses that residual and radius, and a
     conjugate-closed set costs one exact evaluation per pair.  Raises
     CertificationError when some p'(z_j) is exactly zero or some root
-    estimate is not finite.
+    estimate is not finite, and ValueError when p is not the family member
+    of its degree.
     """
+    _require_family(p)
     n = p.degree
     with mp.workprec(bits):
         zs = [mpc(z) for z in roots]
@@ -226,6 +230,13 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
                 if abs(zs[i] - zs[j]) < radii[i] + radii[j]:
                     overlaps[i] = overlaps[j] = True
         return RootSet(n, tuple(zs), tuple(residuals), tuple(radii), bits, tuple(overlaps))
+
+
+def _require_family(p: ExactPolynomial) -> None:
+    """The solve and its certificate evaluate the family member of degree
+    p.degree from its cached integers, so any other p is refused."""
+    if p != build_polynomial(p.degree):
+        raise ValueError(f"p is not the degree-{p.degree} member of the family")
 
 
 def _sqrt_up(num: int, den: int, bits: int) -> mpf:

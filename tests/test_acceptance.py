@@ -262,7 +262,7 @@ def test_criterion_10_lemniscate_convergence(root_cache, tmp_path):
     t0 = time.perf_counter()
     ns = [10, 20, 40, 60]
     roots = root_cache(ns)
-    reports = convergence_report(ns, roots=roots)
+    reports = convergence_report(roots)
     medians = [r.median_value_residual for r in reports]
     with mp.workprec(64):
         decreasing = all(b < a for a, b in zip(medians, medians[1:]))
@@ -270,7 +270,7 @@ def test_criterion_10_lemniscate_convergence(root_cache, tmp_path):
 
     fig_ns = [5, 10, 16, 23, 40, 60]
     fig_roots = root_cache(fig_ns)
-    svg, csv_text = figure_zero_plot(fig_ns, roots=fig_roots)
+    svg, csv_text = figure_zero_plot(fig_roots)
     (tmp_path / "figure_zeros.svg").write_text(svg, encoding="utf-8")
     (tmp_path / "figure_zeros.csv").write_text(csv_text, encoding="utf-8")
     panels_ok = all(

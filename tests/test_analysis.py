@@ -5,7 +5,6 @@ from mpmath import mp, mpf
 
 from lemnizeros import analysis, geometry
 from lemnizeros.analysis import (
-    _median,
     convergence_report,
     figure_level_curves,
     figure_zero_plot,
@@ -73,14 +72,8 @@ class TestDegreeIndependence:
 
 
 class TestConvergence:
-    def test_median_helper(self):
-        assert _median([3, 1, 2]) == 2
-        assert _median([4, 1, 2, 3]) == mpf(5) / 2
-        with pytest.raises(ValueError):
-            _median([])
-
     def test_reports_shrink_with_n(self, root_cache):
-        reports = convergence_report([6, 12], roots=root_cache([6, 12]), branch_samples=256)
+        reports = convergence_report(root_cache([6, 12]), branch_samples=256)
         assert [r.n for r in reports] == [6, 12]
         assert reports[1].median_value_residual < reports[0].median_value_residual
         for rep in reports:
@@ -91,19 +84,19 @@ class TestConvergence:
                 assert rep.min_real_part > mpf(1) / 3
 
     def test_theta_statistics(self, root_cache):
-        (rep,) = convergence_report([12], roots=root_cache([12]), branch_samples=256)
+        (rep,) = convergence_report(root_cache([12]), branch_samples=256)
         thetas = [d.theta for d in rep.per_zero if d.theta is not None]
         assert len(thetas) + rep.excluded_near_pinch == 12
         assert rep.theta_gap_ratio is not None and 1 <= rep.theta_gap_ratio < 2
 
     def test_slope_is_negative(self, root_cache):
-        reports = convergence_report([6, 12, 24], roots=root_cache([6, 12, 24]), branch_samples=256)
+        reports = convergence_report(root_cache([6, 12, 24]), branch_samples=256)
         slope = residual_slope(reports)
         assert slope is not None and slope < 0
 
     def test_csv_emission_deterministic(self, root_cache):
         roots = root_cache([6, 12])
-        reports = convergence_report([6, 12], roots=roots, branch_samples=256)
+        reports = convergence_report(roots, branch_samples=256)
         a = roots_report_csv(reports, roots)
         b = roots_report_csv(reports, roots)
         assert a == b
@@ -114,10 +107,29 @@ class TestConvergence:
         assert len(s.strip().split("\n")) == 3
 
 
+class TestReportsNeverSolve:
+    """The reports take certified root sets and never call the solver."""
+
+    def test_reports_use_the_given_roots(self, root_cache, monkeypatch):
+        roots = root_cache([12, 6])
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a report solved again")
+
+        monkeypatch.setattr(analysis, "find_roots", no_solve)
+        reports = convergence_report(roots, branch_samples=64)
+        assert [r.n for r in reports] == [6, 12]
+        for rep in reports:
+            assert [d.root for d in rep.per_zero] == list(roots[rep.n].roots)
+        svg, _ = figure_zero_plot(roots, branch_samples=64)
+        assert svg.count("<g id=") == 2
+        assert svg.index('<g id="panel-n6">') < svg.index('<g id="panel-n12">')
+
+
 class TestFigures:
     def test_zero_plot_panels_and_markers(self, root_cache):
         ns = [5, 10]
-        svg, csv_text = figure_zero_plot(ns, branch_samples=128, roots=root_cache(ns))
+        svg, csv_text = figure_zero_plot(root_cache(ns), branch_samples=128)
         assert svg.count("<g id=") == 2
         panel5 = svg.split('<g id="panel-n5">')[1].split("</g>")[0]
         panel10 = svg.split('<g id="panel-n10">')[1].split("</g>")[0]
@@ -131,15 +143,15 @@ class TestFigures:
 
     def test_zero_plot_deterministic(self, root_cache):
         ns = [5]
-        a = figure_zero_plot(ns, branch_samples=64, roots=root_cache(ns))
-        b = figure_zero_plot(ns, branch_samples=64, roots=root_cache(ns))
+        a = figure_zero_plot(root_cache(ns), branch_samples=64)
+        b = figure_zero_plot(root_cache(ns), branch_samples=64)
         assert a == b
 
     def test_zero_plot_branch_at_geometry_precision(self, root_cache):
         # the branch is a plotting aid: it is drawn at geometry's 128-bit
         # default, not at the root solver's working precision
         ns = [5]
-        _, csv_text = figure_zero_plot(ns, PrecisionConfig(), 1024, roots=root_cache(ns))
+        _, csv_text = figure_zero_plot(root_cache(ns), 1024)
         got = [r.split(",")[2:] for r in csv_text.strip().split("\n") if r.startswith("5,branch,")]
         want = [
             [analysis._f(v.real), analysis._f(v.imag)]

@@ -137,6 +137,29 @@ class TestCommands:
         assert not rows[1].endswith(",")
         assert not (sub / "DONE").exists()
 
+    def test_verify_checks_name_only_certified_degrees(self):
+        lowp = ("--precision-bits", "64", "--max-bits", "64", "--workers", "1")
+        # no degree certifies: every check fails, none claims a span of degrees
+        res = run_cli("verify", "--n", "240", *lowp)
+        lines = res.stdout.splitlines()
+        assert res.returncode == 1
+        assert not any(line.startswith("PASS") for line in lines)
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert sum(1 for line in fails if "no certified degree" in line) == 5
+        assert lines[-1].startswith("FAIL n=240: ")
+        # the checks pass over the degrees that certified, and name only those
+        res = run_cli("verify", "--n-list", "2,240", *lowp)
+        passes = [line for line in res.stdout.splitlines() if line.startswith("PASS")]
+        assert res.returncode == 1
+        assert len(passes) == 5
+        assert all("n=2..2," in line for line in passes)
+
+    @pytest.mark.parametrize("command", [("report",), ("figure", "--kind", "zeros")])
+    def test_theta_grid_zero_is_a_usage_error(self, command):
+        res = run_cli(*command, "--n", "2", "--theta-grid", "0", "--workers", "1")
+        assert res.returncode == 2
+        assert "empty theta grid" in res.stderr
+
     def test_report_and_figures(self, tmp_path):
         res = run_cli(
             "report", "--n-list", "4,8", "--theta-grid", "128", "--out", str(tmp_path)

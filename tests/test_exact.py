@@ -62,6 +62,9 @@ class TestBuildPolynomial:
         with pytest.raises(ValueError):
             build_polynomial(0)
 
+    def test_cached_per_degree(self):
+        assert build_polynomial(9) is build_polynomial(9)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 40])
     def test_recurrence_matches_pochhammer_form(self, n):
         p = build_polynomial(n)

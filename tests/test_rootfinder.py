@@ -10,7 +10,7 @@ from mpmath import mp, mpc, mpf, polyval
 from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sqrt
 
 from lemnizeros import rootfinder
-from lemnizeros.exact import build_polynomial, pochhammer
+from lemnizeros.exact import ExactPolynomial, build_polynomial, pochhammer
 from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc, to_mpf
 from lemnizeros.rootfinder import (
     RADIUS_REL_TOL,
@@ -176,6 +176,18 @@ class TestFindRoots:
         with pytest.raises(PrecisionExhaustedError) as err:
             find_roots(build_polynomial(240), cfg)
         assert "64" in str(err.value)
+
+    def test_rejects_a_polynomial_outside_the_family(self):
+        # 1 - z + 3/7 z^2 passes ExactPolynomial's checks (c_0 = 1, alternating
+        # signs, |c_0/c_2| = 7/3) but is not the family member 1 - 6/5 z + 3/7 z^2,
+        # whose integers the solve and the certificate would evaluate instead
+        p = ExactPolynomial(2, (Fraction(1), Fraction(-1), Fraction(3, 7)))
+        with pytest.raises(ValueError, match="family"):
+            find_roots(p)
+        with pytest.raises(ValueError, match="family"):
+            certify(p, [mpc("1.4", "0.6"), mpc("1.4", "-0.6")], BITS)
+        equal = ExactPolynomial(2, build_polynomial(2).coefficients)
+        assert find_roots(equal) == find_roots(build_polynomial(2))
 
 
 class TestWBasis:
