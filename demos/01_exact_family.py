@@ -33,7 +33,7 @@ print("  (n = 1 is the honest boundary case: a_0 = a_1, and its zero sits at |z|
 
 print("\nExact Gamma ratio Gamma((n+1)/2) Gamma(n+1) / Gamma((3n+3)/2):")
 for n in range(1, 7):
-    print(f"  n = {n}: {gamma_ratio_exact(n).value}")
+    print(f"  n = {n}: {gamma_ratio_exact(n)}")
 
 print("\nJacobi correspondence (verified by exact coefficient comparison):")
 for n in (1, 2, 8):

@@ -41,7 +41,7 @@ with mp.workprec(bits):
 print("\nStirling leading term vs the exact segment integral at z = 1:")
 with mp.workprec(bits):
     for n in (10, 40, 160, 640):
-        ratio = segment_integral(n, 1, bits) / saddle_asymptotic(n, 1, bits).value
+        ratio = segment_integral(n, 1, bits) / saddle_asymptotic(n, 1, bits)
         print(f"  n = {n:>4}: ratio = {nstr(ratio.real, 10)}   |ratio - 1| ~ {nstr(abs(ratio - 1), 3)}")
 
 print("\nhalf-plane bound at a zero-basin point (Re(z) < 1/3):")

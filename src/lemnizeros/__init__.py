@@ -9,7 +9,6 @@ asymptotics, and measures how the zeros crowd onto the section of
 
 from .exact import (
     ExactPolynomial,
-    GammaRatioExact,
     JacobiCorrespondence,
     build_polynomial,
     ek_scaled_coefficients,
@@ -23,23 +22,16 @@ from .numerics import (
     f_eval,
     fprime_factor,
     principal_sqrt,
-    structural_points,
     to_mpc,
     to_mpf,
 )
 from .rootfinder import CertificationError, RootSet, certify, find_roots, initial_points
 from .geometry import (
-    LemniscatePoint,
     LevelField,
-    basin_boundary,
     basin_classify,
     divides_and_level_field,
-    lemniscate_branch,
-    lemniscate_residual,
-    saddle_comparison,
 )
 from .paths import (
-    AsymptoticTerm,
     PathError,
     SteepestPath,
     halfplane_bound_check,
@@ -62,13 +54,10 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticTerm",
     "CertificationError",
     "ExactPolynomial",
-    "GammaRatioExact",
     "JacobiCorrespondence",
     "LemmaReport",
-    "LemniscatePoint",
     "LemniscateReport",
     "LevelField",
     "PathError",
@@ -76,7 +65,6 @@ __all__ = [
     "PrecisionExhaustedError",
     "RootSet",
     "SteepestPath",
-    "basin_boundary",
     "basin_classify",
     "build_polynomial",
     "certify",
@@ -92,14 +80,10 @@ __all__ = [
     "initial_points",
     "integral_full",
     "jacobi_correspondence",
-    "lemniscate_branch",
-    "lemniscate_residual",
     "pochhammer",
     "principal_sqrt",
     "saddle_asymptotic",
-    "saddle_comparison",
     "segment_integral",
-    "structural_points",
     "tail_integral",
     "to_mpc",
     "to_mpf",

@@ -228,6 +228,10 @@ def config_from_args(args) -> RunConfig:
     cfg = replace(base, **overrides)
     if cfg.command == "unset":
         raise ValueError("no command given")
+    # checked here, before any degree is solved: the branch needs a phase
+    draws_branch = cfg.command == "report" or (cfg.command == "figure" and cfg.kind == "zeros")
+    if draws_branch and cfg.theta_grid < 1:
+        raise ValueError(f"{cfg.command}: empty theta grid (--theta-grid {cfg.theta_grid})")
     if cfg.workers == 0:
         cfg = replace(cfg, workers=os.cpu_count() or 1)
     return cfg

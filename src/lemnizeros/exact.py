@@ -85,16 +85,6 @@ def build_polynomial(n: int) -> ExactPolynomial:
     return ExactPolynomial(n, tuple(coeffs))
 
 
-def coefficient_by_pochhammer(n: int, m: int) -> Fraction:
-    """Direct Pochhammer-product form of c_m; independent route used as an
-    oracle against the recurrence in :func:`build_polynomial`."""
-    return (
-        pochhammer(-n, m)
-        * pochhammer(Fraction(n + 1, 2), m)
-        / (pochhammer(Fraction(n + 3, 2), m) * factorial(m))
-    )
-
-
 def ek_scaled_coefficients(p: ExactPolynomial) -> tuple[list[Fraction], bool]:
     """Scaled magnitudes a_m = |c_m| (n+1)^m and their monotonicity verdict.
 
@@ -114,16 +104,8 @@ def ek_scaled_coefficients(p: ExactPolynomial) -> tuple[list[Fraction], bool]:
     return a, increasing
 
 
-@dataclass(frozen=True)
-class GammaRatioExact:
-    """Exact rational value of Gamma((n+1)/2) * Gamma(n+1) / Gamma((3n+3)/2)."""
-
-    value: Fraction
-    n: int
-
-
-def gamma_ratio_exact(n: int) -> GammaRatioExact:
-    """The Gamma ratio as an exact rational.
+def gamma_ratio_exact(n: int) -> Fraction:
+    """Gamma((n+1)/2) * Gamma(n+1) / Gamma((3n+3)/2) as an exact rational.
 
     The two half-argument Gammas differ by the integer offset n+1, so the
     ratio telescopes to
@@ -139,7 +121,7 @@ def gamma_ratio_exact(n: int) -> GammaRatioExact:
     start = Fraction(n + 1, 2)
     for k in range(n + 1):
         denom *= start + k
-    return GammaRatioExact(Fraction(factorial(n)) / denom, n)
+    return Fraction(factorial(n)) / denom
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ weak.
 
 f_z(t) = t(1 - z t^2) is the cubic whose powers are integrated downstream;
 its zeros are {0, +1/sqrt(z), -1/sqrt(z)} and its critical points sit at
-+-1/sqrt(3z).
++-1/sqrt(3z), the zeros of fprime_factor.  Callers build these points from
+principal_sqrt, whose branch convention fixes which zero is +1/sqrt(z).
 """
 
 from __future__ import annotations
@@ -95,22 +96,3 @@ def f_eval(z: mpc, t: mpc) -> mpc:
 def fprime_factor(z: mpc, t: mpc) -> mpc:
     """1 - 3 z t^2, the derivative factor vanishing at the saddles."""
     return 1 - 3 * z * t * t
-
-
-@dataclass(frozen=True)
-class StructuralPoints:
-    """Zeros {0, +-1/sqrt(z)} and saddles {+-1/sqrt(3z)} of f_z."""
-
-    zeros: tuple[mpc, mpc, mpc]
-    saddles: tuple[mpc, mpc]
-
-
-def structural_points(z: mpc, bits: int) -> StructuralPoints:
-    """Structural points of f_z via the principal square root; z != 0."""
-    with mp.workprec(bits):
-        z = mpc(z)
-        if z == 0:
-            raise ValueError("structural_points: z must be nonzero")
-        inv = 1 / principal_sqrt(z, bits)
-        inv3 = 1 / principal_sqrt(3 * z, bits)
-        return StructuralPoints((mpc(0), inv, -inv), (inv3, -inv3))

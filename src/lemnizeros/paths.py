@@ -218,14 +218,10 @@ def integral_full(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
         return (n + 1) * half * total
 
 
-def segment_integral(n: int, z, bits: int = DEFAULT_BITS, method: str = "closed-form") -> mpc:
-    """Integral of f_z^n from 0 to 1/sqrt(z).
-
-    closed-form: (1 / (2 (sqrt z)^(n+1))) * the exact Gamma ratio (always a
-    rational number; see exact.gamma_ratio_exact).  quadrature: straight
-    segment from 0 to 1/sqrt(z), Gauss-Legendre in the segment parameter,
-    kept as an independent cross-validation route.
-    """
+def segment_integral(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
+    """Integral of f_z^n from 0 to 1/sqrt(z), in closed form:
+    (1 / (2 (sqrt z)^(n+1))) times the Gamma ratio, which is rational for
+    every n (see exact.gamma_ratio_exact)."""
     if n < 1:
         raise ValueError("segment_integral: n must be >= 1")
     with mp.workprec(bits):
@@ -234,37 +230,18 @@ def segment_integral(n: int, z, bits: int = DEFAULT_BITS, method: str = "closed-
             raise ValueError("segment_integral: z must be nonzero")
         if z.imag == 0 and z.real < 0:
             raise ValueError("segment_integral: z on the branch cut")
-        sz = principal_sqrt(z, bits)
-        if method == "closed-form":
-            ratio = to_mpf(gamma_ratio_exact(n).value, bits)
-            return ratio / (2 * sz ** (n + 1))
-        if method == "quadrature":
-            t_end = 1 / sz
-            rule = legendre_rule(max(64, 2 * n), bits)
-            half = mpf(1) / 2
-            total = mpc(0)
-            for x, w in rule:
-                s = half * (x + 1)
-                total += w * f_eval(z, s * t_end) ** n
-            return half * total * t_end
-        raise ValueError(f"segment_integral: unknown method {method!r}")
+        ratio = to_mpf(gamma_ratio_exact(n), bits)
+        return ratio / (2 * principal_sqrt(z, bits) ** (n + 1))
 
 
-@dataclass(frozen=True)
-class AsymptoticTerm:
-    """Leading Stirling term of the segment integral.
+def saddle_asymptotic(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
+    """Leading Stirling term of the segment integral,
 
-    value = (2/sqrt(27))^n * sqrt(2 pi) / (3 sqrt(n) (sqrt z)^(n+1)); the
-    first omitted correction is of relative size O(1/n), recorded as the
-    budget 1/n.  |value| depends on z only through |sqrt(z)|.
+        (2/sqrt(27))^n sqrt(2 pi) / (3 sqrt(n) (sqrt z)^(n+1)),
+
+    whose first omitted correction is of relative size O(1/n).  Its modulus
+    depends on z only through |sqrt(z)|.
     """
-
-    n: int
-    value: mpc
-    rel_error_budget: mpf
-
-
-def saddle_asymptotic(n: int, z, bits: int = DEFAULT_BITS) -> AsymptoticTerm:
     if n < 1:
         raise ValueError("saddle_asymptotic: n must be >= 1")
     with mp.workprec(bits):
@@ -274,10 +251,7 @@ def saddle_asymptotic(n: int, z, bits: int = DEFAULT_BITS) -> AsymptoticTerm:
         if z.imag == 0 and z.real < 0:
             raise ValueError("saddle_asymptotic: z on the branch cut")
         sz = principal_sqrt(z, bits)
-        value = (
-            (2 / mp.sqrt(27)) ** n * mp.sqrt(2 * mp.pi) / (3 * mp.sqrt(n) * sz ** (n + 1))
-        )
-        return AsymptoticTerm(n, value, mpf(1) / n)
+        return (2 / mp.sqrt(27)) ** n * mp.sqrt(2 * mp.pi) / (3 * mp.sqrt(n) * sz ** (n + 1))
 
 
 def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
@@ -315,7 +289,6 @@ def zero_equation_residual(
     n: int,
     z,
     bits: int = DEFAULT_BITS,
-    steps: int = DEFAULT_STEPS,
     path: SteepestPath | None = None,
 ) -> tuple[mpc, mpc]:
     """Both sides of the asymptotic zero condition at z.
@@ -333,7 +306,7 @@ def zero_equation_residual(
         if z == 1:
             raise ValueError("zero_equation_residual: z = 1 is excluded")
         if path is None:
-            path = trace_path(z, steps=steps, bits=bits)
+            path = trace_path(z, bits=bits)
         elif path.z != z:
             raise ValueError("zero_equation_residual: path was traced for a different z")
         bare = _bare_tail_sum(n, path)

@@ -354,8 +354,8 @@ def _aberth_family(p: ExactPolynomial, start, bits: int):
 
 def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
     """Zeros of a general small polynomial with complex coefficients
-    (ascending order).  Exists for the lemniscate-branch cubic; this is not
-    a general-purpose solver surface."""
+    (ascending order).  Exists for the cubic of geometry.branch_polyline;
+    this is not a general-purpose solver surface."""
     with mp.workprec(bits):
         cs = [to_mpc(c, bits) for c in coeffs]
         if len(cs) < 2 or cs[-1] == 0:

@@ -1,11 +1,19 @@
 import pathlib
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 
 import pytest
+from mpmath import mp, mpc, mpf
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+from lemnizeros.exact import pochhammer  # noqa: E402
+from lemnizeros.numerics import f_eval, principal_sqrt, to_mpc, to_mpf  # noqa: E402
+from lemnizeros.quadrature import legendre_rule  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +36,71 @@ def root_cache():
         return {n: cache[n] for n in ns}
 
     return get
+
+
+# Independent routes kept as oracles for the library's closed forms.
+
+
+def basin_boundary(y_grid, bits):
+    """Points x + iy with x = (2 - sqrt(1 + 3y^2))/3, the locus |z| + 2 Re(z) = 1.
+
+    This is the divide 3 Re(u)^2 - Im(u)^2 = 1 of u = sqrt(z) (vertex 1/3,
+    intercepts +-i); it separates the two basin classifications, and every
+    returned point lands in the "boundary" band.
+    """
+    out = []
+    with mp.workprec(bits):
+        for y in y_grid:
+            yy = to_mpf(Fraction(y) if isinstance(y, (int, Fraction)) else y, bits)
+            out.append(mpc((2 - mp.sqrt(1 + 3 * yy * yy)) / 3, yy))
+    return out
+
+
+@dataclass(frozen=True)
+class SaddleComparison:
+    """The two sides of the basin-selection equivalence at a point z:
+    sign(|f_z(1)| - |f_z(saddle)|) must agree with sign(|z(1-z)^2| - 4/27)
+    whenever both magnitudes clear the rounding floor."""
+
+    field_difference: mpf  # |f_z(1)| - |f_z(1/sqrt(3z))|
+    level_difference: mpf  # |z(1-z)^2| - 4/27
+
+    def signs(self) -> tuple[int, int]:
+        def sgn(x):
+            return (x > 0) - (x < 0)
+
+        return sgn(self.field_difference), sgn(self.level_difference)
+
+
+def saddle_comparison(z, bits):
+    """Evaluate both differences independently (no algebraic shortcut)."""
+    with mp.workprec(bits):
+        z = to_mpc(z, bits)
+        saddle = 1 / principal_sqrt(3 * z, bits)
+        field = abs(f_eval(z, mpc(1))) - abs(f_eval(z, saddle))
+        level = abs(z * (1 - z) ** 2) - mpf(4) / 27
+        return SaddleComparison(field, level)
+
+
+def coefficient_by_pochhammer(n, m):
+    """Direct Pochhammer-product form of c_m, against the recurrence in
+    build_polynomial."""
+    return (
+        pochhammer(-n, m)
+        * pochhammer(Fraction(n + 1, 2), m)
+        / (pochhammer(Fraction(n + 3, 2), m) * factorial(m))
+    )
+
+
+def segment_by_quadrature(n, z, bits):
+    """Integral of f_z^n along the straight segment from 0 to 1/sqrt(z), by
+    Gauss-Legendre in the segment parameter: the closed form's oracle."""
+    rule = legendre_rule(max(64, 2 * n), bits)
+    with mp.workprec(bits):
+        z = to_mpc(z, bits)
+        t_end = 1 / principal_sqrt(z, bits)
+        half = mpf(1) / 2
+        total = mpc(0)
+        for x, w in rule:
+            total += w * f_eval(z, half * (x + 1) * t_end) ** n
+        return half * total * t_end

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lemnizeros import analysis, cli
 from lemnizeros.cli import RunConfig, parse_rational_complex, parse_run_config_text
 from lemnizeros.numerics import PrecisionConfig
 
@@ -159,6 +160,22 @@ class TestCommands:
         res = run_cli(*command, "--n", "2", "--theta-grid", "0", "--workers", "1")
         assert res.returncode == 2
         assert "empty theta grid" in res.stderr
+
+    @pytest.mark.parametrize("command", [("report",), ("figure", "--kind", "zeros")])
+    def test_theta_grid_zero_is_rejected_before_any_solve(self, command, monkeypatch, tmp_path, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a degree was solved before the theta grid was checked")
+
+        monkeypatch.setattr(analysis, "find_roots", no_solve)
+        flags = ["--n-list", "60,80,100", "--theta-grid", "0", "--workers", "1"]
+        assert cli.main([*command, *flags]) == 2
+        assert "empty theta grid" in capsys.readouterr().err
+        # the same grid read from --config
+        conf = tmp_path / "run.conf"
+        kind = "kind = zeros\n" if "--kind" in command else ""
+        conf.write_text(f"command = {command[0]}\n{kind}n_list = 60,80,100\ntheta_grid = 0\nworkers = 1\n")
+        assert cli.main(["--config", str(conf)]) == 2
+        assert "empty theta grid" in capsys.readouterr().err
 
     def test_report_and_figures(self, tmp_path):
         res = run_cli(

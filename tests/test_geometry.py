@@ -11,69 +11,55 @@ from lemnizeros.geometry import (
     BOUNDARY,
     INV_SQRT_BASIN,
     ZERO_BASIN,
-    basin_boundary,
     basin_classify,
     branch_polyline,
     divides_and_level_field,
-    lemniscate_branch,
-    lemniscate_csv,
-    lemniscate_residual,
     level_field_csv,
-    saddle_comparison,
 )
 from lemnizeros.numerics import principal_sqrt, to_mpc
+
+from conftest import basin_boundary, saddle_comparison
 
 BITS = 128
 
 
-class TestLemniscateResidual:
-    def test_real_branch_end(self):
-        assert lemniscate_residual(Fraction(4, 3), BITS) < mpf(2) ** (8 - BITS)
-
-    def test_pinch(self):
-        # (1/3)(2/3)^2 = 4/27 exactly
-        assert lemniscate_residual(Fraction(1, 3), BITS) < mpf(2) ** (8 - BITS)
-
-    def test_at_one(self):
-        with mp.workprec(BITS):
-            assert abs(lemniscate_residual(1, BITS) - mpf(4) / 27) < mpf(2) ** (8 - BITS)
-
-
 class TestLemniscateBranch:
+    """The right branch as branch_polyline samples it: S phases, two points
+    per phase off theta = 0, 4/3 and the pinch at theta = 0."""
+
     def test_theta_zero_factorization(self):
-        pts = lemniscate_branch([0], BITS)
-        kinds = sorted(pt.branch for pt in pts)
-        assert kinds == ["pinch", "pinch", "right"]
+        # z(1-z)^2 - 4/27 = (z - 4/3)(z - 1/3)^2: 4/3 and the pinch, once
+        pts = branch_polyline(64, BITS)
         with mp.workprec(BITS):
-            right = [pt for pt in pts if pt.branch == "right"][0]
-            assert abs(right.z - mpf(4) / 3) < 1e-30
-            for pt in pts:
-                if pt.branch == "pinch":
-                    assert abs(pt.z - mpf(1) / 3) < 1e-8
+            third = to_mpc(Fraction(1, 3), BITS)
+            assert sum(1 for z in pts if z == third) == 1
+            assert min(abs(z - mpf(4) / 3) for z in pts) < 1e-30
 
     def test_residuals_below_solver_tolerance(self):
-        thetas = [2 * mp.pi * k / 64 for k in range(64)]
-        pts = lemniscate_branch(thetas, BITS)
-        assert all(pt.residual < mpf("1e-20") for pt in pts)
-        # every strictly-right point clears the half-plane line
-        assert all(pt.z.real > mpf(1) / 3 for pt in pts if pt.branch == "right")
+        pts = branch_polyline(64, BITS)
+        with mp.workprec(BITS):
+            level = mpf(4) / 27
+            assert all(abs(abs(z * (1 - z) ** 2) - level) / level < mpf("1e-20") for z in pts)
+            # every point but the pinch clears the half-plane line
+            third = mpf(1) / 3
+            assert all(z.real > third for z in pts if z != third)
 
     def test_two_right_points_per_interior_theta(self):
-        pts = lemniscate_branch([mpf(1) / 2], BITS)
-        assert sum(1 for pt in pts if pt.branch == "right") == 2
+        # 2 points at each of the S - 1 phases off 0, plus 4/3 and the pinch
+        for samples in (1, 2, 7, 64):
+            assert len(branch_polyline(samples, BITS)) == 2 * samples
 
     def test_conjugation_symmetry(self):
+        # the phase grid is symmetric only up to double rounding
+        pts = branch_polyline(64, BITS)
         with mp.workprec(BITS):
-            up = [pt.z for pt in lemniscate_branch([mpf(1) / 3], BITS) if pt.branch == "right"]
-            dn = [pt.z for pt in lemniscate_branch([-mpf(1) / 3], BITS) if pt.branch == "right"]
-            worst = max(
-                min(abs(mpc(a.real, -a.imag) - b) for b in dn) for a in up
-            )
-            assert worst < mpf("1e-25")
+            worst = max(min(abs(mpc(a.real, -a.imag) - b) for b in pts) for a in pts)
+            assert worst < 1e-15
 
     def test_theta_pi_against_numpy(self):
-        pts = lemniscate_branch([mp.pi], BITS)
-        right = [complex(pt.z) for pt in pts if pt.branch == "right"]
+        # phase pi is sample 1 of 2; with the sample at phase 0 (4/3, 1/3) excluded
+        pts = [complex(z) for z in branch_polyline(2, BITS)]
+        right = [z for z in pts if abs(z - 4 / 3) > 1e-6 and abs(z - 1 / 3) > 1e-6]
         oracle = np.roots([1, -2, 1, 4 / 27])  # z^3 - 2z^2 + z + 4/27 at theta = pi
         expected = [z for z in oracle if z.real > 1 / 3]
         assert len(right) == len(expected) == 2
@@ -81,15 +67,9 @@ class TestLemniscateBranch:
         assert worst < 1e-10
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            lemniscate_branch([], BITS)
-
-    def test_csv_shape(self):
-        pts = lemniscate_branch([0, mpf(1) / 2], BITS)
-        text = lemniscate_csv(pts)
-        lines = text.strip().split("\n")
-        assert lines[0] == "theta,re_z,im_z,residual"
-        assert len(lines) == 1 + len(pts)
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="empty theta grid"):
+                branch_polyline(samples, BITS)
 
 
 class TestBranchPolyline:
@@ -101,6 +81,11 @@ class TestBranchPolyline:
         # ordered by angle around 1: consecutive gaps stay small for a loop
         gaps = [abs(complex(a - b)) for a, b in zip(pts, pts[1:])]
         assert max(gaps) < 0.2
+
+    def test_independent_of_caller_precision(self):
+        pts = branch_polyline(64, BITS)
+        with mp.workprec(200):
+            assert branch_polyline(64, BITS) == pts
 
 
 class TestBasins:

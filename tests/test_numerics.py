@@ -13,7 +13,6 @@ from lemnizeros.numerics import (
     f_eval,
     fprime_factor,
     principal_sqrt,
-    structural_points,
     to_mpc,
     to_mpf,
 )
@@ -154,26 +153,35 @@ class TestStructure:
         v = f_eval(to_mpc(Fraction(5, 7), BITS), to_mpc(Fraction(2, 3), BITS))
         assert v.imag == 0
 
+    @staticmethod
+    def _structural_points(z):
+        """Zeros {0, +-1/sqrt(z)} and saddles {+-1/sqrt(3z)} of f_z, checked
+        to be zeros of f_eval and fprime_factor."""
+        with mp.workprec(BITS):
+            inv = 1 / principal_sqrt(z, BITS)
+            inv3 = 1 / principal_sqrt(3 * z, BITS)
+            zeros, saddles = (mpc(0), inv, -inv), (inv3, -inv3)
+            assert all(abs(f_eval(z, t)) < mpf(2) ** (8 - BITS) for t in zeros)
+            assert all(abs(fprime_factor(z, s)) < mpf(2) ** (8 - BITS) for s in saddles)
+            return zeros, saddles
+
     def test_structural_points_unit(self):
-        sp = structural_points(to_mpc(1, BITS), BITS)
-        zs = sorted(complex(z).real for z in sp.zeros)
+        zeros, saddles = self._structural_points(to_mpc(1, BITS))
+        zs = sorted(complex(z).real for z in zeros)
         assert zs == [-1.0, 0.0, 1.0]
         with mp.workprec(BITS):
-            assert abs(abs(sp.saddles[0]) - 1 / mp.sqrt(3)) < mpf(2) ** (8 - BITS)
+            assert abs(abs(saddles[0]) - 1 / mp.sqrt(3)) < mpf(2) ** (8 - BITS)
 
     def test_structural_points_four_thirds(self):
-        sp = structural_points(to_mpc(Fraction(4, 3), BITS), BITS)
-        mods = sorted(abs(complex(z)) for z in sp.zeros)
+        zeros, saddles = self._structural_points(to_mpc(Fraction(4, 3), BITS))
+        mods = sorted(abs(complex(z)) for z in zeros)
         assert mods[0] == 0
         assert abs(mods[1] - 0.8660254037844386) < 1e-15
-        assert sorted(abs(complex(s)) for s in sp.saddles) == [0.5, 0.5]
+        assert sorted(abs(complex(s)) for s in saddles) == [0.5, 0.5]
 
     def test_cut_convention_at_minus_one(self):
-        sp = structural_points(to_mpc(-1, BITS), BITS)
+        zeros, _ = self._structural_points(to_mpc(-1, BITS))
         # 1/sqrt(-1) = 1/i = -i under the upper-limit cut rule
-        imags = sorted(complex(z).imag for z in sp.zeros)
+        assert complex(zeros[1]) == -1j
+        imags = sorted(complex(z).imag for z in zeros)
         assert imags == [-1.0, 0.0, 1.0]
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            structural_points(to_mpc(0, BITS), BITS)
