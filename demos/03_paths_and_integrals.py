@@ -11,7 +11,7 @@ keeps zeros away from the half-plane Re(z) < 1/3.
 
 from fractions import Fraction
 
-from mpmath import mp, mpf, nstr
+from mpmath import mp, nstr
 
 from lemnizeros import (
     halfplane_bound_check,

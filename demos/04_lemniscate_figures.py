@@ -9,7 +9,7 @@ into demos/output/.
 
 from pathlib import Path
 
-from mpmath import mp, nstr
+from mpmath import nstr
 
 from lemnizeros import convergence_report, figure_level_curves, figure_zero_plot
 from lemnizeros.analysis import certified_roots_range, residual_slope, summary_csv

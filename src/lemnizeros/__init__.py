@@ -20,7 +20,6 @@ from .numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
     f_eval,
-    fprime_factor,
     principal_sqrt,
     to_mpc,
     to_mpf,
@@ -75,7 +74,6 @@ __all__ = [
     "figure_level_curves",
     "figure_zero_plot",
     "find_roots",
-    "fprime_factor",
     "gamma_ratio_exact",
     "initial_points",
     "integral_full",

@@ -8,8 +8,14 @@ weak.
 
 f_z(t) = t(1 - z t^2) is the cubic whose powers are integrated downstream;
 its zeros are {0, +1/sqrt(z), -1/sqrt(z)} and its critical points sit at
-+-1/sqrt(3z), the zeros of fprime_factor.  Callers build these points from
++-1/sqrt(3z), the zeros of 1 - 3 z t^2.  Callers build these points from
 principal_sqrt, whose branch convention fixes which zero is +1/sqrt(z).
+
+The fixed-point kernels (the Aberth sweeps and seeding in rootfinder, the
+path continuation in paths, the Legendre nodes in quadrature) work on
+Gaussian integers (x, y) standing for (x + iy) 2^-scale, or on plain
+integers for real values; _to_fixed, _mpf_to_fixed, _from_fixed and
+_fixed_div move values into and out of that scale and divide within it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 DEFAULT_BITS = 160
 DEFAULT_MAX_BITS = 4096
@@ -93,6 +100,28 @@ def f_eval(z: mpc, t: mpc) -> mpc:
     return t * (1 - z * t * t)
 
 
-def fprime_factor(z: mpc, t: mpc) -> mpc:
-    """1 - 3 z t^2, the derivative factor vanishing at the saddles."""
-    return 1 - 3 * z * t * t
+def _to_fixed(z: mpc, scale: int) -> tuple[int, int]:
+    """z as a Gaussian integer at scale 2^-scale, rounded down (exact when
+    no bit of z lies below 2^-scale)."""
+    return _mpf_to_fixed(z.real._mpf_, scale), _mpf_to_fixed(z.imag._mpf_, scale)
+
+
+def _mpf_to_fixed(x, scale: int) -> int:
+    """The libmp tuple x as an integer at scale 2^-scale, rounded down."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    shift = exp + scale
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _from_fixed(z: tuple[int, int], scale: int, bits: int) -> mpc:
+    """The Gaussian integer z at scale 2^-scale as an mpc rounded to `bits`."""
+    return mp.make_mpc(tuple(from_man_exp(v, -scale, bits, "n") for v in z))
+
+
+def _fixed_div(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:
+    """(ar + i ai) / (br + i bi) for Gaussian integers at scale 2^-scale,
+    by floor division of a conj(b) by |b|^2."""
+    bb = br * br + bi * bi
+    return ((ar * br + ai * bi) << scale) // bb, ((ai * br - ar * bi) << scale) // bb

@@ -11,10 +11,16 @@ piece along the curve of constant arg f_z, parametrized implicitly by
 The path is traced by Newton continuation in r from 1 downward: each sample
 is the Newton solution of the implicit equation at its r, started from the
 previous sample, whose first step is the Euler predictor on
-dt/dr = (1-z)/(1-3zt^2).  Sample placement doubles as quadrature:
-the r-nodes are composite Gauss-Legendre panels refined geometrically
-toward r = 1, where the factor r^(n-1) concentrates; the tail integral is
-then a weighted sum over the stored samples at spectral accuracy.
+dt/dr = (1-z)/(1-3zt^2).  The Newton steps run in fixed point on Gaussian
+integers at one shared scale 2^-(bits+16), like the Aberth sweeps of
+rootfinder: z, r(1 - z) and the tolerances enter the scale once, a step is
+integer multiplies, shifts and one floor division, and the 16 guard bits
+keep the floor rounding far below the noise floor 2^(16-bits) of the
+convergence test.  Only the final samples are rounded to `bits`.  Sample
+placement doubles as quadrature: the r-nodes are composite Gauss-Legendre
+panels refined geometrically toward r = 1, where the factor r^(n-1)
+concentrates; the tail integral is then a weighted sum over the stored
+samples at spectral accuracy.
 """
 
 from __future__ import annotations
@@ -27,7 +33,16 @@ from mpmath import mp, mpc, mpf
 
 from .exact import gamma_ratio_exact
 from .geometry import BOUNDARY, ZERO_BASIN, basin_classify
-from .numerics import f_eval, fprime_factor, principal_sqrt, to_mpc, to_mpf
+from .numerics import (
+    _fixed_div,
+    _from_fixed,
+    _mpf_to_fixed,
+    _to_fixed,
+    f_eval,
+    principal_sqrt,
+    to_mpc,
+    to_mpf,
+)
 from .quadrature import legendre_rule
 
 DEFAULT_BITS = 128
@@ -35,6 +50,7 @@ DEFAULT_STEPS = 512
 _PANEL_NODES = 8
 _GEOMETRIC_DEPTH_CAP = 16
 _HALFPLANE_WINDOW = (0.9, 1.0)  # r-range of halfplane_bound_check
+_GUARD = 16  # fixed-point bits kept below 2^-bits by the path continuation
 
 
 class PathError(RuntimeError):
@@ -58,14 +74,15 @@ class SteepestPath:
     """Sampled solution t(r) of the implicit path equation.
 
     samples runs from (0, t(0)) to (1, 1) with r strictly increasing; quad
-    is the interior subset carrying Gauss-Legendre weights, ready for
-    integration in r.  start_label records which zero of f_z the path
+    is the interior subset as (r, t, w, g): the Gauss-Legendre weight w for
+    integration in r and the tail integrand g = (1 - zt^2) t / (1 - 3zt^2)
+    at the sample.  start_label records which zero of f_z the path
     emanates from ("inv-sqrt-z" or "zero").
     """
 
     z: mpc
     samples: tuple[tuple[mpf, mpc], ...]
-    quad: tuple[tuple[mpf, mpc, mpf], ...]
+    quad: tuple[tuple[mpf, mpc, mpf, mpc], ...]
     start_point: mpc
     start_label: str
     path_tol: mpf
@@ -110,11 +127,19 @@ def trace_path(
 ) -> SteepestPath:
     """Trace t(r) for r from 1 down to 0 and return the sampled path.
 
-    Preconditions: z is not 1 (the parametrization degenerates: f_z(1) = 0)
-    and z is not on the basin boundary (the path would run along a divide).
-    The endpoint t(0) must land on the basin prediction: 1/sqrt(z) in the
-    inv-sqrt-z basin, 0 in the zero basin; z = 0 is allowed and gives the
-    trivial path t = r.
+    Preconditions: z is not 1 (the parametrization degenerates: f_z(1) = 0),
+    z is not on the basin boundary (the path would run along a divide), and
+    path_tol, when given, is positive.  The endpoint t(0) must land on the
+    basin prediction: 1/sqrt(z) in the inv-sqrt-z basin, 0 in the zero
+    basin; z = 0 is allowed and gives the trivial path t = r.
+
+    Newton stops at each r once |t(1-zt^2) - r(1-z)| is at most
+    max(path_tol |1-z| r, 2^(16-bits) (1+|z|)), and raises
+    SaddleProximityError when |1-3zt^2| falls below 10 path_tol or 80 steps
+    do not converge; both tests compare squared moduli.  The steps run on
+    Gaussian integers at the scale 2^-(bits+_GUARD), and each sample t and
+    its tail integrand g are rounded to `bits` once, so the samples do not
+    depend on the caller's mp.prec.
     """
     with mp.workprec(bits):
         z = to_mpc(z, bits)
@@ -124,6 +149,8 @@ def trace_path(
             path_tol = mpf(2) ** (32 - bits)
         else:
             path_tol = mpf(path_tol)
+            if not path_tol > 0:
+                raise ValueError(f"trace_path: path_tol must be positive, got {mpmath.nstr(path_tol, 8)}")
         if z == 0:
             label, predicted = "zero", mpc(0)
         else:
@@ -144,46 +171,59 @@ def trace_path(
             for x, w in rule:
                 nodes.append((mid + rad * x, rad * w))
 
-        one_minus_z = 1 - z
-        saddle_floor = 10 * path_tol
-        noise_floor = mpf(2) ** (16 - bits) * (1 + abs(z))
+        P = bits + _GUARD
+        one = 1 << P
+        zr, zi = _to_fixed(z, P)
+        cr, ci = one - zr, -zi  # 1 - z, exact
+        slope = _mpf_to_fixed((path_tol * abs(1 - z))._mpf_, P)
+        noise = _mpf_to_fixed((mpf(2) ** (16 - bits) * (1 + abs(z)))._mpf_, P)
+        saddle2 = _mpf_to_fixed((10 * path_tol)._mpf_, P) ** 2
 
         def correct(r, t):
             # Newton from the previous sample onto t(1-zt^2) = r(1-z); the
             # tolerance scales with r so the constant-argument property holds
             # uniformly along the path, floored at the evaluation noise of the
-            # residual itself.
-            target = r * one_minus_z
-            tol = max(path_tol * abs(one_minus_z) * r, noise_floor)
+            # residual itself.  Returns t with f_z(t) and 1-3zt^2 there.
+            rf = _mpf_to_fixed(r._mpf_, P)
+            gr, gi = (rf * cr) >> P, (rf * ci) >> P
+            tol = max((slope * rf) >> P, noise)
+            tol2 = tol * tol
+            tr, ti = t
             for _ in range(80):
-                d = fprime_factor(z, t)
-                if abs(d) < saddle_floor:
+                ar, ai = (tr * tr - ti * ti) >> P, (2 * tr * ti) >> P
+                br, bi = (zr * ar - zi * ai) >> P, (zr * ai + zi * ar) >> P  # z t^2
+                dr, di = one - 3 * br, -3 * bi
+                if dr * dr + di * di < saddle2:
+                    d = _from_fixed((dr, di), P, bits)
                     raise SaddleProximityError(
                         f"saddle proximity: |1-3zt^2| = {mpmath.nstr(abs(d), 8)} at r = {mpmath.nstr(r, 8)}"
                     )
-                res = f_eval(z, t) - target
-                if abs(res) <= tol:
-                    return t
-                t = t - res / d
+                fr, fi = (tr * (one - br) + ti * bi) >> P, (ti * (one - br) - tr * bi) >> P
+                er, ei = fr - gr, fi - gi
+                if er * er + ei * ei <= tol2:
+                    return (tr, ti), (fr, fi), (dr, di)
+                qr, qi = _fixed_div(er, ei, dr, di, P)
+                tr, ti = tr - qr, ti - qi
             raise SaddleProximityError(
                 f"saddle proximity: correction failed to converge at r = {mpmath.nstr(r, 8)}"
             )
 
-        quad: list[tuple[mpf, mpc, mpf]] = []
-        t_cur = mpc(1)
+        quad: list[tuple[mpf, mpc, mpf, mpc]] = []
+        t = (one, 0)
         for r, w in reversed(nodes):
-            t_cur = correct(r, t_cur)
-            quad.append((r, t_cur, w))
+            t, f, d = correct(r, t)
+            g = _fixed_div(*f, *d, P)
+            quad.append((r, _from_fixed(t, P, bits), w, _from_fixed(g, P, bits)))
         quad.reverse()
 
         # land on r = 0: Newton on f_z(t) = 0 itself
-        t_end = correct(mpf(0), t_cur)
+        t_end = _from_fixed(correct(mpf(0), t)[0], P, bits)
         if abs(t_end - predicted) > 100 * path_tol:
             raise EndpointMismatchError(
                 f"endpoint mismatch: t(0) = {mpmath.nstr(t_end, 12)}, "
                 f"basin predicts {mpmath.nstr(predicted, 12)}"
             )
-        samples = ((mpf(0), t_end),) + tuple((r, t) for r, t, _ in quad) + ((mpf(1), mpc(1)),)
+        samples = ((mpf(0), t_end),) + tuple((r, t) for r, t, _, _ in quad) + ((mpf(1), mpc(1)),)
         return SteepestPath(z, samples, tuple(quad), t_end, label, path_tol, bits)
 
 
@@ -255,12 +295,11 @@ def saddle_asymptotic(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
 
 
 def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
-    """Sum of w * (1-zt^2) t r^(n-1) / (1-3zt^2) over the stored quadrature
-    samples; the caller applies any outer factors."""
+    """Sum of w g r^(n-1), g = (1-zt^2) t / (1-3zt^2), over the stored
+    quadrature samples; the caller applies any outer factors."""
     if not path.quad:
         raise PathResolutionError("path too coarse: no quadrature samples stored")
     with mp.workprec(path.bits):
-        z = path.z
         gap = 1 - path.quad[-1][0]
         if gap > mpf(1) / (4 * n):
             raise PathResolutionError(
@@ -268,8 +307,8 @@ def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
                 f"exceeds 1/(4n) = {mpmath.nstr(mpf(1) / (4 * n), 6)}"
             )
         total = mpc(0)
-        for r, t, w in path.quad:
-            total += w * (1 - z * t * t) * t * r ** (n - 1) / (1 - 3 * z * t * t)
+        for r, _, w, g in path.quad:
+            total += g * (w * r ** (n - 1))
         return total
 
 
@@ -342,10 +381,9 @@ def halfplane_bound_check(z, path: SteepestPath) -> HalfplaneVerdict:
         sixth = mpf(1) / 6
         min_real = None
         checked = 0
-        for r, t, _ in path.quad:
+        for r, _, _, val in path.quad:
             if r < lo or r > hi:
                 continue
-            val = (1 - z * t * t) * t / (1 - 3 * z * t * t)
             checked += 1
             if min_real is None or val.real < min_real:
                 min_real = val.real

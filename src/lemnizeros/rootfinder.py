@@ -52,6 +52,9 @@ from .exact import ExactPolynomial, build_polynomial
 from .numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
+    _fixed_div,
+    _from_fixed,
+    _to_fixed,
     to_mpc,
 )
 
@@ -380,25 +383,6 @@ def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
         return [_from_fixed(z, scale, bits) for z in roots]
 
 
-def _to_fixed(z: mpc, scale: int) -> tuple[int, int]:
-    """z as a Gaussian integer at scale 2^-scale, rounded down (exact when
-    no bit of z lies below 2^-scale)."""
-    return _mpf_to_fixed(z.real._mpf_, scale), _mpf_to_fixed(z.imag._mpf_, scale)
-
-
-def _mpf_to_fixed(x, scale: int) -> int:
-    sign, man, exp, _ = x
-    if sign:
-        man = -man
-    shift = exp + scale
-    return man << shift if shift >= 0 else man >> -shift
-
-
-def _from_fixed(z: tuple[int, int], scale: int, bits: int) -> mpc:
-    """The Gaussian integer z at scale 2^-scale as an mpc rounded to `bits`."""
-    return mp.make_mpc(tuple(from_man_exp(v, -scale, bits, "n") for v in z))
-
-
 def _aberth_core(coeffs, roots, prec):
     """Ehrlich-Aberth sweeps, in place, on fixed-point Gaussian integers.
 
@@ -469,9 +453,3 @@ def _aberth_core(coeffs, roots, prec):
             return roots, "converged", sweep
     return roots, "stall", max_sweeps
 
-
-def _fixed_div(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:
-    """(ar + i ai) / (br + i bi) for Gaussian integers at scale 2^-scale,
-    by floor division of a conj(b) by |b|^2."""
-    bb = br * br + bi * bi
-    return ((ar * br + ai * bi) << scale) // bb, ((ai * br - ar * bi) << scale) // bb

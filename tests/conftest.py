@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -104,3 +105,48 @@ def segment_by_quadrature(n, z, bits):
         for x, w in rule:
             total += w * f_eval(z, half * (x + 1) * t_end) ** n
         return half * total * t_end
+
+
+def fprime_factor(z, t):
+    """1 - 3 z t^2, the derivative factor vanishing at the saddles."""
+    return 1 - 3 * z * t * t
+
+
+def trace_by_mpc(z, rs, path_tol, bits):
+    """The steepest path t(1 - zt^2) = r(1 - z) by Newton continuation in
+    mpc arithmetic at `bits`, with the stopping rule, saddle test and step
+    cap of paths.trace_path: the oracle for its fixed-point steps.
+
+    rs are the r-nodes in descending order, starting from t = 1.  Returns the
+    samples t(r) in that order, the landing t(0), and the zero of f_z that
+    t(0) lies nearest to ("zero" or "inv-sqrt-z").
+    """
+    with mp.workprec(bits):
+        z = to_mpc(z, bits)
+        path_tol = mpf(path_tol)
+        one_minus_z = 1 - z
+        saddle_floor = 10 * path_tol
+        noise_floor = mpf(2) ** (16 - bits) * (1 + abs(z))
+
+        def correct(r, t):
+            target = r * one_minus_z
+            tol = max(path_tol * abs(one_minus_z) * r, noise_floor)
+            for _ in range(80):
+                d = fprime_factor(z, t)
+                if abs(d) < saddle_floor:
+                    raise RuntimeError(f"saddle proximity at r = {mpmath.nstr(r, 8)}")
+                res = f_eval(z, t) - target
+                if abs(res) <= tol:
+                    return t
+                t = t - res / d
+            raise RuntimeError(f"no convergence at r = {mpmath.nstr(r, 8)}")
+
+        ts = []
+        t = mpc(1)
+        for r in rs:
+            t = correct(r, t)
+            ts.append(t)
+        t_end = correct(mpf(0), t)
+        inv = 1 / principal_sqrt(z, bits)
+        label = "zero" if abs(t_end) < abs(t_end - inv) else "inv-sqrt-z"
+        return ts, t_end, label

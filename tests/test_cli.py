@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lemnizeros import analysis, cli
+from lemnizeros import analysis, cli, paths
 from lemnizeros.cli import RunConfig, parse_rational_complex, parse_run_config_text
 from lemnizeros.numerics import PrecisionConfig
 
@@ -114,6 +114,15 @@ class TestCommands:
     def test_trace_rejects_z_equal_one(self):
         res = run_cli("trace", "--z", "1")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-30"])
+    def test_nonpositive_path_tol_is_a_usage_error_before_tracing(self, tol, monkeypatch, capsys):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("the path was traced before path_tol was checked")
+
+        monkeypatch.setattr(paths, "legendre_rule", no_trace)
+        assert cli.main(["trace", "--z", "4/3", f"--path-tol={tol}"]) == 2
+        assert "path_tol must be positive" in capsys.readouterr().err
 
     def test_verify_small_range(self, tmp_path):
         res = run_cli("verify", "--n-range", "2..6", "--out", str(tmp_path))

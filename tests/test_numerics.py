@@ -11,12 +11,13 @@ from lemnizeros.numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
     f_eval,
-    fprime_factor,
     principal_sqrt,
     to_mpc,
     to_mpf,
 )
 from lemnizeros.rootfinder import exact_horner
+
+from conftest import fprime_factor
 
 BITS = 128
 

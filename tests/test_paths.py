@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from lemnizeros import paths
 from lemnizeros.exact import build_polynomial
-from lemnizeros.numerics import to_mpc
+from lemnizeros.numerics import f_eval, to_mpc
 from lemnizeros.paths import (
     PathResolutionError,
     SaddleProximityError,
@@ -21,7 +22,7 @@ from lemnizeros.paths import (
 )
 from lemnizeros.rootfinder import exact_horner
 
-from conftest import basin_boundary, segment_by_quadrature
+from conftest import basin_boundary, fprime_factor, segment_by_quadrature, trace_by_mpc
 
 BITS = 128
 
@@ -106,11 +107,73 @@ class TestTracePath:
         with pytest.raises(SaddleProximityError):
             trace_path(Fraction(1, 3) + Fraction(1, 10**12), path_tol=mpf("1e-6"), bits=BITS)
 
+    def test_nonpositive_path_tol_rejected_before_tracing(self, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("the path was traced before path_tol was checked")
+
+        monkeypatch.setattr(paths, "legendre_rule", no_trace)
+        for tol in (0, mpf("-1e-30")):
+            with pytest.raises(ValueError, match="path_tol must be positive"):
+                trace_path(Fraction(4, 3), path_tol=tol, bits=BITS)
+
+    def test_independent_of_caller_precision(self):
+        def key(path):
+            return [
+                (r._mpf_, t.real._mpf_, t.imag._mpf_, w._mpf_, g.real._mpf_, g.imag._mpf_)
+                for r, t, w, g in path.quad
+            ] + [(path.start_point.real._mpf_, path.start_point.imag._mpf_)]
+
+        for z in (Fraction(4, 3), to_mpc(Fraction(-1), BITS, Fraction(1, 2))):
+            base = trace_path(z, bits=BITS)
+            with mp.workprec(200):
+                high = trace_path(z, bits=BITS)
+            assert key(high) == key(base)
+
     def test_csv_shape(self):
         path = trace_path(2, steps=64, bits=BITS)
         lines = path_csv(path).strip().split("\n")
         assert lines[0] == "r,re_t,im_t,implicit_residual"
         assert len(lines) == 1 + len(path.samples)
+
+
+# Both basins, with points beside the pinch z = 1/3 and beside z = 1.
+ORACLE_POINTS = [
+    (Fraction(4, 3), 0),
+    (2, 0),
+    (1, 1),
+    (1, -1),
+    (Fraction(1, 3) + Fraction(1, 100), 0),
+    (Fraction(1001, 1000), 0),
+    (1, Fraction(1, 1000)),
+    (Fraction(999, 1000), -Fraction(1, 1000)),
+    (Fraction(1, 9), 0),
+    (-1, Fraction(1, 2)),
+    (Fraction(9, 50), Fraction(3, 5)),
+    (Fraction(1, 3) - Fraction(1, 100), 0),
+    (Fraction(1, 5), -Fraction(1, 2)),
+    (0, Fraction(3, 10)),
+]
+
+
+class TestTraceAgainstMpcOracle:
+    """The fixed-point continuation against the same Newton loop in mpc."""
+
+    @pytest.mark.parametrize("re_q,im_q", ORACLE_POINTS, ids=[f"{a}+{b}i" for a, b in ORACLE_POINTS])
+    def test_samples_label_and_endpoint(self, re_q, im_q):
+        z = to_mpc(re_q, BITS, im_q)
+        path = trace_path(z, bits=BITS)
+        desc = path.quad[::-1]
+        ts, t_end, label = trace_by_mpc(z, [r for r, _, _, _ in desc], path.path_tol, BITS)
+        assert label == path.start_label
+        with mp.workprec(BITS):
+            noise = mpf(2) ** (16 - BITS) * (1 + abs(z))
+            for (r, t, _, g), want in zip(desc, ts):
+                d = abs(fprime_factor(z, want))
+                tol = max(path.path_tol * abs(1 - z) * r, noise)
+                assert abs(t - want) <= 4 * tol / d
+                # the stored tail integrand is (1-zt^2) t / (1-3zt^2) at t
+                assert abs(g - f_eval(z, t) / fprime_factor(z, t)) <= mpf(2) ** (8 - BITS) * (1 + abs(g)) / d
+            assert abs(path.start_point - t_end) <= path.path_tol
 
 
 class TestIntegralFull:

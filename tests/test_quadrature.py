@@ -40,3 +40,22 @@ def test_odd_rule_contains_exact_zero_once():
 def test_rejects_empty_rule():
     with pytest.raises(ValueError):
         legendre_rule(0, BITS)
+
+
+@pytest.mark.parametrize("count", [2, 9, 64, 65, 80])
+def test_rounded_from_a_wider_rule(count):
+    # every node and weight is the 256-bit rule's value rounded to 128 bits
+    wide = legendre_rule(count, 256)
+    with mp.workprec(BITS):
+        want = [(+x, +w) for x, w in wide]
+    assert legendre_rule(count, BITS) == tuple(want)
+
+
+def test_independent_of_caller_precision():
+    legendre_rule.cache_clear()
+    with mp.workprec(200):
+        wide_caller = [(x._mpf_, w._mpf_) for x, w in legendre_rule(65, BITS)]
+    legendre_rule.cache_clear()
+    with mp.workprec(20):
+        narrow_caller = [(x._mpf_, w._mpf_) for x, w in legendre_rule(65, BITS)]
+    assert wide_caller == narrow_caller

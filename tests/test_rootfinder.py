@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpc, mpf, polyval
 from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sqrt
 
-from lemnizeros import rootfinder
+from lemnizeros import numerics, rootfinder
 from lemnizeros.exact import ExactPolynomial, build_polynomial, pochhammer
 from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc, to_mpf
 from lemnizeros.rootfinder import (
@@ -437,13 +437,13 @@ class TestFixedPoint:
         x = mp.make_mpf(from_man_exp(man, exp))
         with mp.workprec(BITS):
             z = mpc(x, -x)
-        fixed = rootfinder._to_fixed(z, self.SCALE)
+        fixed = numerics._to_fixed(z, self.SCALE)
         assert fixed == (man << (exp + self.SCALE), -man << (exp + self.SCALE))
-        back = rootfinder._from_fixed(fixed, self.SCALE, BITS)
+        back = numerics._from_fixed(fixed, self.SCALE, BITS)
         assert back.real._mpf_ == z.real._mpf_ and back.imag._mpf_ == z.imag._mpf_
 
     @pytest.mark.parametrize("man, want", [(3, 1), (-3, -2), (1, 0), (-1, -1)])
     def test_below_the_scale_rounds_down(self, man, want):
         # man/2 units of the scale: the last bit lies below it
         x = mp.make_mpf(from_man_exp(man, -self.SCALE - 1))
-        assert rootfinder._to_fixed(mpc(x), self.SCALE) == (want, 0)
+        assert numerics._to_fixed(mpc(x), self.SCALE) == (want, 0)
