@@ -24,9 +24,9 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from .exact import build_polynomial
-from .geometry import branch_polyline, divides_and_level_field, level_field_csv
+from .geometry import DEFAULT_BITS, branch_polyline, divides_and_level_field, level_field_csv
 from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
-from .rootfinder import CertificationError, RootSet, find_roots
+from .rootfinder import ROOT_COLUMNS, CertificationError, RootSet, find_roots, root_row
 
 _PINCH_EXCLUSION = 0.05  # |z - 1/3| below this is too close to the pinch for theta stats
 
@@ -222,16 +222,13 @@ def residual_slope(reports: list[LemniscateReport]) -> mpf | None:
 def roots_report_csv(reports: list[LemniscateReport], roots: dict[int, RootSet]) -> str:
     """Per-root CSV (n, j, re, im, residual, inclusion_radius,
     value_residual, branch_distance, theta)."""
-    lines = ["n,j,re,im,residual,inclusion_radius,value_residual,branch_distance,theta"]
+    lines = [ROOT_COLUMNS + ",value_residual,branch_distance,theta"]
     for rep in reports:
-        rs = roots[rep.n]
-        for j, (z, datum) in enumerate(zip(rs.roots, rep.per_zero)):
+        for j, datum in enumerate(rep.per_zero):
             theta = "" if datum.theta is None else mpmath.nstr(datum.theta, 20)
             lines.append(
-                f"{rep.n},{j},{mpmath.nstr(z.real, 40)},{mpmath.nstr(z.imag, 40)},"
-                f"{mpmath.nstr(rs.residuals[j], 10)},{mpmath.nstr(rs.inclusion_radii[j], 10)},"
-                f"{mpmath.nstr(datum.value_residual, 20)},{mpmath.nstr(datum.branch_distance, 20)},"
-                f"{theta}"
+                f"{root_row(roots[rep.n], j)},{mpmath.nstr(datum.value_residual, 20)},"
+                f"{mpmath.nstr(datum.branch_distance, 20)},{theta}"
             )
     return "\n".join(lines) + "\n"
 
@@ -327,7 +324,7 @@ def figure_zero_plot(roots: dict[int, RootSet], branch_samples: int = 1024) -> t
     return "\n".join(svg) + "\n", csv_text
 
 
-def figure_level_curves(z, window, res: int, bits: int = PrecisionConfig().bits) -> str:
+def figure_level_curves(z, window, res: int, bits: int = DEFAULT_BITS) -> str:
     """Level-field CSV (with divide metadata) for external contouring."""
     field = divides_and_level_field(to_mpc(z, bits), window, res, bits)
     return level_field_csv(field)

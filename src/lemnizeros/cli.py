@@ -4,8 +4,10 @@ Every invocation is described by a RunConfig; a run is a pure function of
 it, and outputs land in a subdirectory named by a content hash of the
 mathematical fields (neither the output directory nor the worker count
 influences the hash: each degree is solved on its own, so the artifacts are
-the same bytes for any --workers).  Re-running an already-completed
-configuration into the same --out reuses the cached artifacts.
+the same bytes for any --workers).  --n, --n-range and --n-list are three
+spellings of one sorted set of distinct degrees, so a run's directory depends
+only on the set.  Re-running an already-completed configuration into the
+same --out reuses the cached artifacts.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, 3 root
 certification failure, 4 precision exhausted, 5 path tracing failure.
@@ -49,9 +51,7 @@ class RunConfig:
     left out of the content hash."""
 
     command: str
-    n: int | None = None
-    n_range: tuple[int, int] | None = None
-    n_list: tuple[int, ...] | None = None
+    n_list: tuple[int, ...] | None = None  # the degrees, sorted and distinct
     precision_bits: int | None = None  # None: the command's default, see bits()
     max_bits: int = PrecisionConfig().max_bits
     theta_grid: int = 2048
@@ -96,15 +96,16 @@ class RunConfig:
     def precision(self) -> PrecisionConfig:
         return PrecisionConfig(bits=self.bits(), max_bits=max(self.max_bits, self.bits()))
 
-    def degrees(self) -> list[int]:
-        if self.n is not None:
-            return [self.n]
-        if self.n_range is not None:
-            lo, hi = self.n_range
-            return list(range(lo, hi + 1))
-        if self.n_list is not None:
-            return list(self.n_list)
-        raise ValueError("no degrees given: use --n, --n-range or --n-list")
+
+def _degrees(key: str, text: str) -> tuple[int, ...]:
+    """The degrees of one spelling, unsorted: n = 5, n_range = 2..9 (2,9 in
+    the runconfig.txt files of older versions), n_list = 4,8."""
+    if key == "n":
+        return (int(text),)
+    if key == "n_range":
+        lo, _, hi = text.replace("..", ",").partition(",")
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(x) for x in text.split(","))
 
 
 def parse_run_config_text(text: str, command: str | None = None) -> RunConfig:
@@ -117,13 +118,12 @@ def parse_run_config_text(text: str, command: str | None = None) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key in ("n", "precision_bits", "max_bits", "theta_grid", "steps", "workers", "res"):
+        if key in ("n", "n_range", "n_list"):
+            if "n_list" in values:
+                raise ValueError("config gives more than one degree set")
+            values["n_list"] = _degrees(key, val)
+        elif key in ("precision_bits", "max_bits", "theta_grid", "steps", "workers", "res"):
             values[key] = int(val)
-        elif key == "n_range":
-            lo, hi = val.split(",")
-            values[key] = (int(lo), int(hi))
-        elif key == "n_list":
-            values[key] = tuple(int(x) for x in val.split(","))
         elif key in ("command", "kind", "z", "window", "path_tol", "out"):
             values[key] = val
         else:
@@ -159,11 +159,6 @@ def parse_rational_complex(text: str) -> tuple[Fraction, Fraction]:
     return Fraction(s), Fraction(0)
 
 
-def _parse_n_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lemnizeros",
@@ -178,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (hash-named subdir per run)")
         p.add_argument("--workers", type=int, default=None, help="solve processes (0 = all cores)")
         if degrees:
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--n-range", type=_parse_n_range, default=None, metavar="LO..HI")
-            p.add_argument("--n-list", type=lambda s: tuple(int(x) for x in s.split(",")), default=None)
+            one_set = p.add_mutually_exclusive_group()
+            for flag, metavar in (("n", "N"), ("n_range", "LO..HI"), ("n_list", "A,B,...")):
+                one_set.add_argument(f"--{flag.replace('_', '-')}", dest="n_list", metavar=metavar,
+                                     type=lambda s, key=flag: _degrees(key, s))
 
     p = sub.add_parser("coeffs", help="exact rational coefficients as CSV")
     common(p, degrees=True)
@@ -220,7 +216,7 @@ def config_from_args(args) -> RunConfig:
     if args.command:
         overrides["command"] = args.command
     for name in (
-        "n", "n_range", "n_list", "precision_bits", "max_bits", "theta_grid",
+        "n_list", "precision_bits", "max_bits", "theta_grid",
         "steps", "path_tol", "workers", "kind", "z", "window", "res", "out",
     ):
         if hasattr(args, name) and getattr(args, name) is not None:
@@ -228,7 +224,18 @@ def config_from_args(args) -> RunConfig:
     cfg = replace(base, **overrides)
     if cfg.command == "unset":
         raise ValueError("no command given")
-    # checked here, before any degree is solved: the branch needs a phase
+    # checked here, before any directory is made or any degree is solved
+    if cfg.n_list is not None:
+        ns = tuple(sorted(set(cfg.n_list)))
+        if not ns:
+            raise ValueError(f"{cfg.command}: empty degree set")
+        if ns[0] < 1:
+            raise ValueError(f"{cfg.command}: degrees must be >= 1, got {ns[0]}")
+        cfg = replace(cfg, n_list=ns)
+    elif cfg.command in ("coeffs", "roots", "verify", "report"):
+        raise ValueError("no degrees given: use --n, --n-range or --n-list")
+    cfg.precision()  # bits below 64 are a usage error for every command
+    # the branch needs a phase
     draws_branch = cfg.command == "report" or (cfg.command == "figure" and cfg.kind == "zeros")
     if draws_branch and cfg.theta_grid < 1:
         raise ValueError(f"{cfg.command}: empty theta grid (--theta-grid {cfg.theta_grid})")
@@ -252,13 +259,13 @@ def _emit(directory: Path | None, name: str, text: str, quiet: bool = False) -> 
         sys.stdout.write(text)
 
 
-def _map_degrees(cfg: RunConfig, fn, ns: list[int]) -> list:
-    """fn([n], precision) for each degree n of ns, in ascending order.  Every
+def _map_degrees(cfg: RunConfig, fn, ns) -> list:
+    """fn([n], precision) for each degree n of the sorted ns, in order.  Every
     degree is handled on its own, in this process or, with workers > 1, one
     degree per pool task; the worker count only sets how many processes run
     the calls, so the results are the same for any value."""
     pcfg = cfg.precision()
-    singles = [[n] for n in sorted(set(ns))]
+    singles = [[n] for n in ns]
     if cfg.workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -268,7 +275,7 @@ def _map_degrees(cfg: RunConfig, fn, ns: list[int]) -> list:
     return [fn(single, pcfg) for single in singles]
 
 
-def _solve_degrees(cfg: RunConfig, ns: list[int]) -> dict[int, RootSet]:
+def _solve_degrees(cfg: RunConfig, ns) -> dict[int, RootSet]:
     """Certified RootSets for the degrees ns, keyed by degree."""
     parts = _map_degrees(cfg, analysis.certified_roots_range, ns)
     return {n: rs for part in parts for n, rs in part.items()}
@@ -290,22 +297,13 @@ def run(cfg: RunConfig) -> int:
 
 def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
     if cfg.command == "coeffs":
-        ns = cfg.degrees()
-        if any(n < 1 for n in ns):
-            raise ValueError("coeffs: n must be >= 1")
-        _emit(outdir, "coeffs.csv", coefficients_csv(ns))
+        _emit(outdir, "coeffs.csv", coefficients_csv(cfg.n_list))
         if outdir is not None:
             print(f"wrote {outdir / 'coeffs.csv'}")
         return EXIT_OK
 
     if cfg.command == "roots":
-        ns = cfg.degrees()
-        if any(n < 1 for n in ns):
-            raise ValueError("roots: n must be >= 1")
-        solved = _solve_degrees(cfg, ns)
-        text = "".join(rootset_csv(solved[n]) if i == 0 else _strip_header(rootset_csv(solved[n]))
-                       for i, n in enumerate(sorted(solved)))
-        _emit(outdir, "roots.csv", text)
+        _emit(outdir, "roots.csv", rootset_csv(*_solve_degrees(cfg, cfg.n_list).values()))
         if outdir is not None:
             print(f"wrote {outdir / 'roots.csv'}")
         return EXIT_OK
@@ -314,7 +312,7 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
         return _run_verify(cfg, outdir)
 
     if cfg.command == "report":
-        solved = _solve_degrees(cfg, cfg.degrees())
+        solved = _solve_degrees(cfg, cfg.n_list)
         reports = analysis.convergence_report(solved, cfg.theta_grid)
         _emit(outdir, "roots_report.csv", analysis.roots_report_csv(reports, solved), quiet=True)
         _emit(outdir, "summary.csv", analysis.summary_csv(reports))
@@ -325,8 +323,8 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
 
     if cfg.command == "figure":
         if cfg.kind == "zeros":
-            ns = cfg.degrees() if (cfg.n or cfg.n_list or cfg.n_range) else list(analysis._FIGURE_N_LIST)
-            svg, csv_text = analysis.figure_zero_plot(_solve_degrees(cfg, ns), cfg.theta_grid)
+            solved = _solve_degrees(cfg, cfg.n_list or analysis._FIGURE_N_LIST)
+            svg, csv_text = analysis.figure_zero_plot(solved, cfg.theta_grid)
             _emit(outdir, "figure_zeros.svg", svg, quiet=True)
             _emit(outdir, "figure_zeros.csv", csv_text)
             if outdir is not None:
@@ -368,14 +366,10 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
     raise ValueError(f"unknown command {cfg.command!r}")
 
 
-def _strip_header(csv_text: str) -> str:
-    return csv_text.split("\n", 1)[1]
-
-
 def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
     # one degree per call, so a degree whose solve fails is reported on its
     # own line while the other degrees still run
-    reports = [r for part in _map_degrees(cfg, analysis.verify_lemmas, cfg.degrees()) for r in part]
+    reports = [r for part in _map_degrees(cfg, analysis.verify_lemmas, cfg.n_list) for r in part]
     _emit(outdir, "lemmas.csv", analysis.lemma_csv(reports), quiet=True)
 
     errors = [r for r in reports if r.error is not None]

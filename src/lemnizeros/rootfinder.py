@@ -283,20 +283,23 @@ def exact_horner(p: ExactPolynomial, z) -> tuple[tuple[int, int], tuple[int, int
     return (vr, vi), (-dr << k, -di << k), scale << (k * n)
 
 
-def rootset_csv(rs: RootSet) -> str:
-    """CSV (n, j, re, im, residual, inclusion_radius); re/im at 40 significant
-    digits, enough to round-trip the first 128 bits of each value."""
-    lines = ["n,j,re,im,residual,inclusion_radius"]
-    for j, z in enumerate(rs.roots):
-        lines.append(
-            f"{rs.degree},{j},{_dec(z.real, 40)},{_dec(z.imag, 40)},"
-            f"{_dec(rs.residuals[j], 10)},{_dec(rs.inclusion_radii[j], 10)}"
-        )
-    return "\n".join(lines) + "\n"
+ROOT_COLUMNS = "n,j,re,im,residual,inclusion_radius"
 
 
-def _dec(x: mpf, digits: int) -> str:
-    return mpmath.nstr(x, digits)
+def root_row(rs: RootSet, j: int) -> str:
+    """The ROOT_COLUMNS of root j; re/im at 40 significant digits, enough to
+    round-trip the first 128 bits of each value, residual and radius at 10."""
+    z = rs.roots[j]
+    return (
+        f"{rs.degree},{j},{mpmath.nstr(z.real, 40)},{mpmath.nstr(z.imag, 40)},"
+        f"{mpmath.nstr(rs.residuals[j], 10)},{mpmath.nstr(rs.inclusion_radii[j], 10)}"
+    )
+
+
+def rootset_csv(*root_sets: RootSet) -> str:
+    """CSV with ROOT_COLUMNS: one row per root of each set, in the order given."""
+    rows = [root_row(rs, j) for rs in root_sets for j in range(len(rs.roots))]
+    return "\n".join([ROOT_COLUMNS, *rows]) + "\n"
 
 
 @lru_cache(maxsize=None)

@@ -46,25 +46,29 @@ class TestParsing:
             parse_rational_complex("three")
 
     def test_config_text_round_trip(self):
-        cfg = RunConfig(command="verify", n_range=(2, 9), precision_bits=128, workers=2)
+        cfg = RunConfig(command="verify", n_list=tuple(range(2, 10)), precision_bits=128, workers=2)
         back = parse_run_config_text(cfg.to_text())
         assert back == cfg
 
+    def test_config_with_two_degree_sets_is_rejected(self):
+        with pytest.raises(ValueError, match="more than one degree set"):
+            parse_run_config_text("command = roots\nn = 3\nn_list = 4,5\n")
+
     def test_hash_ignores_out(self):
-        a = RunConfig(command="roots", n=5, out="/tmp/a")
-        b = RunConfig(command="roots", n=5, out="/tmp/b")
+        a = RunConfig(command="roots", n_list=(5,), out="/tmp/a")
+        b = RunConfig(command="roots", n_list=(5,), out="/tmp/b")
         assert a.content_hash() == b.content_hash()
-        assert a.content_hash() != RunConfig(command="roots", n=6).content_hash()
+        assert a.content_hash() != RunConfig(command="roots", n_list=(6,)).content_hash()
         # the worker count changes no artifact, so it must not rename the run
-        one = RunConfig(command="roots", n=5, workers=1)
-        two = RunConfig(command="roots", n=5, workers=2)
+        one = RunConfig(command="roots", n_list=(5,), workers=1)
+        two = RunConfig(command="roots", n_list=(5,), workers=2)
         assert one.content_hash() == two.content_hash() == a.content_hash()
         assert "workers = 2" in two.to_text()  # still recorded in runconfig.txt
 
     def test_precision_default_per_command(self):
         # the solver commands start at the solver's default; the path and
         # level-field commands keep the 128 bits of their modules
-        assert RunConfig(command="roots", n=5).precision().bits == PrecisionConfig().bits
+        assert RunConfig(command="roots", n_list=(5,)).precision().bits == PrecisionConfig().bits
         assert RunConfig(command="figure", kind="zeros").bits() == PrecisionConfig().bits
         assert RunConfig(command="trace", z="4/3").bits() == 128
         assert RunConfig(command="figure", kind="level", z="4/3").bits() == 128
@@ -81,6 +85,68 @@ class TestCommands:
     def test_coeffs_rejects_zero(self):
         res = run_cli("coeffs", "--n", "0")
         assert res.returncode == 2
+
+    def test_coeffs_sorts_and_drops_repeated_degrees(self):
+        res = run_cli("coeffs", "--n-list", "3,2,3")
+        assert res.returncode == 0
+        assert [row.split(",")[0] for row in res.stdout.splitlines()[1:]] == ["2"] * 3 + ["3"] * 4
+
+    def test_three_spellings_of_one_set_share_one_directory(self, tmp_path, capsys):
+        out = ["--workers", "1", "--out", str(tmp_path)]
+        for command, spellings in (
+            ("roots", (["--n", "4"], ["--n-list", "4"], ["--n-range", "4..4"])),
+            ("coeffs", (["--n-range", "2..4"], ["--n-list", "4,2,3,3"], ["--n-list", "2,3,4"])),
+        ):
+            for i, degrees in enumerate(spellings):
+                assert cli.main([command, *degrees, *out]) == 0
+                assert capsys.readouterr().out.startswith("cached: ") == (i > 0)
+            assert len(list(tmp_path.glob(f"{command}-*"))) == 1
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [("--n", "3", "--n-list", "4,5"), ("--n-range", "5..3"), ("--n", "0"), ("--n-list", "0,3")],
+        ids=["two-flags", "empty-range", "zero", "zero-in-list"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [("coeffs",), ("roots",), ("verify",), ("report",), ("figure", "--kind", "zeros")],
+        ids=["coeffs", "roots", "verify", "report", "figure"],
+    )
+    def test_bad_degree_set_is_rejected_before_any_solve(self, command, degrees, monkeypatch, tmp_path):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the degree set was checked")
+
+        monkeypatch.setattr(analysis, "find_roots", no_work)
+        monkeypatch.setattr(cli, "coefficients_csv", no_work)
+        try:
+            code = cli.main([*command, *degrees, "--workers", "1", "--out", str(tmp_path)])
+        except SystemExit as exc:  # argparse rejects two degree flags itself
+            code = exc.code
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["coeffs", "roots", "verify", "report"])
+    def test_no_degree_is_rejected_before_any_directory(self, command, tmp_path, capsys):
+        assert cli.main([command, "--workers", "1", "--out", str(tmp_path)]) == 2
+        assert "no degrees given" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,stage",
+        [
+            (("trace", "--z", "4/3"), (paths, "legendre_rule")),
+            (("figure", "--kind", "level", "--z", "1", "--res", "16"), (analysis, "divides_and_level_field")),
+        ],
+        ids=["trace", "figure-level"],
+    )
+    def test_precision_below_64_bits_is_a_usage_error(self, command, stage, monkeypatch, tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the precision was checked")
+
+        monkeypatch.setattr(*stage, no_work)
+        assert cli.main([*command, "--precision-bits", "8", "--out", str(tmp_path)]) == 2
+        assert "bits must be >= 64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_roots_degree_one(self):
         res = run_cli("roots", "--n", "1")
@@ -223,19 +289,23 @@ class TestCommands:
         assert "workers = 1" in record.read_text(encoding="utf-8")
 
     def test_config_file_equivalent_to_flags(self, tmp_path):
-        out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        conf = tmp_path / "run.conf"
-        conf.write_text(
-            f"command = verify\nn_range = 2,4\nworkers = 1\nout = {out_a}\n",
-            encoding="utf-8",
-        )
-        res_a = run_cli("--config", str(conf), "verify")
         res_b = run_cli("verify", "--n-range", "2..4", "--workers", "1", "--out", str(out_b))
-        assert res_a.returncode == res_b.returncode == 0
-        csv_a = next(out_a.glob("verify-*/lemmas.csv")).read_bytes()
-        csv_b = next(out_b.glob("verify-*/lemmas.csv")).read_bytes()
-        assert csv_a == csv_b
+        assert res_b.returncode == 0
+        (csv_b,) = out_b.glob("verify-*/lemmas.csv")
+        # n_range = 2,4 is how older versions wrote runconfig.txt
+        for i, degrees in enumerate(("n_range = 2,4", "n_list = 4,3,2")):
+            out_a = tmp_path / f"a{i}"
+            conf = tmp_path / "run.conf"
+            conf.write_text(
+                f"command = verify\n{degrees}\nworkers = 1\nout = {out_a}\n",
+                encoding="utf-8",
+            )
+            res_a = run_cli("--config", str(conf), "verify")
+            assert res_a.returncode == 0
+            (csv_a,) = out_a.glob("verify-*/lemmas.csv")
+            assert csv_a.read_bytes() == csv_b.read_bytes()
+            assert csv_a.parent.name == csv_b.parent.name
 
     def test_determinism_small(self, tmp_path):
         outs = []
