@@ -11,14 +11,20 @@ from pathlib import Path
 
 from mpmath import nstr
 
-from lemnizeros import convergence_report, figure_level_curves, figure_zero_plot
-from lemnizeros.analysis import certified_roots_range, residual_slope, summary_csv
+from lemnizeros import (
+    build_polynomial,
+    convergence_report,
+    figure_level_curves,
+    figure_zero_plot,
+    find_roots,
+)
+from lemnizeros.analysis import residual_slope, summary_csv
 
 out = Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
 
 ns = [5, 10, 16, 23, 40, 60]
-roots = certified_roots_range(ns)
+roots = {n: find_roots(build_polynomial(n)) for n in ns}
 reports = convergence_report(roots)
 
 print("per-degree lemniscate statistics:")

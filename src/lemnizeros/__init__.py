@@ -47,7 +47,7 @@ from .analysis import (
     convergence_report,
     figure_level_curves,
     figure_zero_plot,
-    verify_lemmas,
+    lemma_reports,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +78,7 @@ __all__ = [
     "initial_points",
     "integral_full",
     "jacobi_correspondence",
+    "lemma_reports",
     "pochhammer",
     "principal_sqrt",
     "saddle_asymptotic",
@@ -86,6 +87,5 @@ __all__ = [
     "to_mpc",
     "to_mpf",
     "trace_path",
-    "verify_lemmas",
     "zero_equation_residual",
 ]

@@ -1,18 +1,14 @@
-"""Verification campaigns over n, convergence statistics, figure data.
+"""Verdicts, convergence statistics and figure data from certified root sets.
 
-certified_roots_range and verify_lemmas are the only functions here that
-solve.  verify_lemmas drives the rootfinder across a range of degrees and
-turns the certified root sets into per-degree verdicts (containment disk,
-unit-circle escape, half-plane location, Vieta product).  Every degree is one
-cold solve from the lemniscate seeds, independent of its neighbours, so a
-campaign over a range gives each degree the roots a single-degree run gives
-it.  convergence_report and figure_zero_plot take the certified RootSets
-keyed by degree, as certified_roots_range returns them, and never solve.
-convergence_report measures how fast the zeros approach the lemniscate:
-per-root value residuals | |z(1-z)^2| - 4/27 |, Euclidean distances to the
-sampled right branch, and the angular spreading of the roots along the
-branch.  The figure emitters write deterministic CSV/SVG artifacts;
-contouring and styling are left to the consumer.
+No function here solves: each takes the certified RootSets keyed by degree,
+as the CLI's one solve task per degree returns them.  lemma_reports turns
+them into per-degree verdicts (containment disk, unit-circle escape,
+half-plane location, Vieta product) and records a degree whose solve failed
+on its own report.  convergence_report measures how fast the zeros approach
+the lemniscate: per-root value residuals | |z(1-z)^2| - 4/27 |, Euclidean
+distances to the sampled right branch, and the angular spreading of the
+roots along the branch.  The figure emitters write deterministic CSV/SVG
+artifacts; contouring and styling are left to the consumer.
 """
 
 from __future__ import annotations
@@ -23,10 +19,9 @@ from statistics import median
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .exact import build_polynomial
 from .geometry import DEFAULT_BITS, branch_polyline, divides_and_level_field, level_field_csv
-from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
-from .rootfinder import ROOT_COLUMNS, CertificationError, RootSet, find_roots, root_row
+from .numerics import to_mpc
+from .rootfinder import ROOT_COLUMNS, RootSet, root_row
 
 _PINCH_EXCLUSION = 0.05  # |z - 1/3| below this is too close to the pinch for theta stats
 
@@ -69,31 +64,16 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
         )
 
 
-def certified_roots_range(ns, cfg: PrecisionConfig = PrecisionConfig()) -> dict[int, RootSet]:
-    """Certified RootSets for every degree in ns, keyed by degree.  Each
-    degree is solved on its own from the lemniscate seeds, so its roots are
-    the same whichever other degrees ns holds."""
-    return {n: find_roots(build_polynomial(n), cfg) for n in sorted(set(int(n) for n in ns))}
-
-
-def verify_lemmas(n_range, cfg: PrecisionConfig = PrecisionConfig()) -> list[LemmaReport]:
-    """LemmaReport per degree, in ascending order.  Each degree is its own
-    solve, so a report does not depend on the other degrees in n_range.
-    Certification and precision failures are recorded on the report (error
-    field) without aborting the rest of the campaign, while any other
-    exception propagates."""
-    ns = sorted(set(int(n) for n in n_range))
-    if any(n < 1 for n in ns):
-        raise ValueError("verify_lemmas: degrees must be >= 1")
-    reports = []
-    for n in ns:
-        try:
-            reports.append(_lemma_report(find_roots(build_polynomial(n), cfg)))
-        except (CertificationError, PrecisionExhaustedError) as exc:  # per-n isolation
-            reports.append(
-                LemmaReport(n, 0, "violated", False, mpf("nan"), mpf("nan"), mpf("nan"), 0, str(exc))
-            )
-    return reports
+def lemma_reports(solved: dict[int, RootSet | Exception]) -> list[LemmaReport]:
+    """LemmaReport per degree of solved, in ascending order.  solved maps
+    each degree to its certified RootSet, or to the error its solve raised,
+    which is recorded in the report's error field."""
+    nan = mpf("nan")
+    return [
+        _lemma_report(rs) if isinstance(rs, RootSet)
+        else LemmaReport(n, 0, "violated", False, nan, nan, nan, 0, str(rs))
+        for n, rs in sorted(solved.items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -263,7 +243,6 @@ def lemma_csv(reports: list[LemmaReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FIGURE_N_LIST = (5, 10, 16, 23, 40, 60)
 _PANEL_PX = 320
 _WORLD = (0.24, 1.44, -0.68, 0.68)  # re_min, re_max, im_min, im_max of each panel
 

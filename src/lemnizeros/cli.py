@@ -6,8 +6,11 @@ mathematical fields (neither the output directory nor the worker count
 influences the hash: each degree is solved on its own, so the artifacts are
 the same bytes for any --workers).  --n, --n-range and --n-list are three
 spellings of one sorted set of distinct degrees, so a run's directory depends
-only on the set.  Re-running an already-completed configuration into the
-same --out reuses the cached artifacts.
+only on the set.  The CLI does all the solving, one task per degree; the
+analysis layer reads the certified RootSets.  The run directory, with its
+runconfig.txt, is made when the first artifact is written, so a failed run
+leaves none.  Re-running an already-completed configuration into the same
+--out reuses the cached artifacts.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, 3 root
 certification failure, 4 precision exhausted, 5 path tracing failure.
@@ -29,10 +32,10 @@ import mpmath
 from mpmath import mp, mpf
 
 from . import analysis, geometry, paths
-from .exact import coefficients_csv
+from .exact import build_polynomial, coefficients_csv
 from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
 from .paths import PathError, path_csv, trace_path
-from .rootfinder import CertificationError, RootSet, rootset_csv
+from .rootfinder import CertificationError, RootSet, find_roots, rootset_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,6 +45,7 @@ EXIT_PRECISION = 4
 EXIT_PATH = 5
 
 VIETA_TOL = mpf("1e-10")
+_FIGURE_N_LIST = (5, 10, 16, 23, 40, 60)  # figure --kind zeros with no degree set
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class RunConfig:
     path_tol: str | None = None
     workers: int = 0  # 0 resolves to the available core count
     kind: str | None = None
-    z: str | None = None
+    z: str | None = None  # config_from_args stores one spelling per point
     window: str | None = None
     res: int = 64
     out: str | None = None
@@ -159,6 +163,13 @@ def parse_rational_complex(text: str) -> tuple[Fraction, Fraction]:
     return Fraction(s), Fraction(0)
 
 
+def _canonical_z(text: str) -> str:
+    """One spelling per rational point, so that equal points share a run
+    directory: '8/6' and '4/3' are '4/3', '-1+0.5i' is '-1+1/2i'."""
+    re_q, im_q = parse_rational_complex(text)
+    return f"{re_q}{'+' if im_q > 0 else ''}{im_q}i" if im_q else str(re_q)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lemnizeros",
@@ -235,6 +246,8 @@ def config_from_args(args) -> RunConfig:
     elif cfg.command in ("coeffs", "roots", "verify", "report"):
         raise ValueError("no degrees given: use --n, --n-range or --n-list")
     cfg.precision()  # bits below 64 are a usage error for every command
+    if cfg.z is not None:
+        cfg = replace(cfg, z=_canonical_z(cfg.z))
     # the branch needs a phase
     draws_branch = cfg.command == "report" or (cfg.command == "figure" and cfg.kind == "zeros")
     if draws_branch and cfg.theta_grid < 1:
@@ -244,50 +257,56 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _outdir(cfg: RunConfig) -> Path | None:
-    if cfg.out is None:
-        return None
-    d = Path(cfg.out) / f"{cfg.command}-{cfg.content_hash()}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _emit(directory: Path | None, name: str, text: str, quiet: bool = False) -> None:
+def _emit(cfg: RunConfig, directory: Path | None, name: str, text: str, quiet: bool = False) -> None:
+    """Write one artifact into the run directory, making the directory and
+    its runconfig.txt first, or to stdout when there is no directory."""
     if directory is not None:
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "runconfig.txt").write_text(cfg.to_text(), encoding="utf-8")
         (directory / name).write_text(text, encoding="utf-8", newline="\n")
     elif not quiet:
         sys.stdout.write(text)
 
 
-def _map_degrees(cfg: RunConfig, fn, ns) -> list:
-    """fn([n], precision) for each degree n of the sorted ns, in order.  Every
-    degree is handled on its own, in this process or, with workers > 1, one
-    degree per pool task; the worker count only sets how many processes run
-    the calls, so the results are the same for any value."""
+def _solve(n: int, precision: PrecisionConfig) -> RootSet | Exception:
+    """The one solve task: the certified RootSet of degree n.  A certification
+    or precision failure is returned, not raised, so the other degrees still
+    run; any other exception propagates."""
+    try:
+        return find_roots(build_polynomial(n), precision)
+    except (CertificationError, PrecisionExhaustedError) as exc:
+        return exc
+
+
+def _solve_degrees(cfg: RunConfig, ns) -> dict[int, RootSet | Exception]:
+    """_solve(n) for each degree of the sorted ns, keyed by degree, in this
+    process or, with workers > 1, one pool task per degree; the worker count
+    only sets how many processes run the tasks, so the results are the same
+    for any value."""
     pcfg = cfg.precision()
-    singles = [[n] for n in ns]
     if cfg.workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                return list(pool.map(fn, singles, repeat(pcfg)))
-        except OSError:  # restricted environments: the same calls, serial
+                return dict(zip(ns, pool.map(_solve, ns, repeat(pcfg))))
+        except OSError:  # restricted environments: the same tasks, serial
             pass
-    return [fn(single, pcfg) for single in singles]
+    return {n: _solve(n, pcfg) for n in ns}
 
 
-def _solve_degrees(cfg: RunConfig, ns) -> dict[int, RootSet]:
-    """Certified RootSets for the degrees ns, keyed by degree."""
-    parts = _map_degrees(cfg, analysis.certified_roots_range, ns)
-    return {n: rs for part in parts for n, rs in part.items()}
+def _certified(cfg: RunConfig, ns) -> dict[int, RootSet]:
+    """The certified RootSets of ns; the first failure in degree order is raised."""
+    solved = _solve_degrees(cfg, ns)
+    for result in solved.values():
+        if isinstance(result, Exception):
+            raise result
+    return solved
 
 
 def run(cfg: RunConfig) -> int:
-    outdir = _outdir(cfg)
-    if outdir is not None:
-        if (outdir / "DONE").exists():
-            print(f"cached: {outdir}")
-            return EXIT_OK
-        (outdir / "runconfig.txt").write_text(cfg.to_text(), encoding="utf-8")
+    outdir = None if cfg.out is None else Path(cfg.out) / f"{cfg.command}-{cfg.content_hash()}"
+    if outdir is not None and (outdir / "DONE").exists():
+        print(f"cached: {outdir}")
+        return EXIT_OK
 
     code = _dispatch(cfg, outdir)
     if code == EXIT_OK and outdir is not None:
@@ -296,14 +315,20 @@ def run(cfg: RunConfig) -> int:
 
 
 def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
+    z = None
+    if cfg.z is not None:
+        re_q, im_q = parse_rational_complex(cfg.z)
+        z = to_mpc(re_q, cfg.bits(), im_q)
+
     if cfg.command == "coeffs":
-        _emit(outdir, "coeffs.csv", coefficients_csv(cfg.n_list))
+        _emit(cfg, outdir, "coeffs.csv", coefficients_csv(cfg.n_list))
         if outdir is not None:
             print(f"wrote {outdir / 'coeffs.csv'}")
         return EXIT_OK
 
     if cfg.command == "roots":
-        _emit(outdir, "roots.csv", rootset_csv(*_solve_degrees(cfg, cfg.n_list).values()))
+        solved = _certified(cfg, cfg.n_list)
+        _emit(cfg, outdir, "roots.csv", rootset_csv(*solved.values()))
         if outdir is not None:
             print(f"wrote {outdir / 'roots.csv'}")
         return EXIT_OK
@@ -312,10 +337,10 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
         return _run_verify(cfg, outdir)
 
     if cfg.command == "report":
-        solved = _solve_degrees(cfg, cfg.n_list)
+        solved = _certified(cfg, cfg.n_list)
         reports = analysis.convergence_report(solved, cfg.theta_grid)
-        _emit(outdir, "roots_report.csv", analysis.roots_report_csv(reports, solved), quiet=True)
-        _emit(outdir, "summary.csv", analysis.summary_csv(reports))
+        _emit(cfg, outdir, "roots_report.csv", analysis.roots_report_csv(reports, solved), quiet=True)
+        _emit(cfg, outdir, "summary.csv", analysis.summary_csv(reports))
         slope = analysis.residual_slope(reports)
         if slope is not None:
             print(f"log-median-residual slope vs log n: {mpmath.nstr(slope, 6)}")
@@ -323,40 +348,36 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
 
     if cfg.command == "figure":
         if cfg.kind == "zeros":
-            solved = _solve_degrees(cfg, cfg.n_list or analysis._FIGURE_N_LIST)
+            solved = _certified(cfg, cfg.n_list or _FIGURE_N_LIST)
             svg, csv_text = analysis.figure_zero_plot(solved, cfg.theta_grid)
-            _emit(outdir, "figure_zeros.svg", svg, quiet=True)
-            _emit(outdir, "figure_zeros.csv", csv_text)
+            _emit(cfg, outdir, "figure_zeros.svg", svg, quiet=True)
+            _emit(cfg, outdir, "figure_zeros.csv", csv_text)
             if outdir is not None:
                 print(f"wrote {outdir / 'figure_zeros.svg'}")
             return EXIT_OK
         if cfg.kind == "level":
-            if cfg.z is None:
+            if z is None:
                 raise ValueError("figure --kind level requires --z")
             window = (
                 tuple(Fraction(x) for x in cfg.window.split(","))
                 if cfg.window
                 else (Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(3, 2))
             )
-            re_q, im_q = parse_rational_complex(cfg.z)
-            z = to_mpc(re_q, cfg.bits(), im_q)
             text = analysis.figure_level_curves(z, window, cfg.res, cfg.bits())
-            _emit(outdir, "level_field.csv", text)
+            _emit(cfg, outdir, "level_field.csv", text)
             if outdir is not None:
                 print(f"wrote {outdir / 'level_field.csv'}")
             return EXIT_OK
         raise ValueError(f"unknown figure kind {cfg.kind!r}")
 
     if cfg.command == "trace":
-        re_q, im_q = parse_rational_complex(cfg.z)
-        z = to_mpc(re_q, cfg.bits(), im_q)
         path = trace_path(
             z,
             steps=cfg.steps,
             path_tol=None if cfg.path_tol is None else mpf(cfg.path_tol),
             bits=cfg.bits(),
         )
-        _emit(outdir, "path.csv", path_csv(path))
+        _emit(cfg, outdir, "path.csv", path_csv(path))
         print(
             f"t(0) = {mpmath.nstr(path.start_point, 20)} ({path.start_label}); "
             f"{len(path.samples)} samples"
@@ -367,10 +388,10 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
 
 
 def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
-    # one degree per call, so a degree whose solve fails is reported on its
-    # own line while the other degrees still run
-    reports = [r for part in _map_degrees(cfg, analysis.verify_lemmas, cfg.n_list) for r in part]
-    _emit(outdir, "lemmas.csv", analysis.lemma_csv(reports), quiet=True)
+    # a degree whose solve fails is reported on its own line, while the
+    # other degrees still run
+    reports = analysis.lemma_reports(_solve_degrees(cfg, cfg.n_list))
+    _emit(cfg, outdir, "lemmas.csv", analysis.lemma_csv(reports), quiet=True)
 
     errors = [r for r in reports if r.error is not None]
     checked = [r for r in reports if r.error is None]
@@ -405,7 +426,7 @@ def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
 
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    _emit(outdir, "verify.txt", text, quiet=True)
+    _emit(cfg, outdir, "verify.txt", text, quiet=True)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -24,16 +24,14 @@ def root_cache():
     Solves are expensive at large n; every test that needs certified roots
     goes through here so the n=2..80 campaign happens at most once.
     """
-    from lemnizeros.analysis import certified_roots_range
-    from lemnizeros.numerics import PrecisionConfig
+    from lemnizeros.exact import build_polynomial
+    from lemnizeros.rootfinder import find_roots
 
     cache: dict[int, object] = {}
-    cfg = PrecisionConfig()
 
     def get(ns):
-        missing = sorted(set(ns) - cache.keys())
-        if missing:
-            cache.update(certified_roots_range(missing, cfg))
+        for n in sorted(set(ns) - cache.keys()):
+            cache[n] = find_roots(build_polynomial(n))
         return {n: cache[n] for n in ns}
 
     return get

@@ -1,26 +1,26 @@
 """Campaign reports, convergence statistics, figure emission."""
 
-import pytest
 from mpmath import mp, mpf
 
-from lemnizeros import analysis, geometry
+from lemnizeros import analysis, cli, geometry, rootfinder
 from lemnizeros.analysis import (
     convergence_report,
     figure_level_curves,
     figure_zero_plot,
     lemma_csv,
+    lemma_reports,
     residual_slope,
     roots_report_csv,
     summary_csv,
-    verify_lemmas,
 )
 from lemnizeros.geometry import branch_polyline
 from lemnizeros.numerics import PrecisionConfig
 
 
 class TestVerifyLemmas:
-    def test_small_degrees(self):
-        reports = verify_lemmas([1, 2, 3])
+    def test_small_degrees(self, root_cache):
+        reports = lemma_reports(root_cache([3, 1, 2]))
+        assert [r.n for r in reports] == [1, 2, 3]
         by_n = {r.n: r for r in reports}
         assert by_n[1].ek_disk == "boundary"  # |root| = 2 = n + 1 exactly
         assert by_n[2].ek_disk == "inside"
@@ -32,43 +32,15 @@ class TestVerifyLemmas:
             assert all(r.product_deviation < mpf("1e-10") for r in reports)
 
     def test_error_isolation(self):
+        # the CLI's solve task returns the failure of degree 240, and the
+        # report of degree 2 is made as if it ran alone
         cfg = PrecisionConfig(bits=64, max_bits=64)
-        reports = verify_lemmas([2, 240], cfg)
-        by_n = {r.n: r for r in reports}
-        assert by_n[2].error is None
-        assert by_n[240].error is not None  # 64 bits cannot certify degree 240
-        assert "64" in by_n[240].error
-
-    def test_programming_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("broken solver")
-
-        monkeypatch.setattr(analysis, "find_roots", broken)
-        with pytest.raises(TypeError, match="broken solver"):
-            verify_lemmas([2])
-
-    def test_rejects_degenerate_degrees(self):
-        with pytest.raises(ValueError):
-            verify_lemmas([0, 2])
-
-
-
-class TestDegreeIndependence:
-    """A degree's certified roots and verdicts do not depend on which other
-    degrees the campaign holds: exact equality, roots and radii included."""
-
-    def test_range_solve_matches_single_degree(self):
-        in_range = analysis.certified_roots_range(range(2, 13))[12]
-        alone = analysis.certified_roots_range([12])[12]
-        assert in_range.roots == alone.roots
-        assert in_range.inclusion_radii == alone.inclusion_radii
-        assert in_range == alone
-
-    def test_campaign_report_matches_single_degree(self):
-        in_range = verify_lemmas(range(2, 13))[-1]
-        alone = verify_lemmas([12])[0]
-        assert in_range.n == alone.n == 12
-        assert in_range == alone
+        reports = lemma_reports({n: cli._solve(n, cfg) for n in (240, 2)})
+        assert [r.n for r in reports] == [2, 240]
+        assert reports[0].error is None and reports[0].root_count == 2
+        assert reports[1].error is not None  # 64 bits cannot certify degree 240
+        assert "64" in reports[1].error
+        assert reports[1].root_count == 0 and reports[1].ek_disk == "violated"
 
 
 class TestConvergence:
@@ -116,7 +88,8 @@ class TestReportsNeverSolve:
         def no_solve(*args, **kwargs):
             raise AssertionError("a report solved again")
 
-        monkeypatch.setattr(analysis, "find_roots", no_solve)
+        assert not hasattr(analysis, "find_roots")
+        monkeypatch.setattr(rootfinder, "find_roots", no_solve)
         reports = convergence_report(roots, branch_samples=64)
         assert [r.n for r in reports] == [6, 12]
         for rep in reports:
@@ -164,8 +137,8 @@ class TestFigures:
         lines = text.strip().split("\n")
         assert len(lines) == 3 + 256
 
-    def test_lemma_csv_shape(self):
-        reports = verify_lemmas([2, 3])
+    def test_lemma_csv_shape(self, root_cache):
+        reports = lemma_reports(root_cache([2, 3]))
         text = lemma_csv(reports)
         lines = text.strip().split("\n")
         assert len(lines) == 3

@@ -8,7 +8,8 @@ import pytest
 
 from lemnizeros import analysis, cli, paths
 from lemnizeros.cli import RunConfig, parse_rational_complex, parse_run_config_text
-from lemnizeros.numerics import PrecisionConfig
+from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError
+from lemnizeros.rootfinder import CertificationError
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +45,25 @@ class TestParsing:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational_complex("three")
+
+    @pytest.mark.parametrize(
+        "text,canonical",
+        [
+            # the spellings of the README and CI keep their run directories
+            ("4/3", "4/3"),
+            ("1", "1"),
+            ("-1+1/2i", "-1+1/2i"),
+            ("8/6", "4/3"),
+            ("-1+0.5i", "-1+1/2i"),
+            ("2i", "0+2i"),
+            ("-i", "0-1i"),
+            ("1.4-2/7j", "7/5-2/7i"),
+        ],
+    )
+    def test_one_spelling_per_point(self, text, canonical):
+        args = cli.build_parser().parse_args(["trace", f"--z={text}"])
+        assert cli.config_from_args(args).z == canonical
+        assert parse_rational_complex(canonical) == parse_rational_complex(text)
 
     def test_config_text_round_trip(self):
         cfg = RunConfig(command="verify", n_list=tuple(range(2, 10)), precision_bits=128, workers=2)
@@ -116,7 +136,7 @@ class TestCommands:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the degree set was checked")
 
-        monkeypatch.setattr(analysis, "find_roots", no_work)
+        monkeypatch.setattr(cli, "find_roots", no_work)
         monkeypatch.setattr(cli, "coefficients_csv", no_work)
         try:
             code = cli.main([*command, *degrees, "--workers", "1", "--out", str(tmp_path)])
@@ -181,6 +201,60 @@ class TestCommands:
         res = run_cli("trace", "--z", "1")
         assert res.returncode == 2
 
+    def test_steps_below_one_is_a_usage_error_before_tracing(self, monkeypatch, tmp_path, capsys):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("the path was traced before steps was checked")
+
+        monkeypatch.setattr(paths, "legendre_rule", no_trace)
+        assert cli.main(["trace", "--z", "4/3", "--steps", "-7", "--out", str(tmp_path)]) == 2
+        assert "steps must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_equal_points_share_one_directory(self, tmp_path, capsys):
+        for i, z in enumerate(("4/3", "8/6")):
+            assert cli.main(["trace", "--z", z, "--steps", "64", "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().out.startswith("cached: ") == (i > 0)
+        assert len(list(tmp_path.iterdir())) == 1
+
+    @pytest.mark.parametrize(
+        "argv,raises,code",
+        [
+            (("trace", "--z", "1"), None, 2),
+            (("trace", "--z", "4/3", "--path-tol", "0"), None, 2),
+            (("trace", "--z", "4/3x"), None, 2),
+            (("figure", "--kind", "level", "--res", "16"), None, 2),
+            (("figure", "--kind", "level", "--z", "1", "--res", "8"), None, 2),
+            (("figure", "--kind", "level", "--z", "1", "--res", "16", "--window", "1,2,3"), None, 2),
+            (("roots", "--n", "5"), CertificationError, 3),
+            (("figure", "--kind", "zeros", "--n-list", "5,10"), CertificationError, 3),
+            (("roots", "--n", "240", "--precision-bits", "64", "--max-bits", "64"), PrecisionExhaustedError, 4),
+            (("report", "--n-list", "4,8"), PrecisionExhaustedError, 4),
+            (("trace", "--z", "1/3+1/1000000000000i", "--path-tol", "1e-6"), None, 5),
+        ],
+        ids=[
+            "z-one", "path-tol-zero", "bad-z", "level-without-z", "level-res-8", "level-window-3",
+            "roots-cert", "figure-cert", "roots-precision", "report-precision", "trace-saddle",
+        ],
+    )
+    def test_failed_run_leaves_no_directory(self, argv, raises, code, monkeypatch, tmp_path):
+        if raises is not None:
+            def failing(p, cfg):
+                raise raises(f"degree {p.degree} fails")
+
+            monkeypatch.setattr(cli, "find_roots", failing)
+        assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == code
+        assert list(tmp_path.iterdir()) == []
+
+    def test_programming_errors_propagate(self, monkeypatch, tmp_path):
+        # only certification and precision failures become FAIL rows
+        def broken(*args, **kwargs):
+            raise TypeError("broken solver")
+
+        monkeypatch.setattr(cli, "find_roots", broken)
+        with pytest.raises(TypeError, match="broken solver"):
+            cli.main(["verify", "--n-list", "2,3", "--workers", "1", "--out", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("tol", ["0", "-1e-30"])
     def test_nonpositive_path_tol_is_a_usage_error_before_tracing(self, tol, monkeypatch, capsys):
         def no_trace(*args, **kwargs):
@@ -200,18 +274,26 @@ class TestCommands:
         assert (sub / "runconfig.txt").exists()
 
     def test_verify_reports_a_failing_degree_and_the_rest(self, tmp_path):
-        res = run_cli(
-            "verify", "--n-list", "2,240", "--precision-bits", "64", "--max-bits", "64",
-            "--workers", "1", "--out", str(tmp_path),
-        )
-        assert res.returncode == 1
-        assert any(line.startswith("FAIL n=240: ") for line in res.stdout.splitlines())
-        sub = next(tmp_path.glob("verify-*"))
-        rows = (sub / "lemmas.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["2", "240"]
-        assert rows[0].endswith(",")  # n = 2 certifies: empty error column
-        assert not rows[1].endswith(",")
-        assert not (sub / "DONE").exists()
+        # with 2 workers the failure of n = 240 crosses the process pool as
+        # a returned value; the artifacts are the same bytes as with 1
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            res = run_cli(
+                "verify", "--n-list", "2,240", "--precision-bits", "64", "--max-bits", "64",
+                "--workers", workers, "--out", str(out),
+            )
+            assert res.returncode == 1, res.stderr
+            assert any(line.startswith("FAIL n=240: ") for line in res.stdout.splitlines())
+            (sub,) = out.iterdir()
+            assert sorted(p.name for p in sub.iterdir()) == ["lemmas.csv", "runconfig.txt", "verify.txt"]
+            rows = (sub / "lemmas.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == ["2", "240"]
+            assert rows[0].startswith("2,2,inside,true,")
+            assert rows[0].endswith(",")  # n = 2 certifies: empty error column
+            assert not rows[1].endswith(",")
+            written.append((sub.name, (sub / "lemmas.csv").read_bytes(), (sub / "verify.txt").read_bytes()))
+        assert written[0] == written[1]
 
     def test_verify_checks_name_only_certified_degrees(self):
         lowp = ("--precision-bits", "64", "--max-bits", "64", "--workers", "1")
@@ -241,7 +323,7 @@ class TestCommands:
         def no_solve(*args, **kwargs):
             raise AssertionError("a degree was solved before the theta grid was checked")
 
-        monkeypatch.setattr(analysis, "find_roots", no_solve)
+        monkeypatch.setattr(cli, "find_roots", no_solve)
         flags = ["--n-list", "60,80,100", "--theta-grid", "0", "--workers", "1"]
         assert cli.main([*command, *flags]) == 2
         assert "empty theta grid" in capsys.readouterr().err
@@ -331,3 +413,26 @@ class TestCommands:
     def test_usage_without_command(self):
         res = run_cli()
         assert res.returncode == 2
+
+
+class TestDegreeIndependence:
+    """A degree's certified roots and verdicts do not depend on which other
+    degrees the run holds: exact equality, roots and radii included."""
+
+    def test_range_solve_matches_single_degree(self):
+        cfg = RunConfig(command="roots", workers=1)
+        in_range = cli._solve_degrees(cfg, tuple(range(2, 13)))[12]
+        alone = cli._solve_degrees(cfg, (12,))[12]
+        assert in_range.roots == alone.roots
+        assert in_range.inclusion_radii == alone.inclusion_radii
+        assert in_range == alone
+
+    def test_campaign_report_matches_single_degree(self, tmp_path, capsys):
+        rows = []
+        for degrees in (["--n-range", "2..12"], ["--n", "12"]):
+            out = tmp_path / degrees[0]
+            assert cli.main(["verify", *degrees, "--workers", "1", "--out", str(out)]) == 0
+            (csv,) = out.glob("verify-*/lemmas.csv")
+            rows.append(csv.read_text(encoding="utf-8").splitlines()[-1])
+        assert rows[0].startswith("12,12,inside,true,")
+        assert rows[0] == rows[1]

@@ -116,6 +116,15 @@ class TestTracePath:
             with pytest.raises(ValueError, match="path_tol must be positive"):
                 trace_path(Fraction(4, 3), path_tol=tol, bits=BITS)
 
+    def test_steps_below_one_rejected_before_tracing(self, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("the path was traced before steps was checked")
+
+        monkeypatch.setattr(paths, "legendre_rule", no_trace)
+        for steps in (0, -7):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                trace_path(Fraction(4, 3), steps=steps, bits=BITS)
+
     def test_independent_of_caller_precision(self):
         def key(path):
             return [
