@@ -43,18 +43,25 @@ class LemmaReport:
 
 
 def _lemma_report(rs: RootSet) -> LemmaReport:
+    """The verdicts of one certified RootSet.  Its roots and radii are
+    dyadic, so |z| +- r is compared with n+1 and 1 exactly: |z|^2 against
+    (n+1 -+ r)^2 and (1+r)^2, as integers at one common exponent.  The
+    smallest Re z - r is rounded down."""
     n = rs.degree
+    inside = boundary = True
+    outside = False
+    for z, r in zip(rs.roots, rs.inclusion_radii):
+        (ma, ea), (mb, eb), (mr, er) = z.real.man_exp, z.imag.man_exp, r.man_exp
+        e = min(ea, eb, er, 0)
+        a, b, rad, one = ma << (ea - e), mb << (eb - e), mr << (er - e), 1 << -e
+        modulus2 = a * a + b * b
+        inside = inside and (n + 1) * one > rad and modulus2 < ((n + 1) * one - rad) ** 2
+        boundary = boundary and modulus2 <= ((n + 1) * one + rad) ** 2
+        outside = outside or modulus2 > (one + rad) ** 2
+    ek = "inside" if inside else "boundary" if boundary else "violated"
     with mp.workprec(rs.precision_used):
         moduli = [abs(z) for z in rs.roots]
-        bound = n + 1
-        if all(m + r < bound for m, r in zip(moduli, rs.inclusion_radii)):
-            ek = "inside"
-        elif all(m - r <= bound for m, r in zip(moduli, rs.inclusion_radii)):
-            ek = "boundary"
-        else:
-            ek = "violated"
-        outside = max(m - r for m, r in zip(moduli, rs.inclusion_radii)) > 1
-        min_re = min(z.real - r for z, r in zip(rs.roots, rs.inclusion_radii))
+        min_re = min(mp.fsub(z.real, r, rounding="d") for z, r in zip(rs.roots, rs.inclusion_radii))
         prod = mpf(1)
         for m in moduli:
             prod *= m

@@ -1,16 +1,16 @@
 """Command-line surface: reproducible runs over the library modules.
 
 Every invocation is described by a RunConfig; a run is a pure function of
-it, and outputs land in a subdirectory named by a content hash of the
-mathematical fields (neither the output directory nor the worker count
-influences the hash: each degree is solved on its own, so the artifacts are
-the same bytes for any --workers).  --n, --n-range and --n-list are three
-spellings of one sorted set of distinct degrees, so a run's directory depends
-only on the set.  The CLI does all the solving, one task per degree; the
-analysis layer reads the certified RootSets.  The run directory, with its
-runconfig.txt, is made when the first artifact is written, so a failed run
-leaves none.  Re-running an already-completed configuration into the same
---out reuses the cached artifacts.
+it.  READS, one table, says what each command (and figure kind) reads: its
+flags and config keys, the fields it needs and its default precision.  Any
+other flag or key is a usage error, and the outputs land in a subdirectory
+named by a content hash of the fields read, so two runs share a directory
+when they compute the same thing.  --out and --workers are taken by every
+command and hashed by none: each degree is one solve task, so the artifacts
+are the same bytes for any --workers.  A degree set, --z and --window are
+each stored in one spelling.  All checks run before the run directory, with
+its runconfig.txt, is made at the first artifact, so a failed run leaves
+none; re-running a completed configuration into the same --out reuses it.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, 3 root
 certification failure, 4 precision exhausted, 5 path tracing failure.
@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -44,15 +45,57 @@ EXIT_CERTIFICATION = 3
 EXIT_PRECISION = 4
 EXIT_PATH = 5
 
+_EXIT_CODES = {CertificationError: EXIT_CERTIFICATION, PrecisionExhaustedError: EXIT_PRECISION,
+               PathError: EXIT_PATH, ValueError: EXIT_USAGE, ZeroDivisionError: EXIT_USAGE}
+
 VIETA_TOL = mpf("1e-10")
-_FIGURE_N_LIST = (5, 10, 16, 23, 40, 60)  # figure --kind zeros with no degree set
+
+
+class Reads(NamedTuple):
+    """What one command reads besides out and workers: its fields, those it
+    needs, its default precision (None: exact) and its default values."""
+
+    fields: tuple[str, ...]
+    needs: tuple[str, ...] = ()
+    bits: int | None = None
+    defaults: tuple[tuple[str, object], ...] = ()
+
+
+_SOLVE = ("n_list", "precision_bits", "max_bits")
+READS = {
+    ("coeffs", None): Reads(("n_list",), ("n_list",)),
+    ("roots", None): Reads(_SOLVE, ("n_list",), PrecisionConfig().bits),
+    ("verify", None): Reads(_SOLVE, ("n_list",), PrecisionConfig().bits),
+    ("report", None): Reads(_SOLVE + ("theta_grid",), ("n_list",), PrecisionConfig().bits),
+    ("figure", "zeros"): Reads(("kind",) + _SOLVE + ("theta_grid",), (), PrecisionConfig().bits,
+                               (("n_list", (5, 10, 16, 23, 40, 60)),)),
+    ("figure", "level"): Reads(("kind", "precision_bits", "z", "window", "res"), ("z",), geometry.DEFAULT_BITS,
+                               (("window", "-3/2,3/2,-3/2,3/2"),)),
+    ("trace", None): Reads(("precision_bits", "steps", "path_tol", "z"), ("z",), paths.DEFAULT_BITS),
+}
+_HELP = {
+    "coeffs": "exact rational coefficients as CSV",
+    "roots": "certified roots as CSV",
+    "verify": "certified root-property campaign with PASS/FAIL lines",
+    "report": "lemniscate convergence report",
+    "figure": "figure data emission (SVG/CSV)",
+    "trace": "steepest-path trace as CSV",
+    "out": "output directory (hash-named subdir per run)",
+    "workers": "solve processes (0 = all cores)",
+    "theta_grid": "branch polyline sample count",
+    "z": "rational complex, e.g. 4/3 or 1/3+2/3i",
+    "window": "re_min,re_max,im_min,im_max",
+}
+_INT_FIELDS = ("precision_bits", "max_bits", "theta_grid", "steps", "workers", "res")
+_UNHASHED = ("out", "workers")  # taken by every command; they change no artifact
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on.  `out` (where artifacts land) and
-    `workers` (how many processes solve) change no artifact, so both are
-    left out of the content hash."""
+    """Everything a run depends on.  Only the fields that READS lists for
+    the command are recorded in runconfig.txt, with `out` (where artifacts
+    land) and `workers` (how many processes solve); those two change no
+    artifact, so the content hash leaves them out."""
 
     command: str
     n_list: tuple[int, ...] | None = None  # the degrees, sorted and distinct
@@ -63,18 +106,20 @@ class RunConfig:
     path_tol: str | None = None
     workers: int = 0  # 0 resolves to the available core count
     kind: str | None = None
-    z: str | None = None  # config_from_args stores one spelling per point
-    window: str | None = None
+    z: str | None = None  # parse_run_config_text stores one spelling per point
+    window: tuple[Fraction, ...] | None = None  # re_min, re_max, im_min, im_max
     res: int = 64
     out: str | None = None
 
+    def reads(self) -> Reads:
+        return READS.get((self.command, self.kind)) or READS[(self.command, None)]
+
     def to_text(self, hashed_only: bool = False) -> str:
+        names = {"command", *self.reads().fields, *(() if hashed_only else _UNHASHED)}
         lines = []
         for f in fields(self):
-            if hashed_only and f.name in ("out", "workers"):
-                continue
             v = self.bits() if f.name == "precision_bits" else getattr(self, f.name)
-            if v is None:
+            if f.name not in names or v is None:
                 continue
             if isinstance(v, tuple):
                 v = ",".join(str(x) for x in v)
@@ -84,21 +129,17 @@ class RunConfig:
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text(hashed_only=True).encode()).hexdigest()[:12]
 
-    def bits(self) -> int:
+    def bits(self) -> int | None:
         """The working precision: --precision-bits, else the command's
-        default.  trace and figure --kind level keep the 128 bits of the
-        path and level-field modules; the solver commands start at
-        PrecisionConfig().bits."""
-        if self.precision_bits is not None:
-            return self.precision_bits
-        if self.command == "trace":
-            return paths.DEFAULT_BITS
-        if self.command == "figure" and self.kind == "level":
-            return geometry.DEFAULT_BITS
-        return PrecisionConfig().bits
+        default from READS."""
+        return self.reads().bits if self.precision_bits is None else self.precision_bits
 
     def precision(self) -> PrecisionConfig:
         return PrecisionConfig(bits=self.bits(), max_bits=max(self.max_bits, self.bits()))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _degrees(key: str, text: str) -> tuple[int, ...]:
@@ -112,8 +153,12 @@ def _degrees(key: str, text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def parse_run_config_text(text: str, command: str | None = None) -> RunConfig:
-    """Parse the plain `key = value` config format back into a RunConfig."""
+def parse_run_config_text(text: str, flags: dict | None = None) -> RunConfig:
+    """The checked RunConfig of the plain `key = value` config format, with
+    the given flag values over it.  A field the command does not read, or a
+    missing one it needs, is a usage error; so is a bad degree set, window
+    or precision.  All of it is checked here, before any directory is made
+    or any degree is solved."""
     values: dict[str, object] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -126,17 +171,43 @@ def parse_run_config_text(text: str, command: str | None = None) -> RunConfig:
             if "n_list" in values:
                 raise ValueError("config gives more than one degree set")
             values["n_list"] = _degrees(key, val)
-        elif key in ("precision_bits", "max_bits", "theta_grid", "steps", "workers", "res"):
+        elif key in _INT_FIELDS:
             values[key] = int(val)
-        elif key in ("command", "kind", "z", "window", "path_tol", "out"):
+        elif key in (f.name for f in fields(RunConfig)):
             values[key] = val
         else:
             raise ValueError(f"unknown config key: {key}")
-    if command is not None:
-        values["command"] = command
-    if "command" not in values:
-        raise ValueError("config must carry a command")
-    return RunConfig(**values)  # type: ignore[arg-type]
+    values.update(flags or {})
+    command, kind = values.get("command"), values.get("kind")
+    if command is None:
+        raise ValueError("no command given")
+    reads = READS.get((command, kind)) or READS.get((command, None))
+    if reads is None:
+        raise ValueError(f"unknown command {command!r} or figure kind {kind!r}")
+    label = f"{command} --kind {kind}" if "kind" in reads.fields else command
+    foreign = sorted(set(values) - {"command", *reads.fields, *_UNHASHED})
+    if foreign:
+        raise ValueError(f"{label} does not read {', '.join(map(_flag, foreign))}")
+    for name in reads.needs:
+        if values.get(name) is None:
+            raise ValueError("no degrees given: use --n, --n-range or --n-list"
+                             if name == "n_list" else f"{label} requires {_flag(name)}")
+    values = {**dict(reads.defaults), **values}
+    if "n_list" in values:
+        ns = tuple(sorted(set(values["n_list"])))
+        if not ns or ns[0] < 1:
+            raise ValueError(f"{command}: the degree set must be nonempty, with every degree >= 1")
+        values["n_list"] = ns
+    if "z" in values:
+        values["z"] = _canonical_z(values["z"])
+    if "window" in values:
+        values["window"] = _window(values["window"])
+    cfg = RunConfig(**values)  # type: ignore[arg-type]
+    if reads.bits is not None:
+        cfg.precision()  # bits below 64 are a usage error
+    if "theta_grid" in reads.fields and cfg.theta_grid < 1:  # the branch needs a phase
+        raise ValueError(f"{command}: empty theta grid (--theta-grid {cfg.theta_grid})")
+    return cfg
 
 
 def parse_rational_complex(text: str) -> tuple[Fraction, Fraction]:
@@ -170,6 +241,19 @@ def _canonical_z(text: str) -> str:
     return f"{re_q}{'+' if im_q > 0 else ''}{im_q}i" if im_q else str(re_q)
 
 
+def _window(text: str) -> tuple[Fraction, ...]:
+    """The four rationals of re_min,re_max,im_min,im_max, checked to bound a
+    box; '-1.5,1.5,-1.5,1.5' and '-3/2,3/2,-3/2,3/2' are one window."""
+    try:
+        q = tuple(Fraction(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        q = ()
+    if len(q) != 4 or q[0] >= q[1] or q[2] >= q[3]:
+        raise ValueError(f"--window {text}: want re_min,re_max,im_min,im_max, "
+                         "with re_min < re_max and im_min < im_max")
+    return q
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lemnizeros",
@@ -177,93 +261,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="plain key = value config file; flags override")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, *, degrees=False):
-        p.add_argument("--precision-bits", type=int, default=None)
-        p.add_argument("--max-bits", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory (hash-named subdir per run)")
-        p.add_argument("--workers", type=int, default=None, help="solve processes (0 = all cores)")
-        if degrees:
-            one_set = p.add_mutually_exclusive_group()
-            for flag, metavar in (("n", "N"), ("n_range", "LO..HI"), ("n_list", "A,B,...")):
-                one_set.add_argument(f"--{flag.replace('_', '-')}", dest="n_list", metavar=metavar,
-                                     type=lambda s, key=flag: _degrees(key, s))
-
-    p = sub.add_parser("coeffs", help="exact rational coefficients as CSV")
-    common(p, degrees=True)
-
-    p = sub.add_parser("roots", help="certified roots as CSV")
-    common(p, degrees=True)
-
-    p = sub.add_parser("verify", help="certified root-property campaign with PASS/FAIL lines")
-    common(p, degrees=True)
-
-    p = sub.add_parser("report", help="lemniscate convergence report")
-    common(p, degrees=True)
-    p.add_argument("--theta-grid", type=int, default=None, help="branch polyline sample count")
-
-    p = sub.add_parser("figure", help="figure data emission (SVG/CSV)")
-    common(p, degrees=True)
-    p.add_argument("--kind", choices=("zeros", "level"), required=True)
-    p.add_argument("--theta-grid", type=int, default=None)
-    p.add_argument("--z", default=None, help="rational complex, e.g. 4/3 or 1/3+2/3i")
-    p.add_argument("--window", default=None, help="re_min,re_max,im_min,im_max")
-    p.add_argument("--res", type=int, default=None)
-
-    p = sub.add_parser("trace", help="steepest-path trace as CSV")
-    common(p)
-    p.add_argument("--z", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--path-tol", default=None)
-
+    for command in dict.fromkeys(c for c, _ in READS):
+        p = sub.add_parser(command, help=_HELP[command])
+        kinds = [k for c, k in READS if c == command and k is not None]
+        names = {name for (c, _), reads in READS.items() if c == command for name in reads.fields}
+        for name in (f.name for f in fields(RunConfig)):
+            if name == "n_list" and name in names:
+                one_set = p.add_mutually_exclusive_group()
+                for key, metavar in (("n", "N"), ("n_range", "LO..HI"), ("n_list", "A,B,...")):
+                    one_set.add_argument(_flag(key), dest="n_list", metavar=metavar,
+                                         type=lambda s, key=key: _degrees(key, s))
+            elif name == "kind" and kinds:
+                p.add_argument("--kind", choices=kinds, required=True)
+            elif name in names or name in _UNHASHED:
+                p.add_argument(_flag(name), type=int if name in _INT_FIELDS else None, help=_HELP.get(name))
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    base = RunConfig(command="unset")
-    if args.config:
-        base = parse_run_config_text(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {}
-    if args.command:
-        overrides["command"] = args.command
-    for name in (
-        "n_list", "precision_bits", "max_bits", "theta_grid",
-        "steps", "path_tol", "workers", "kind", "z", "window", "res", "out",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    cfg = replace(base, **overrides)
-    if cfg.command == "unset":
-        raise ValueError("no command given")
-    # checked here, before any directory is made or any degree is solved
-    if cfg.n_list is not None:
-        ns = tuple(sorted(set(cfg.n_list)))
-        if not ns:
-            raise ValueError(f"{cfg.command}: empty degree set")
-        if ns[0] < 1:
-            raise ValueError(f"{cfg.command}: degrees must be >= 1, got {ns[0]}")
-        cfg = replace(cfg, n_list=ns)
-    elif cfg.command in ("coeffs", "roots", "verify", "report"):
-        raise ValueError("no degrees given: use --n, --n-range or --n-list")
-    cfg.precision()  # bits below 64 are a usage error for every command
-    if cfg.z is not None:
-        cfg = replace(cfg, z=_canonical_z(cfg.z))
-    # the branch needs a phase
-    draws_branch = cfg.command == "report" or (cfg.command == "figure" and cfg.kind == "zeros")
-    if draws_branch and cfg.theta_grid < 1:
-        raise ValueError(f"{cfg.command}: empty theta grid (--theta-grid {cfg.theta_grid})")
-    if cfg.workers == 0:
-        cfg = replace(cfg, workers=os.cpu_count() or 1)
-    return cfg
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
+    cfg = parse_run_config_text(text, flags)
+    return replace(cfg, workers=os.cpu_count() or 1) if cfg.workers == 0 else cfg
 
 
 def _emit(cfg: RunConfig, directory: Path | None, name: str, text: str, quiet: bool = False) -> None:
     """Write one artifact into the run directory, making the directory and
-    its runconfig.txt first, or to stdout when there is no directory."""
+    its runconfig.txt first, or to stdout when there is no directory; quiet
+    artifacts are neither printed nor announced."""
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "runconfig.txt").write_text(cfg.to_text(), encoding="utf-8")
         (directory / name).write_text(text, encoding="utf-8", newline="\n")
+        if not quiet:
+            print(f"wrote {directory / name}")
     elif not quiet:
         sys.stdout.write(text)
 
@@ -293,9 +324,9 @@ def _solve_degrees(cfg: RunConfig, ns) -> dict[int, RootSet | Exception]:
     return {n: _solve(n, pcfg) for n in ns}
 
 
-def _certified(cfg: RunConfig, ns) -> dict[int, RootSet]:
-    """The certified RootSets of ns; the first failure in degree order is raised."""
-    solved = _solve_degrees(cfg, ns)
+def _certified(cfg: RunConfig) -> dict[int, RootSet]:
+    """The certified RootSets of cfg.n_list; the first failure in degree order is raised."""
+    solved = _solve_degrees(cfg, cfg.n_list)
     for result in solved.values():
         if isinstance(result, Exception):
             raise result
@@ -315,29 +346,24 @@ def run(cfg: RunConfig) -> int:
 
 
 def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
-    z = None
-    if cfg.z is not None:
+    if cfg.z is not None:  # trace and figure --kind level
         re_q, im_q = parse_rational_complex(cfg.z)
         z = to_mpc(re_q, cfg.bits(), im_q)
 
     if cfg.command == "coeffs":
         _emit(cfg, outdir, "coeffs.csv", coefficients_csv(cfg.n_list))
-        if outdir is not None:
-            print(f"wrote {outdir / 'coeffs.csv'}")
         return EXIT_OK
 
     if cfg.command == "roots":
-        solved = _certified(cfg, cfg.n_list)
+        solved = _certified(cfg)
         _emit(cfg, outdir, "roots.csv", rootset_csv(*solved.values()))
-        if outdir is not None:
-            print(f"wrote {outdir / 'roots.csv'}")
         return EXIT_OK
 
     if cfg.command == "verify":
         return _run_verify(cfg, outdir)
 
     if cfg.command == "report":
-        solved = _certified(cfg, cfg.n_list)
+        solved = _certified(cfg)
         reports = analysis.convergence_report(solved, cfg.theta_grid)
         _emit(cfg, outdir, "roots_report.csv", analysis.roots_report_csv(reports, solved), quiet=True)
         _emit(cfg, outdir, "summary.csv", analysis.summary_csv(reports))
@@ -346,45 +372,30 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
             print(f"log-median-residual slope vs log n: {mpmath.nstr(slope, 6)}")
         return EXIT_OK
 
-    if cfg.command == "figure":
-        if cfg.kind == "zeros":
-            solved = _certified(cfg, cfg.n_list or _FIGURE_N_LIST)
-            svg, csv_text = analysis.figure_zero_plot(solved, cfg.theta_grid)
-            _emit(cfg, outdir, "figure_zeros.svg", svg, quiet=True)
-            _emit(cfg, outdir, "figure_zeros.csv", csv_text)
-            if outdir is not None:
-                print(f"wrote {outdir / 'figure_zeros.svg'}")
-            return EXIT_OK
-        if cfg.kind == "level":
-            if z is None:
-                raise ValueError("figure --kind level requires --z")
-            window = (
-                tuple(Fraction(x) for x in cfg.window.split(","))
-                if cfg.window
-                else (Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(3, 2))
-            )
-            text = analysis.figure_level_curves(z, window, cfg.res, cfg.bits())
-            _emit(cfg, outdir, "level_field.csv", text)
-            if outdir is not None:
-                print(f"wrote {outdir / 'level_field.csv'}")
-            return EXIT_OK
-        raise ValueError(f"unknown figure kind {cfg.kind!r}")
-
-    if cfg.command == "trace":
-        path = trace_path(
-            z,
-            steps=cfg.steps,
-            path_tol=None if cfg.path_tol is None else mpf(cfg.path_tol),
-            bits=cfg.bits(),
-        )
-        _emit(cfg, outdir, "path.csv", path_csv(path))
-        print(
-            f"t(0) = {mpmath.nstr(path.start_point, 20)} ({path.start_label}); "
-            f"{len(path.samples)} samples"
-        )
+    if cfg.kind == "zeros":
+        solved = _certified(cfg)
+        svg, csv_text = analysis.figure_zero_plot(solved, cfg.theta_grid)
+        _emit(cfg, outdir, "figure_zeros.svg", svg, quiet=True)
+        _emit(cfg, outdir, "figure_zeros.csv", csv_text)
         return EXIT_OK
 
-    raise ValueError(f"unknown command {cfg.command!r}")
+    if cfg.kind == "level":
+        text = analysis.figure_level_curves(z, cfg.window, cfg.res, cfg.bits())
+        _emit(cfg, outdir, "level_field.csv", text)
+        return EXIT_OK
+
+    path = trace_path(  # trace
+        z,
+        steps=cfg.steps,
+        path_tol=None if cfg.path_tol is None else mpf(cfg.path_tol),
+        bits=cfg.bits(),
+    )
+    _emit(cfg, outdir, "path.csv", path_csv(path))
+    print(
+        f"t(0) = {mpmath.nstr(path.start_point, 20)} ({path.start_label}); "
+        f"{len(path.samples)} samples"
+    )
+    return EXIT_OK
 
 
 def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
@@ -415,7 +426,7 @@ def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
     with mp.workprec(64):
         min_re = min((r.min_real_part for r in checked), default=mpf("nan"))
         max_dev = max((r.product_deviation for r in checked), default=mpf("nan"))
-    check("re-gt-third", all(r.min_real_part > mpf(1) / 3 for r in checked),
+    check("re-gt-third", all(mp.fmul(3, r.min_real_part, exact=True) > 1 for r in checked),
           f"{span}, min certified Re(root) = {mpmath.nstr(min_re, 8)} > 1/3")
     check("vieta-product", all(r.product_deviation < VIETA_TOL for r in checked),
           f"{span}, max |prod moduli - (3n+1)/(n+1)| rel = {mpmath.nstr(max_dev, 4)} < 1e-10")
@@ -437,21 +448,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
-    except CertificationError as exc:
+        return run(config_from_args(args))
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    except PrecisionExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except PathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PATH
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,6 +1,6 @@
 """Campaign reports, convergence statistics, figure emission."""
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from lemnizeros import analysis, cli, geometry, rootfinder
 from lemnizeros.analysis import (
@@ -41,6 +41,20 @@ class TestVerifyLemmas:
         assert reports[1].error is not None  # 64 bits cannot certify degree 240
         assert "64" in reports[1].error
         assert reports[1].root_count == 0 and reports[1].ek_disk == "violated"
+
+    def test_verdicts_are_exact_at_the_dyadic_boundary(self):
+        # Re z - r = 1 - 2^-130 is 1 when rounded to nearest at 64 bits, so
+        # min_real_part must be rounded down; |z| + r = 2 = n + 1 exactly is
+        # on the boundary of the disk, not inside it
+        r = mpf(2) ** -130
+        with mp.workprec(256):
+            edge = mpc(2 - r, 0)
+        low = rootfinder.RootSet(1, (mpc(1, 0),), (mpf(0),), (r,), 64, (False,))
+        high = rootfinder.RootSet(1, (edge,), (mpf(0),), (r,), 256, (False,))
+        (lo,), (hi,) = lemma_reports({1: low}), lemma_reports({1: high})
+        assert lo.ek_disk == "inside" and hi.ek_disk == "boundary"
+        assert not lo.outside_unit_circle  # |z| - r < 1
+        assert lo.min_real_part < 1
 
 
 class TestConvergence:

@@ -94,6 +94,25 @@ class TestParsing:
         assert RunConfig(command="figure", kind="level", z="4/3").bits() == 128
         assert RunConfig(command="trace", z="4/3", precision_bits=200).bits() == 200
         assert "precision_bits = 128" in RunConfig(command="trace", z="4/3").to_text()
+        # coefficients are exact, and neither trace nor the level field
+        # escalates, so these read no precision or no ceiling at all
+        assert RunConfig(command="coeffs", n_list=(3,)).bits() is None
+        assert "precision_bits" not in RunConfig(command="coeffs", n_list=(3,)).to_text()
+        for cfg in (RunConfig(command="trace", z="4/3"), RunConfig(command="figure", kind="level", z="1")):
+            assert "max_bits" not in cfg.to_text()
+
+    @pytest.mark.parametrize("key", list(cli.READS), ids=lambda key: "-".join(filter(None, key)))
+    def test_hash_covers_exactly_the_fields_read(self, key):
+        command, kind = key
+        cfg = RunConfig(
+            command=command, kind=kind, n_list=(3,), precision_bits=128, path_tol="1e-20", z="4/3",
+            window=(-1, 1, -1, 1), workers=2, out="/tmp/x",
+        )
+        def names(text):
+            return sorted(line.partition(" = ")[0] for line in text.splitlines())
+
+        assert names(cfg.to_text(hashed_only=True)) == sorted(("command",) + cli.READS[key].fields)
+        assert names(cfg.to_text()) == sorted(("command", "workers", "out") + cli.READS[key].fields)
 
 
 class TestCommands:
@@ -225,6 +244,7 @@ class TestCommands:
             (("figure", "--kind", "level", "--res", "16"), None, 2),
             (("figure", "--kind", "level", "--z", "1", "--res", "8"), None, 2),
             (("figure", "--kind", "level", "--z", "1", "--res", "16", "--window", "1,2,3"), None, 2),
+            (("figure", "--kind", "level", "--z", "1", "--res", "16", "--window", "2,1,0,1"), None, 2),
             (("roots", "--n", "5"), CertificationError, 3),
             (("figure", "--kind", "zeros", "--n-list", "5,10"), CertificationError, 3),
             (("roots", "--n", "240", "--precision-bits", "64", "--max-bits", "64"), PrecisionExhaustedError, 4),
@@ -232,11 +252,11 @@ class TestCommands:
             (("trace", "--z", "1/3+1/1000000000000i", "--path-tol", "1e-6"), None, 5),
         ],
         ids=[
-            "z-one", "path-tol-zero", "bad-z", "level-without-z", "level-res-8", "level-window-3",
+            "z-one", "path-tol-zero", "bad-z", "level-without-z", "level-res-8", "level-window-3", "level-window-flipped",
             "roots-cert", "figure-cert", "roots-precision", "report-precision", "trace-saddle",
         ],
     )
-    def test_failed_run_leaves_no_directory(self, argv, raises, code, monkeypatch, tmp_path):
+    def test_failed_run_leaves_no_directory(self, argv, raises, code, monkeypatch, tmp_path, capsys):
         if raises is not None:
             def failing(p, cfg):
                 raise raises(f"degree {p.degree} fails")
@@ -244,6 +264,60 @@ class TestCommands:
             monkeypatch.setattr(cli, "find_roots", failing)
         assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == code
         assert list(tmp_path.iterdir()) == []
+        if "--window" in argv:  # the message names the flag at fault
+            assert "--window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("figure", "--kind", "zeros", "--n", "5", "--theta-grid", "64", "--res", "32"),
+            ("figure", "--kind", "zeros", "--n", "5", "--theta-grid", "64", "--z", "4/3"),
+            ("figure", "--kind", "level", "--z", "1", "--res", "16", "--n", "5"),
+            ("figure", "--kind", "level", "--z", "1", "--res", "16", "--theta-grid", "64"),
+            ("coeffs", "--n", "3", "--precision-bits", "200"),
+            ("trace", "--z", "4/3", "--max-bits", "64"),
+            ("roots", "--n", "5", "--res", "3"),
+        ],
+        ids=["zeros-res", "zeros-z", "level-n", "level-theta-grid", "coeffs-bits", "trace-max-bits", "roots-res"],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv, monkeypatch, tmp_path, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for stage in ((cli, "find_roots"), (cli, "coefficients_csv"), (paths, "legendre_rule"),
+                      (analysis, "divides_and_level_field")):
+            monkeypatch.setattr(*stage, no_work)
+        try:
+            code = cli.main([*argv, "--workers", "1", "--out", str(tmp_path)])
+        except SystemExit as exc:  # argparse rejects a flag no kind of the command takes
+            code = exc.code
+        assert code == 2
+        assert argv[-2] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_config_key_the_command_does_not_read_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a degree was solved before the config keys were checked")
+
+        monkeypatch.setattr(cli, "find_roots", no_solve)
+        conf = tmp_path / "run.conf"
+        out = tmp_path / "out"
+        conf.write_text(f"command = roots\nn = 5\nsteps = 99\nworkers = 1\nout = {out}\n", encoding="utf-8")
+        for argv in (["--config", str(conf)], ["--config", str(conf), "roots", "--out", str(out)]):
+            assert cli.main(argv) == 2
+            assert "roots does not read --steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spellings_of_one_window_share_one_directory(self, tmp_path, capsys):
+        level = ["figure", "--kind", "level", "--z", "1", "--res", "16", "--workers", "1", "--out", str(tmp_path)]
+        for i, window in enumerate(([], ["--window=-3/2,3/2,-3/2,3/2"], ["--window=-1.5,1.5,-1.5,1.5"])):
+            assert cli.main([*level, *window]) == 0
+            assert capsys.readouterr().out.startswith("cached: ") == (i > 0)
+        (record,) = tmp_path.glob("figure-*/runconfig.txt")
+        assert "window = -3/2,3/2,-3/2,3/2" in record.read_text(encoding="utf-8")
+        # the record is a config file of the same run
+        assert cli.main(["--config", str(record)]) == 0
+        assert capsys.readouterr().out.startswith("cached: ")
 
     def test_programming_errors_propagate(self, monkeypatch, tmp_path):
         # only certification and precision failures become FAIL rows
