@@ -7,10 +7,11 @@ other flag or key is a usage error, and the outputs land in a subdirectory
 named by a content hash of the fields read, so two runs share a directory
 when they compute the same thing.  --out and --workers are taken by every
 command and hashed by none: each degree is one solve task, so the artifacts
-are the same bytes for any --workers.  A degree set, --z and --window are
-each stored in one spelling.  All checks run before the run directory, with
-its runconfig.txt, is made at the first artifact, so a failed run leaves
-none; re-running a completed configuration into the same --out reuses it.
+are the same bytes for any --workers.  A degree set, --z, --window and
+--path-tol are each stored in one spelling, and --max-bits as the ceiling
+in effect.  All checks run before the run directory, with its
+runconfig.txt, is made at the first artifact, so a failed run leaves none;
+re-running a completed configuration into the same --out reuses it.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, 3 root
 certification failure, 4 precision exhausted, 5 path tracing failure.
@@ -34,7 +35,7 @@ from mpmath import mp, mpf
 
 from . import analysis, geometry, paths
 from .exact import build_polynomial, coefficients_csv
-from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc
+from .numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc, to_mpf
 from .paths import PathError, path_csv, trace_path
 from .rootfinder import CertificationError, RootSet, find_roots, rootset_csv
 
@@ -100,10 +101,10 @@ class RunConfig:
     command: str
     n_list: tuple[int, ...] | None = None  # the degrees, sorted and distinct
     precision_bits: int | None = None  # None: the command's default, see bits()
-    max_bits: int = PrecisionConfig().max_bits
+    max_bits: int = PrecisionConfig().max_bits  # raised to bits() at parse time
     theta_grid: int = 2048
     steps: int = 512
-    path_tol: str | None = None
+    path_tol: Fraction | None = None  # exact, stored in one spelling
     workers: int = 0  # 0 resolves to the available core count
     kind: str | None = None
     z: str | None = None  # parse_run_config_text stores one spelling per point
@@ -135,7 +136,7 @@ class RunConfig:
         return self.reads().bits if self.precision_bits is None else self.precision_bits
 
     def precision(self) -> PrecisionConfig:
-        return PrecisionConfig(bits=self.bits(), max_bits=max(self.max_bits, self.bits()))
+        return PrecisionConfig(bits=self.bits(), max_bits=self.max_bits)
 
 
 def _flag(name: str) -> str:
@@ -202,8 +203,11 @@ def parse_run_config_text(text: str, flags: dict | None = None) -> RunConfig:
         values["z"] = _canonical_z(values["z"])
     if "window" in values:
         values["window"] = _window(values["window"])
+    if "path_tol" in values:
+        values["path_tol"] = _path_tol(values["path_tol"])
     cfg = RunConfig(**values)  # type: ignore[arg-type]
-    if reads.bits is not None:
+    if reads.bits is not None:  # the ceiling in effect, so that equal ceilings share a hash
+        cfg = replace(cfg, max_bits=max(cfg.max_bits, cfg.bits()))
         cfg.precision()  # bits below 64 are a usage error
     if "theta_grid" in reads.fields and cfg.theta_grid < 1:  # the branch needs a phase
         raise ValueError(f"{command}: empty theta grid (--theta-grid {cfg.theta_grid})")
@@ -252,6 +256,15 @@ def _window(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"--window {text}: want re_min,re_max,im_min,im_max, "
                          "with re_min < re_max and im_min < im_max")
     return q
+
+
+def _path_tol(text) -> Fraction:
+    """The exact tolerance of one spelling: '1e-6', '0.000001' and
+    '1/1000000' are one value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--path-tol {text}: want a rational or decimal number") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +400,7 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
     path = trace_path(  # trace
         z,
         steps=cfg.steps,
-        path_tol=None if cfg.path_tol is None else mpf(cfg.path_tol),
+        path_tol=None if cfg.path_tol is None else to_mpf(cfg.path_tol, cfg.bits()),
         bits=cfg.bits(),
     )
     _emit(cfg, outdir, "path.csv", path_csv(path))

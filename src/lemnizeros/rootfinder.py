@@ -17,16 +17,21 @@ used: the zeros cluster along a curve and deflation compounds error there,
 while the simultaneous iteration is self-correcting.  A cold solve starts on
 that curve, the right branch of the lemniscate |z (1-z)^2| = 4/27 which the
 zeros approach as n grows, with the seeds equally spaced in the phase of
-sqrt(z) (1-z), so the sweeps refine the curve rather than find it.  The
-sweeps run in fixed point on plain Python integers: every root and
-coefficient is a Gaussian integer at one shared scale 2^-(prec+8), the 8
+sqrt(z) (1-z), so the sweeps refine the curve rather than find it.  p is
+real and the seeds are closed under conjugation, so the sweeps move one
+root of each conjugate pair, plus for odd n the real zero near 4/3, which
+stays on the axis; the conjugates of the others enter every repulsion sum,
+and afterwards each root is copied onto its partner, so the root set is
+exactly closed under conjugation by construction.  Each Newton quotient
+takes one Horner loop on the real coefficients: S' follows from the
+identity (1 - w) S' = b S - (n+b) a_n w^n of the section.  The sweeps run
+in fixed point on plain Python integers: every root is a Gaussian integer
+and every coefficient an integer at one shared scale 2^-(prec+8), the 8
 guard bits absorbing the floor rounding of each shift and division, and
 w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.  A sweep skips the
 per-operation normalisation that libmp's floating-point tuples cost in pure
 Python.  Values enter the scale once and leave it, rounded to the working
-precision, once.  The seeds are closed under conjugation, and the solve
-copies each root onto its partner, so the root set is exactly closed under
-conjugation by construction.
+precision, once.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -323,39 +328,91 @@ def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
 
 def _aberth_family(p: ExactPolynomial, start, bits: int):
     """Ehrlich-Aberth solve for the family polynomial at fixed precision, in
-    w = 1 - z on the coefficients C_k / C_0 = (b)_k / k!.
-
-    Each of these is at least 1.  Their denominators are powers of two
-    below 2^(2k), so they are exact at the scale 2^-(bits+8) for
-    n <= (bits+8)/2; for larger n the fixed-point coefficients are
-    rounded down, each by less than 2^-(bits+8).  Seeds and results pass
-    between z and w exactly in fixed point.
+    w = 1 - z, sweeping one root of each conjugate pair.
 
     The seeds of initial_points pair k with n-1-k as exact conjugates, and
-    p is real, so its zeros pair up the same way.  After the sweeps, still in fixed point,
-    root n-1-k is set to the conjugate of root k for k < n//2, and for odd n
-    the middle root (the real zero near 4/3) to its real part.  Both steps
-    are exact, and the final rounding is symmetric in sign, so the returned
-    set is exactly closed under conjugation.  A root that had wandered to
-    its partner's zero would leave two coinciding disks, which certify
-    flags as an overlap.
+    p is real, so its zeros pair up the same way.  Only seeds n//2 .. n-1
+    are swept, with the Newton quotient of _family_quotient; for odd n the
+    first of them is the middle root, the real zero near 4/3, which stays
+    on the axis.  _aberth_core counts each other swept root also as its
+    conjugate in every repulsion sum.  Then, still in fixed point, root
+    n-1-k is set to the exact conjugate of root k, and the final rounding
+    is symmetric in sign, so the returned set is exactly closed under
+    conjugation.  A root that had wandered to its partner's zero would
+    leave two coinciding disks, which certify flags as an overlap.  Seeds
+    and results pass between z and w exactly in fixed point.
     """
+    n = p.degree
     scale = bits + _GUARD
     one = 1 << scale
-    ints, _ = _integer_coefficients(p.degree)
-    coeffs = [((c << scale) // ints[0], 0) for c in ints]
-    roots = []
-    for z in start:
+    axis = n % 2
+    half = []
+    for z in start[n // 2 :]:
         x, y = _to_fixed(to_mpc(z, bits), scale)
-        roots.append((one - x, -y))
-    roots, status, sweeps = _aberth_core(coeffs, roots, bits)
-    n = len(roots)
-    for k in range(n // 2):
-        x, y = roots[k]
-        roots[n - 1 - k] = (x, -y)
-    if n % 2:
-        roots[n // 2] = (roots[n // 2][0], 0)
+        half.append((one - x, -y))
+    if axis:
+        half[0] = (half[0][0], 0)
+    half, status, sweeps = _aberth_core(_family_quotient(n, scale), half, bits, axis)
+    roots = [(x, -y) for x, y in reversed(half[axis:])] + half
     return [_from_fixed((one - x, -y), scale, bits) for x, y in roots], status, sweeps
+
+
+def _family_quotient(n: int, P: int):
+    """The Newton quotient S/S' of the family's section S(w) = sum a_k w^k,
+    a_k = (b)_k / k!, b = (n+1)/2, at scale 2^-P, as _aberth_core takes it.
+
+    S comes from one Horner loop on the real fixed-point a_k, 4 multiplies a
+    step.  They are exact at this scale for n <= P/2, their denominators
+    being powers of two below 2^(2k), and rounded down, each by less than
+    2^-P, beyond.  S' comes from the identity
+    (1 - w) S' = b S - (n+b) a_n w^n, so
+    S/S' = 2 S (1 - w) / ((n+1) S - (3n+1) a_n w^n); 1 - w = z is not 0
+    near any zero, since all of them have Re z > 1/3.  w^n comes from
+    _power, because at the fixed scale it would underflow: |w| is about
+    0.385 near z = 1, so w^120 is about 2^-165.
+    """
+    ints, _ = _integer_coefficients(n)
+    coeffs = [(c << P) // ints[0] for c in ints]
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    top = (3 * n + 1) * lead
+    one = 1 << P
+
+    def quotient(wr, wi):
+        sr, si = lead, 0
+        for c in rest:
+            sr, si = ((sr * wr - si * wi) >> P) + c, (sr * wi + si * wr) >> P
+        mr, mi, e = _power(wr, wi, n, P)
+        tr, ti = (top * mr << e, top * mi << e) if e >= 0 else (top * mr >> -e, top * mi >> -e)
+        zr, zi = one - wr, -wi
+        return (
+            (sr * zr - si * zi) >> (P - 1),
+            (sr * zi + si * zr) >> (P - 1),
+            (n + 1) * sr - tr,
+            (n + 1) * si - ti,
+        )
+
+    return quotient
+
+
+def _power(xr: int, xi: int, n: int, P: int) -> tuple[int, int, int]:
+    """(x 2^-P)^n for the Gaussian integer x, as (mr, mi, e) standing for
+    (mr + i mi) 2^e, by binary powering that cuts every product back to P
+    bits: a small power keeps its relative precision, where at the fixed
+    scale it would lose it, down to zero."""
+    mr, mi, e, be = 1, 0, 0, -P
+    while True:
+        if n & 1:
+            mr, mi, e = _cut(mr * xr - mi * xi, mr * xi + mi * xr, e + be, P)
+        n >>= 1
+        if not n:
+            return mr, mi, e
+        xr, xi, be = _cut(xr * xr - xi * xi, 2 * xr * xi, 2 * be, P)
+
+
+def _cut(re: int, im: int, e: int, width: int) -> tuple[int, int, int]:
+    """(re + i im) 2^e with re and im cut to `width` bits, rounding down."""
+    cut = (abs(re) | abs(im)).bit_length() - width
+    return (re >> cut, im >> cut, e + cut) if cut > 0 else (re, im, e)
 
 
 def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
@@ -376,27 +433,54 @@ def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
             ]
         scale = bits + _GUARD
         fixed = [_to_fixed(c, scale) for c in cs]
-        roots, status, _ = _aberth_core(fixed, [_to_fixed(mpc(z), scale) for z in start], bits)
+        roots = [_to_fixed(mpc(z), scale) for z in start]
+        roots, status, _ = _aberth_core(_horner_quotient(fixed, scale), roots, bits)
         if status != "converged":
             # fall back to one escalation; the cubic is benign except at the pinch
             fixed = [(x << bits, y << bits) for x, y in fixed]
             roots = [(x << bits, y << bits) for x, y in roots]
-            roots, status, _ = _aberth_core(fixed, roots, 2 * bits)
             scale += bits
+            roots, status, _ = _aberth_core(_horner_quotient(fixed, scale), roots, 2 * bits)
         return [_from_fixed(z, scale, bits) for z in roots]
 
 
-def _aberth_core(coeffs, roots, prec):
-    """Ehrlich-Aberth sweeps, in place, on fixed-point Gaussian integers.
+def _horner_quotient(coeffs, P: int):
+    """The Newton quotient p/p' of a polynomial with Gaussian-integer
+    coefficients (ascending) at scale 2^-P, as _aberth_core takes it: p and
+    p' from one complex Horner loop with derivative."""
+    lead, rest = coeffs[-1], coeffs[-2::-1]
 
-    Coefficients (ascending) and roots are (re, im) integer pairs at one
-    shared scale 2^-P, P = prec + _GUARD, so x stands for x / 2^P.  A
-    product is one integer multiply and a right shift by P, and a complex
-    quotient is one floor division by the squared modulus of the divisor;
-    every shift and division rounds towards minus infinity.  The guard bits
-    absorb the error that accumulates over a Horner loop.  This avoids
-    libmp's per-operation normalisation of (sign, mantissa, exponent)
-    tuples, which in pure Python dominated the solve.
+    def quotient(zr, zi):
+        sr, si = lead
+        dr = di = 0
+        for cr, ci in rest:
+            dr, di = ((dr * zr - di * zi) >> P) + sr, ((dr * zi + di * zr) >> P) + si
+            sr, si = ((sr * zr - si * zi) >> P) + cr, ((sr * zi + si * zr) >> P) + ci
+        return sr, si, dr, di
+
+    return quotient
+
+
+def _aberth_core(quotient, roots, prec, axis=None):
+    """Ehrlich-Aberth sweeps, in place, on fixed-point Gaussian integers:
+    the one sweep loop of the library.
+
+    Roots are (re, im) integer pairs at one shared scale 2^-P,
+    P = prec + _GUARD, so x stands for x / 2^P, and quotient(zr, zi) returns
+    the Newton quotient p/p' at a root as (nr, ni, dr, di), standing for
+    (nr + i ni) / (dr + i di) at the same scale.  A product is one integer
+    multiply and a right shift by P, and a complex quotient is one floor
+    division by the squared modulus of the divisor; every shift and
+    division rounds towards minus infinity.  The guard bits absorb the
+    error that accumulates over a Horner loop.  This avoids libmp's
+    per-operation normalisation of (sign, mantissa, exponent) tuples, which
+    in pure Python dominated the solve.
+
+    With axis set, the roots are one of each conjugate pair of a real
+    polynomial's zeros: the first `axis` of them lie on the real axis and
+    stay there (the imaginary part of their corrections is dropped), and
+    every later one stands also for its conjugate, which enters each
+    repulsion sum, that root's own included.
 
     Stops 'converged' when every relative correction in a sweep is below
     2^(8-prec), and 'stall' after max_sweeps otherwise; the caller certifies
@@ -404,55 +488,56 @@ def _aberth_core(coeffs, roots, prec):
     compared as log2 values: math.log2 reads the top bits of an integer of
     any size, where a float conversion would overflow beyond 2^1024.
     """
-    n = len(coeffs) - 1
     P = prec + _GUARD
     one, one3 = 1 << P, 1 << (3 * P)
     tiny = 1 << (P - prec)  # 2^-prec, the stand-in for a zero difference
-    lead, rest = coeffs[-1], coeffs[-2::-1]
     roots = list(roots)
+    mirrored = axis is not None
+    axis = axis or 0
+    mirrors = [(x, -y) for x, y in roots[axis:]] if mirrored else []
+    n = len(roots)
     frozen = [False] * n
-    max_sweeps = 120 + 6 * n
+    max_sweeps = 120 + 6 * (n + len(mirrors))
     for sweep in range(1, max_sweeps + 1):
         all_ok = True
         for i in range(n):
             if frozen[i]:
                 continue
             zr, zi = roots[i]
-            sr, si = lead
-            dr = di = 0
-            for cr, ci in rest:
-                dr, di = ((dr * zr - di * zi) >> P) + sr, ((dr * zi + di * zr) >> P) + si
-                sr, si = ((sr * zr - si * zi) >> P) + cr, ((sr * zi + si * zr) >> P) + ci
-            if not (sr or si):
+            nr, ni, dr, di = quotient(zr, zi)
+            if not (nr or ni):
                 frozen[i] = True
                 continue
             if not (dr or di):
                 roots[i] = (zr + (1 << (P + (-prec // 2))), zi)
                 all_ok = False
-                continue
-            wr, wi = _fixed_div(sr, si, dr, di, P)
-            ar = ai = 0  # sum of 1/(z_i - z_j) at scale 2^-2P
-            for xr, xi in roots[:i] + roots[i + 1 :]:
-                er, ei = zr - xr, zi - xi
-                ee = er * er + ei * ei
-                if not ee:
-                    er, ee = tiny, tiny * tiny
-                t = one3 // ee
-                ar += er * t
-                ai -= ei * t
-            ar >>= P
-            ai >>= P
-            qr = one - ((wr * ar - wi * ai) >> P)
-            qi = -((wr * ai + wi * ar) >> P)
-            cr, ci = (wr, wi) if not (qr or qi) else _fixed_div(wr, wi, qr, qi, P)
-            roots[i] = (zr - cr, zi - ci)
-            cc = cr * cr + ci * ci
-            rel = log2(cc) / 2 - log2(isqrt(zr * zr + zi * zi) + one) if cc else -inf
-            if rel >= 8 - prec:
-                all_ok = False
-            elif rel < 4 - prec:
-                frozen[i] = True
+            else:
+                wr, wi = _fixed_div(nr, ni, dr, di, P)
+                ar = ai = 0  # sum of 1/(z_i - z_j) at scale 2^-2P
+                for xr, xi in roots[:i] + roots[i + 1 :] + mirrors:
+                    er, ei = zr - xr, zi - xi
+                    ee = er * er + ei * ei
+                    if not ee:
+                        er, ee = tiny, tiny * tiny
+                    t = one3 // ee
+                    ar += er * t
+                    ai -= ei * t
+                ar >>= P
+                ai >>= P
+                qr = one - ((wr * ar - wi * ai) >> P)
+                qi = -((wr * ai + wi * ar) >> P)
+                cr, ci = (wr, wi) if not (qr or qi) else _fixed_div(wr, wi, qr, qi, P)
+                if i < axis:
+                    ci = 0
+                roots[i] = (zr - cr, zi - ci)
+                cc = cr * cr + ci * ci
+                rel = log2(cc) / 2 - log2(isqrt(zr * zr + zi * zi) + one) if cc else -inf
+                if rel >= 8 - prec:
+                    all_ok = False
+                elif rel < 4 - prec:
+                    frozen[i] = True
+            if mirrored and i >= axis:
+                mirrors[i - axis] = (roots[i][0], -roots[i][1])
         if all_ok:
             return roots, "converged", sweep
     return roots, "stall", max_sweeps
-

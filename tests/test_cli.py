@@ -319,6 +319,23 @@ class TestCommands:
         assert cli.main(["--config", str(record)]) == 0
         assert capsys.readouterr().out.startswith("cached: ")
 
+    @pytest.mark.parametrize(
+        "run,spellings",
+        [
+            (["trace", "--z", "4/3", "--steps", "64"], ("--path-tol=1e-6", "--path-tol=0.000001")),
+            # a ceiling below the working precision is raised to it
+            (["roots", "--n", "5", "--workers", "1"], ("--max-bits=100", "--max-bits=160")),
+        ],
+        ids=["path-tol", "max-bits"],
+    )
+    def test_spellings_of_one_value_share_one_directory(self, run, spellings, tmp_path, capsys):
+        for i, spelling in enumerate(spellings):
+            assert cli.main([*run, spelling, "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().out.startswith("cached: ") == (i > 0)
+        (record,) = tmp_path.glob("*/runconfig.txt")
+        assert cli.main(["--config", str(record)]) == 0
+        assert capsys.readouterr().out.startswith("cached: ")
+
     def test_programming_errors_propagate(self, monkeypatch, tmp_path):
         # only certification and precision failures become FAIL rows
         def broken(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from hashlib import sha256
 from math import factorial
 
 import numpy as np
@@ -11,6 +12,7 @@ from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sqrt
 
 from lemnizeros import numerics, rootfinder
 from lemnizeros.exact import ExactPolynomial, build_polynomial, pochhammer
+from lemnizeros.geometry import branch_polyline
 from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc, to_mpf
 from lemnizeros.rootfinder import (
     RADIUS_REL_TOL,
@@ -24,6 +26,7 @@ from lemnizeros.rootfinder import (
 )
 
 BITS = 128
+BRANCH_64_SHA256 = "00569ea2772fab701398700d5c16aa30b836da3c547be6df3e94fba6bd8ba190"
 
 
 def _match_greedily(found, expected):
@@ -210,6 +213,16 @@ class TestWBasis:
             want = sum(c * z**m for m, c in enumerate(build_polynomial(n).coefficients))
             assert sum(c * (1 - z) ** k for k, c in enumerate(cs)) == want * scale
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 85, 120])
+    def test_derivative_identity(self, n):
+        # (1 - w) S' = b S - (n + b) a_n w^n, coefficient by coefficient:
+        # the sweeps take S' from it instead of a second Horner loop
+        cs, _ = rootfinder._integer_coefficients(n)
+        a = [Fraction(c, cs[0]) for c in cs] + [Fraction(0)]
+        b = Fraction(n + 1, 2)
+        for k in range(n + 1):
+            assert (k + 1) * a[k + 1] - k * a[k] == b * a[k] - (n + b) * a[n] * (k == n)
+
     @pytest.mark.parametrize("n", range(1, 81))
     def test_one_rung_at_the_default_precision(self, n, root_cache):
         bits = PrecisionConfig().bits
@@ -228,6 +241,22 @@ class TestWBasis:
             build_polynomial(n), initial_points(n, bits), bits
         )
         assert status == "converged" and sweeps <= 40
+
+    def test_converges_at_degree_120(self):
+        # At n = 120 a fixed-point w^n at the sweep scale underflows (|w| is
+        # about 0.385 near z = 1), which stalls a Newton quotient built on it.
+        n, bits = 120, PrecisionConfig().bits
+        _, status, sweeps = rootfinder._aberth_family(
+            build_polynomial(n), initial_points(n, bits), bits
+        )
+        assert status == "converged" and sweeps <= 20
+
+    @pytest.mark.parametrize("n", range(1, 42, 2))
+    def test_middle_root_stays_real(self, n, root_cache):
+        bits = PrecisionConfig().bits
+        raw, _, _ = rootfinder._aberth_family(build_polynomial(n), initial_points(n, bits), bits)
+        assert raw[n // 2].imag == 0 and raw[n // 2].real > 1
+        assert raw[n // 2] in root_cache([n])[n].roots
 
 
 class TestConjugateClosure:
@@ -418,6 +447,16 @@ class TestCsvAndCubic:
         coeffs = [mpc(0.5, 2), mpc(-2.5, -0.5), mpc(1, -1.5), mpc(1)]
         roots = solve_complex_poly(coeffs, BITS)
         assert _match_greedily(roots, [1, 1j, -2 + 0.5j]) < 2.0 ** (8 - BITS)
+
+    def test_branch_polyline_cubics_bit_identical(self):
+        # the cubics keep the arithmetic of the complex Horner sweeps, so
+        # the branch samples are pinned to the bit
+        text = "\n".join(
+            f"{v._mpf_[0]},{int(v._mpf_[1])},{v._mpf_[2]}"
+            for z in branch_polyline(64)
+            for v in (z.real, z.imag)
+        )
+        assert sha256(text.encode()).hexdigest() == BRANCH_64_SHA256
 
 
 class TestFixedPoint:
