@@ -35,12 +35,15 @@ precision, once.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
-disks pin down all n zeros.  Both values are computed exactly (the
-coefficients are rationals and each root estimate is a dyadic rational), so
-only the final radius is rounded, upwards, by an integer square root of the
-exact ratio scaled to about twice the working precision.  p is real, so one
-exact evaluation serves both members of a conjugate pair.  The solve is
-restarted at doubled precision whenever the certificate comes out too weak.
+disks pin down all n zeros.  Both values come from one fixed-point Horner
+loop on the same w coefficients, at about twice the working precision, that
+carries a running integer bound on its rounding errors (_bounded_horner):
+the root is exact at that scale, so the bound covers every rounding and the
+radius is a proof, a little above the exact ratio rounded up.  Where the
+bound is too coarse for a root the scale doubles, at most up to the width
+at which the loop is exact.  p is real, so one evaluation serves both
+members of a conjugate pair.  The solve is restarted at doubled precision
+whenever the certificate comes out too weak.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .numerics import (
     PrecisionExhaustedError,
     _fixed_div,
     _from_fixed,
+    _mpf_to_fixed,
     _to_fixed,
     to_mpc,
 )
@@ -81,10 +85,11 @@ class CertificationError(RuntimeError):
 class RootSet:
     """The n computed zeros with residuals and certified inclusion radii.
 
-    residuals[j] is |p(root_j)| rounded up from its exact value;
-    inclusion_radii[j] is the radius of a disk guaranteed to contain a true
-    zero.  overlaps flags disks that touch
-    another disk, in which case the set does not isolate all zeros.
+    residuals[j] is an upper bound on |p(root_j)|, less than 2^(2-bits)
+    relative above it; inclusion_radii[j] is the radius of a disk
+    guaranteed to contain a true zero.  overlaps flags disks that meet or
+    touch another disk, decided exactly, in which case the set does not
+    isolate all zeros.
     """
 
     degree: int
@@ -189,18 +194,24 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
     """Fill residuals and inclusion radii for the computed roots, rounded to
     `bits`, and sort them by (real, imaginary) part.
 
-    radius_j = n |p(z_j)| / |p'(z_j)|, from the exact values of exact_horner
-    rounded up at `bits` by _sqrt_up: a disk at z_j of this radius contains
+    radius_j = n |p(z_j)| / |p'(z_j)|: a disk at z_j of this radius contains
     at least one true zero (the classical inclusion theorem, see Rump 2003).
-    p is real, so p(conj z) = conj p(z): a root whose exact conjugate or
-    exact copy was already evaluated reuses that residual and radius, and a
-    conjugate-closed set costs one exact evaluation per pair.  Raises
-    CertificationError when some p'(z_j) is exactly zero or some root
-    estimate is not finite, and ValueError when p is not the family member
-    of its degree.
+    _bounded_horner gives an upper bound on |p(z_j)| and a lower bound on
+    |p'(z_j)|, each within about 2^-(bits+1) relative of the exact value,
+    and _div_up rounds the residual and the radius up at `bits`, so each is
+    an upper bound less than 2^(2-bits) relative above its exact value: one
+    upward rounding and a little more.  p is real, so |p(conj z)| = |p(z)|:
+    every root is evaluated at the member of its conjugate pair with
+    Im z >= 0, and a conjugate-closed set costs one evaluation per pair.
+    Two disks overlap when they meet, touching included; that is decided
+    exactly, on the dyadic centres and radii as integers at one common
+    exponent.  Raises CertificationError when some p'(z_j) is exactly zero
+    or some root estimate is not finite, and ValueError when p is not the
+    family member of its degree.
     """
     _require_family(p)
     n = p.degree
+    ints, scale = _integer_coefficients(n)
     with mp.workprec(bits):
         zs = [mpc(z) for z in roots]
         if len(zs) != n:
@@ -208,36 +219,37 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
         done: dict[tuple[mpf, mpf], tuple[mpf, mpf]] = {}  # (residual, radius)
         values = []
         for z in zs:
+            if not mpmath.isfinite(z):
+                raise CertificationError(f"certification failed: root {z} is not finite")
             key = (z.real, abs(z.imag))
             if key not in done:
-                try:
-                    (vr, vi), (dr, di), scale = exact_horner(p, z)
-                except ValueError as exc:
-                    raise CertificationError(f"certification failed: {exc}") from exc
-                v2, d2 = vr * vr + vi * vi, dr * dr + di * di
-                if d2 == 0:
+                hi, lo, e = _bounded_horner(n, *key, bits)
+                if lo <= 0:
                     raise CertificationError(
                         f"certification failed: p' vanishes at root {mpmath.nstr(z, 17)}"
                     )
-                done[key] = _sqrt_up(v2, scale * scale, bits), _sqrt_up(n * n * v2, d2, bits)
+                done[key] = _div_up(hi * ints[0], scale << e, bits), _div_up(n * hi, lo, bits)
             values.append(done[key])
         order = sorted(range(n), key=lambda i: (zs[i].real, zs[i].imag))
         zs = [zs[i] for i in order]
         residuals = [values[i][0] for i in order]
         radii = [values[i][1] for i in order]
-        overlaps = [False] * n
-        rmax = max(radii, default=0)
-        for i in range(n):
-            reach = radii[i] + rmax
-            for j in range(i + 1, n):
-                # Real parts ascend, and the rounded |zs[j] - zs[i]| is at
-                # least the rounded real difference, so once that reaches
-                # radii[i] + rmax no later disk can meet disk i.
-                if zs[j].real - zs[i].real >= reach:
-                    break
-                if abs(zs[i] - zs[j]) < radii[i] + radii[j]:
-                    overlaps[i] = overlaps[j] = True
-        return RootSet(n, tuple(zs), tuple(residuals), tuple(radii), bits, tuple(overlaps))
+    disks = [(z.real._mpf_, z.imag._mpf_, r._mpf_) for z, r in zip(zs, radii)]
+    exp = min((v[2] for disk in disks for v in disk), default=0)
+    disks = [tuple(_mpf_to_fixed(v, -exp) for v in disk) for disk in disks]
+    overlaps = [False] * n
+    rmax = max((r for _, _, r in disks), default=0)
+    for i, (xi, yi, ri) in enumerate(disks):
+        reach = ri + rmax
+        for j in range(i + 1, n):
+            xj, yj, rj = disks[j]
+            # Real parts ascend, so once xj - xi exceeds ri + rmax no later
+            # disk can meet disk i.
+            if xj - xi > reach:
+                break
+            if (xj - xi) ** 2 + (yj - yi) ** 2 <= (ri + rj) ** 2:
+                overlaps[i] = overlaps[j] = True
+    return RootSet(n, tuple(zs), tuple(residuals), tuple(radii), bits, tuple(overlaps))
 
 
 def _require_family(p: ExactPolynomial) -> None:
@@ -247,45 +259,66 @@ def _require_family(p: ExactPolynomial) -> None:
         raise ValueError(f"p is not the degree-{p.degree} member of the family")
 
 
-def _sqrt_up(num: int, den: int, bits: int) -> mpf:
-    """sqrt(num / den) rounded up to `bits`, for integers num >= 0, den > 0.
+def _bounded_horner(n: int, x: mpf, y: mpf, bits: int) -> tuple[int, int, int]:
+    """Bounds on the family's section S(w) = sum a_k w^k and on S'(w) at
+    w = 1 - (x + iy), for finite x and y: (hi, lo, e) with |S(w)| <= hi 2^-e
+    and |S'(w)| >= lo 2^-e, each within 2^-(bits+1) relative of the exact
+    modulus, up to a term of order 4^-bits.  S(w) = p(z) L / C_0 and |S'(w)| = |p'(z)| L / C_0, in the
+    notation of _integer_coefficients.
 
-    In integers only: with q = ceil(num 4^s / den) carrying about 2 bits + 4
-    bits and r = ceil(sqrt(q)), sqrt(num / den) <= r 2^-s, and r has about
-    bits + 2 bits, so libmp only rounds a number of that width upwards.
+    With k the number of fractional bits of x and y, w is the exact
+    Gaussian integer W at scale 2^-P for P >= k.  One Horner loop on the
+    fixed-point a_k of _fixed_coefficients gives S~ and its derivative S~'
+    at that scale, each product floored, with running integer bounds E and
+    D on their errors in units of 2^-P (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 5): a step changes the error of S~ to at most
+    |w| times the old one plus sqrt 2 for the two floors and 1 for the
+    floored coefficient, and that of S~' to at most |w| times the old one
+    plus sqrt 2 plus the error of the S~ it adds; the integer updates below
+    add 1 more for the floor of the bound product.  No other error enters,
+    so the bounds are a proof.  P starts at 2 bits + 40 and doubles until
+    E and D are below 2^-(bits+2) of |S~| and |S~'|; at n (k+2) + 2 bits,
+    where the doubling stops, every coefficient (its denominator divides
+    4^n) and every shift is exact, so E = D = 0 there and an exact zero
+    gets hi = 0.  The moduli are taken with bits + 4 more bits, so at any
+    scale their rounding is below 2^-(bits+4) relative.  lo <= 0 only when
+    S~' = 0 at the exact scale, that is when S'(w) = 0.
     """
-    s = (2 * bits + 4 - num.bit_length() + den.bit_length()) // 2
-    q = -((-num << 2 * s) // den) if s >= 0 else -(-num // (den << -2 * s))
-    r = isqrt(q)
-    if r * r < q:
-        r += 1
-    return mp.make_mpf(from_man_exp(r, -s, bits, "u"))
+    xs, ys = x._mpf_, y._mpf_
+    k = max(0, -xs[2], -ys[2])
+    exact_scale = n * (k + 2) + 2
+    P = max(2 * bits + 40, k)
+    while True:
+        exact = P >= exact_scale
+        wr, wi = (1 << P) - _mpf_to_fixed(xs, P), -_mpf_to_fixed(ys, P)
+        wabs = isqrt(wr * wr + wi * wi) + 1  # |W| rounded up
+        ec, dc = (0, 0) if exact else (4, 3)
+        coeffs = _fixed_coefficients(n, P)
+        sr, si, dr, di = coeffs[n], 0, 0, 0
+        E, D = (0 if exact else 1), 0
+        for c in coeffs[n - 1 :: -1]:
+            dr, di = ((dr * wr - di * wi) >> P) + sr, ((dr * wi + di * wr) >> P) + si
+            sr, si = ((sr * wr - si * wi) >> P) + c, (sr * wi + si * wr) >> P
+            D = ((D * wabs) >> P) + dc + E
+            E = ((E * wabs) >> P) + ec
+        v2, d2 = sr * sr + si * si, dr * dr + di * di
+        if exact or (d2 and (E << (bits + 2)) ** 2 <= v2 and (D << (bits + 2)) ** 2 <= d2):
+            break
+        P = min(2 * P, exact_scale)
+    g = bits + 4
+    hi = isqrt((v2 << 2 * g) - 1) + 1 if v2 else 0  # |S~| 2^g rounded up
+    return hi + (E << g), isqrt(d2 << 2 * g) - (D << g), P + g
 
 
-def exact_horner(p: ExactPolynomial, z) -> tuple[tuple[int, int], tuple[int, int], int]:
-    """p(z) and p'(z) exactly, at a finite binary floating-point point z.
+def _div_up(num: int, den: int, bits: int) -> mpf:
+    """num / den rounded up to `bits`, for integers num >= 0, den > 0.
 
-    With z = (X + iY) 2^-k, so that w = 1 - z = W 2^-k for the Gaussian
-    integer W = (2^k - X) - iY, one homogenised Horner loop over the w
-    coefficients C_k of _integer_coefficients gives P = p(z) L 2^(kn) and
-    D = p'(z) L 2^(kn), the derivative in w negated.  Returns (P, D, L 2^(kn))
-    with P and D as (real, imag) integer pairs.  Raises ValueError when z is
-    not finite.
+    q = ceil(num 2^s / den) is at least 2^bits, where the integers are a
+    finer grid than the numbers of `bits` bits, so rounding q up to `bits`
+    rounds num / den up.
     """
-    n = p.degree
-    coeffs, scale = _integer_coefficients(n)
-    z = mpmath.mpmathify(z)
-    if not mpmath.isfinite(z):
-        raise ValueError(f"exact_horner: {z} is not finite")
-    (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
-    k = max(0, -xe, -ye)
-    x = (1 << k) - ((-xm if xs else xm) << (xe + k))
-    y = (ym if ys else -ym) << (ye + k)
-    vr, vi, dr, di = coeffs[n], 0, 0, 0
-    for m in range(n - 1, -1, -1):
-        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
-        vr, vi = vr * x - vi * y + (coeffs[m] << (k * (n - m))), vr * y + vi * x
-    return (vr, vi), (-dr << k, -di << k), scale << (k * n)
+    s = max(0, bits + 1 + den.bit_length() - num.bit_length())
+    return mp.make_mpf(from_man_exp(-((-num << s) // den), -s, bits, "u"))
 
 
 ROOT_COLUMNS = "n,j,re,im,residual,inclusion_radius"
@@ -324,6 +357,17 @@ def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
         for j in range(degree - 1, i - 1, -1):
             a[j] += a[j + 1]
     return tuple(-c if k % 2 else c for k, c in enumerate(a)), scale
+
+
+@lru_cache(maxsize=16)
+def _fixed_coefficients(n: int, P: int) -> tuple[int, ...]:
+    """The section's coefficients a_k = C_k / C_0 = (b)_k / k! at scale
+    2^-P, each rounded down by less than 2^-P: exact for P >= 2n, their
+    denominators being powers of two dividing 4^k.  A rung reads two
+    scales, the sweeps' and certify's; the bound keeps the rare exact
+    scales of certify, n (k+2) + 2 bits wide, from piling up."""
+    ints, _ = _integer_coefficients(n)
+    return tuple((c << P) // ints[0] for c in ints)
 
 
 def _aberth_family(p: ExactPolynomial, start, bits: int):
@@ -371,8 +415,7 @@ def _family_quotient(n: int, P: int):
     _power, because at the fixed scale it would underflow: |w| is about
     0.385 near z = 1, so w^120 is about 2^-165.
     """
-    ints, _ = _integer_coefficients(n)
-    coeffs = [(c << P) // ints[0] for c in ints]
+    coeffs = _fixed_coefficients(n, P)
     lead, rest = coeffs[-1], coeffs[-2::-1]
     top = (3 * n + 1) * lead
     one = 1 << P

@@ -2,11 +2,12 @@ import pathlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
@@ -15,6 +16,7 @@ if str(SRC) not in sys.path:
 from lemnizeros.exact import pochhammer  # noqa: E402
 from lemnizeros.numerics import f_eval, principal_sqrt, to_mpc, to_mpf  # noqa: E402
 from lemnizeros.quadrature import legendre_rule  # noqa: E402
+from lemnizeros.rootfinder import _integer_coefficients  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +40,50 @@ def root_cache():
 
 
 # Independent routes kept as oracles for the library's closed forms.
+
+
+def exact_horner(p, z):
+    """p(z) and p'(z) exactly, at a finite binary floating-point point z:
+    the oracle for the bounded evaluation behind rootfinder.certify.
+
+    With z = (X + iY) 2^-k, so that w = 1 - z = W 2^-k for the Gaussian
+    integer W = (2^k - X) - iY, one homogenised Horner loop over the w
+    coefficients C_k of _integer_coefficients gives P = p(z) L 2^(kn) and
+    D = p'(z) L 2^(kn), the derivative in w negated.  Returns (P, D, L 2^(kn))
+    with P and D as (real, imag) integer pairs.  Raises ValueError when z is
+    not finite.
+    """
+    n = p.degree
+    coeffs, scale = _integer_coefficients(n)
+    z = mpmath.mpmathify(z)
+    if not mpmath.isfinite(z):
+        raise ValueError(f"exact_horner: {z} is not finite")
+    (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
+    k = max(0, -xe, -ye)
+    x = (1 << k) - ((-xm if xs else xm) << (xe + k))
+    y = (ym if ys else -ym) << (ye + k)
+    vr, vi, dr, di = coeffs[n], 0, 0, 0
+    for m in range(n - 1, -1, -1):
+        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+        vr, vi = vr * x - vi * y + (coeffs[m] << (k * (n - m))), vr * y + vi * x
+    return (vr, vi), (-dr << k, -di << k), scale << (k * n)
+
+
+def sqrt_up(num: int, den: int, bits: int) -> mpf:
+    """sqrt(num / den) rounded up to `bits`, for integers num >= 0, den > 0:
+    the exact residual and radius of a root, from exact_horner's integers,
+    rounded once, as the oracle gate compares certify's bounds with.
+
+    In integers only: with q = ceil(num 4^s / den) carrying about 2 bits + 4
+    bits and r = ceil(sqrt(q)), sqrt(num / den) <= r 2^-s, and r has about
+    bits + 2 bits, so libmp only rounds a number of that width upwards.
+    """
+    s = (2 * bits + 4 - num.bit_length() + den.bit_length()) // 2
+    q = -((-num << 2 * s) // den) if s >= 0 else -(-num // (den << -2 * s))
+    r = isqrt(q)
+    if r * r < q:
+        r += 1
+    return mp.make_mpf(from_man_exp(r, -s, bits, "u"))
 
 
 def basin_boundary(y_grid, bits):

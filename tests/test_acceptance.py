@@ -26,9 +26,8 @@ from lemnizeros.paths import (
     tail_integral,
     trace_path,
 )
-from lemnizeros.rootfinder import exact_horner
 
-from conftest import saddle_comparison, segment_by_quadrature
+from conftest import exact_horner, saddle_comparison, segment_by_quadrature
 
 BITS = 128
 PKG_ROOT = Path(__file__).resolve().parent.parent

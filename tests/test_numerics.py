@@ -15,9 +15,8 @@ from lemnizeros.numerics import (
     to_mpc,
     to_mpf,
 )
-from lemnizeros.rootfinder import exact_horner
 
-from conftest import fprime_factor
+from conftest import exact_horner, fprime_factor
 
 BITS = 128
 

@@ -20,9 +20,14 @@ from lemnizeros.paths import (
     trace_path,
     zero_equation_residual,
 )
-from lemnizeros.rootfinder import exact_horner
 
-from conftest import basin_boundary, fprime_factor, segment_by_quadrature, trace_by_mpc
+from conftest import (
+    basin_boundary,
+    exact_horner,
+    fprime_factor,
+    segment_by_quadrature,
+    trace_by_mpc,
+)
 
 BITS = 128
 

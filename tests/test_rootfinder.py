@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 import pytest
@@ -18,12 +18,13 @@ from lemnizeros.rootfinder import (
     RADIUS_REL_TOL,
     CertificationError,
     certify,
-    exact_horner,
     find_roots,
     initial_points,
     rootset_csv,
     solve_complex_poly,
 )
+
+from conftest import exact_horner, sqrt_up
 
 BITS = 128
 BRANCH_64_SHA256 = "00569ea2772fab701398700d5c16aa30b836da3c547be6df3e94fba6bd8ba190"
@@ -271,16 +272,18 @@ class TestConjugateClosure:
 
     @pytest.mark.parametrize("n", [7, 12])
     def test_one_exact_evaluation_per_pair(self, n, root_cache, monkeypatch):
+        # one bounded evaluation per pair, at its member with Im z >= 0
         rs = root_cache([n])[n]
         calls = []
+        bounded = rootfinder._bounded_horner
 
-        def counted(p, z):
-            calls.append(z)
-            return exact_horner(p, z)
+        def counted(n, x, y, bits):
+            calls.append(y)
+            return bounded(n, x, y, bits)
 
-        monkeypatch.setattr(rootfinder, "exact_horner", counted)
+        monkeypatch.setattr(rootfinder, "_bounded_horner", counted)
         again = certify(build_polynomial(n), rs.roots, rs.precision_used)
-        assert len(calls) == (n + 1) // 2
+        assert len(calls) == (n + 1) // 2 and all(y >= 0 for y in calls)
         assert again == rs
 
     @pytest.mark.parametrize("n", [7, 12])
@@ -341,7 +344,7 @@ class TestCertify:
         assert rs.max_relative_radius() > 1e10 * RADIUS_REL_TOL
 
     def test_vanishing_derivative_fails(self, monkeypatch):
-        monkeypatch.setattr(rootfinder, "exact_horner", lambda p, z: ((1, 0), (0, 0), 1))
+        monkeypatch.setattr(rootfinder, "_bounded_horner", lambda n, x, y, bits: (1, 0, 0))
         with pytest.raises(CertificationError):
             certify(build_polynomial(2), [to_mpc(1, BITS)] * 2, BITS)
 
@@ -377,8 +380,120 @@ class TestCertify:
         assert again.precision_used == rs.precision_used
         assert _match_greedily(again.roots, rs.roots) == 0
 
+    @pytest.mark.parametrize("root", [mpc("nan"), mpc("inf"), mpc(1, "-inf"), mpc("nan", 1)])
+    def test_non_finite_root_fails(self, root):
+        with pytest.raises(CertificationError, match="not finite"):
+            certify(build_polynomial(1), [root], BITS)
+        with pytest.raises(CertificationError, match="not finite"):
+            certify(build_polynomial(2), [to_mpc(1, BITS), root], BITS)
+
+    @pytest.mark.parametrize(
+        "im, flagged",
+        [(Fraction(1, 4), True), (Fraction(1, 4) + Fraction(1, 2**100), False)],
+        ids=["touching", "apart"],
+    )
+    def test_touching_disks_overlap(self, im, flagged, monkeypatch):
+        # radius n hi / lo = 2 * 1 / 8 = 1/4 at both roots of a conjugate
+        # pair 2 im apart: at im = 1/4 the dyadic disks touch, a hair wider
+        # apart they do not, and both are decided exactly
+        monkeypatch.setattr(rootfinder, "_bounded_horner", lambda n, x, y, bits: (1, 8, 0))
+        roots = [to_mpc(1, BITS, im), to_mpc(1, BITS, -im)]
+        rs = certify(build_polynomial(2), roots, BITS)
+        assert rs.inclusion_radii == (mpf(1) / 4, mpf(1) / 4)
+        assert rs.overlaps == (flagged, flagged)
+
+    def test_exact_scale_after_doubling(self, monkeypatch):
+        # z = 2 + i 2^-400 has 400 fractional bits, more than the start scale
+        # 2 * 64 + 40: at 2^-400 the bounds swamp |S| = 2^-400, so the scale
+        # doubles, capped at the exact scale 1 * (400 + 2) + 2, where the
+        # residual |1 - z/2| and the radius |2 - z| come out exact
+        scales = []
+        fixed = rootfinder._fixed_coefficients
+
+        def spied(n, P):
+            scales.append(P)
+            return fixed(n, P)
+
+        monkeypatch.setattr(rootfinder, "_fixed_coefficients", spied)
+        z = mpc(2, mpf(2) ** -400)
+        rs = certify(build_polynomial(1), [z], 64)
+        assert scales == [400, 404]
+        assert rs.residuals == (mpf(2) ** -401,)
+        assert rs.inclusion_radii == (mpf(2) ** -400,)
+
+    @pytest.mark.parametrize("z", [mpc("1.25", "0.375"), mpc("-0.5", "2.75"), mpc(3)])
+    def test_exact_scale_at_degree_three(self, z):
+        # No zero of the family but n = 1's z = 2 is dyadic, so at degree 3
+        # the exact scale is checked at short dyadic points, where it holds
+        # from the start: hi and lo are |S| and |S'| at 2^-e, rounded up and
+        # down, with no error bound added
+        hi, lo, e = rootfinder._bounded_horner(3, z.real, abs(z.imag), BITS)
+        v, d, den = _exact_squares(build_polynomial(3), z, e)
+        up = -(-v // den)
+        assert hi == isqrt(up) + (isqrt(up) ** 2 < up)
+        assert lo == isqrt(d // den)
+
+
+def _exact_squares(p, z, e: int) -> tuple[int, int, int]:
+    """(v, d, den) with |S(w)|^2 4^e = v / den and |S'(w)|^2 4^e = d / den,
+    w = 1 - z, from the oracle, whose values are C_0 2^(kn) times S and -S'."""
+    (vr, vi), (dr, di), scale = exact_horner(p, z)
+    ints, lcm_den = rootfinder._integer_coefficients(p.degree)
+    kn = (scale // lcm_den).bit_length() - 1
+    return (vr * vr + vi * vi) << 2 * e, (dr * dr + di * di) << 2 * e, ints[0] ** 2 << 2 * kn
+
+
+def _within_one_rounding(value, num: int, den: int, bits: int) -> bool:
+    """value >= sqrt(num / den), and at most one `bits`-bit step above that
+    exact value rounded up."""
+    up = sqrt_up(num, den, bits)
+    if not up:
+        return value == 0
+    exact_up, got = (Fraction(m) * Fraction(2) ** e for m, e in (up.man_exp, value.man_exp))
+    return exact_up <= got <= exact_up * (1 + Fraction(2, 2**bits))
+
+
+class TestOracleGate:
+    """certify's bounded evaluation against exact_horner: every residual and
+    radius is at least its exact value and within one upward rounding of it."""
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
+    def test_bounds_against_exact_values(self, n, root_cache):
+        rs = root_cache([n])[n]
+        bits = rs.precision_used
+        p = build_polynomial(n)
+        exact = {}  # |p| and |p'| agree at conjugates: one evaluation per pair
+        for z, res, rad in zip(rs.roots, rs.residuals, rs.inclusion_radii):
+            key = (z.real, abs(z.imag))
+            if key not in exact:
+                (vr, vi), (dr, di), scale = exact_horner(p, z)
+                exact[key] = vr * vr + vi * vi, dr * dr + di * di, scale
+            v2, d2, scale = exact[key]
+            assert _within_one_rounding(res, v2, scale * scale, bits)
+            assert _within_one_rounding(rad, n * n * v2, d2, bits)
+
+    @pytest.mark.parametrize("n", [5, 40, 100])
+    def test_bounds_hold_to_the_unit(self, n, root_cache):
+        # |S| <= hi 2^-e and |S'| >= lo 2^-e, compared exactly, at the roots
+        # and at points a little off them: the floors of the Horner loop move
+        # S~ by a few units of 2^-P, which the ceiling of the modulus alone
+        # would not cover, so this fails unless the running bounds do
+        rs = root_cache([n])[n]
+        bits = rs.precision_used
+        with mp.workprec(bits):
+            points = [z + d for z in rs.roots[: n // 2 + 1] for d in (0, mpc("1e-6", "-3e-7"))]
+            keys = [(z.real, abs(z.imag)) for z in points]
+        for z, key in zip(points, keys):
+            hi, lo, e = rootfinder._bounded_horner(n, *key, bits)
+            v, d, den = _exact_squares(build_polynomial(n), z, e)
+            assert hi * hi * den >= v
+            assert 0 < lo and lo * lo * den <= d
+
 
 class TestSqrtUp:
+    """The oracle's sqrt_up, which TestOracleGate takes as the exact residual
+    and radius rounded up once."""
+
     BIG = 3**13000 + 7  # over 20 000 bits
 
     @pytest.mark.parametrize(
@@ -401,7 +516,7 @@ class TestSqrtUp:
     )
     @pytest.mark.parametrize("bits", [53, 128, 300])
     def test_upper_bound_within_one_ulp(self, num, den, bits):
-        v = rootfinder._sqrt_up(num, den, bits)
+        v = sqrt_up(num, den, bits)
         sign, man, exp, bc = v._mpf_
         assert not sign
         value = Fraction(man) * Fraction(2) ** exp
