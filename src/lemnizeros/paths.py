@@ -25,7 +25,7 @@ samples at spectral accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -77,7 +77,8 @@ class SteepestPath:
     is the interior subset as (r, t, w, g): the Gauss-Legendre weight w for
     integration in r and the tail integrand g = (1 - zt^2) t / (1 - 3zt^2)
     at the sample.  start_label records which zero of f_z the path
-    emanates from ("inv-sqrt-z" or "zero").
+    emanates from ("inv-sqrt-z" or "zero").  _tail_sums memoises
+    _bare_tail_sum per degree; it takes no part in equality.
     """
 
     z: mpc
@@ -87,6 +88,7 @@ class SteepestPath:
     start_label: str
     path_tol: mpf
     bits: int
+    _tail_sums: dict[int, mpc] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def implicit_residual(self, r: mpf, t: mpc) -> mpf:
         with mp.workprec(self.bits):
@@ -299,7 +301,12 @@ def saddle_asymptotic(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
 
 def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
     """Sum of w g r^(n-1), g = (1-zt^2) t / (1-3zt^2), over the stored
-    quadrature samples; the caller applies any outer factors."""
+    quadrature samples; the caller applies any outer factors.  The sum is
+    a function of n and the path alone, at path.bits, so it is computed
+    once per degree and kept on the path: tail_integral and
+    zero_equation_residual on one path share it."""
+    if n in path._tail_sums:
+        return path._tail_sums[n]
     if not path.quad:
         raise PathResolutionError("path too coarse: no quadrature samples stored")
     with mp.workprec(path.bits):
@@ -312,7 +319,8 @@ def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
         total = mpc(0)
         for r, _, w, g in path.quad:
             total += g * (w * r ** (n - 1))
-        return total
+    path._tail_sums[n] = total
+    return total
 
 
 def tail_integral(n: int, path: SteepestPath) -> mpc:

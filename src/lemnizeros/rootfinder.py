@@ -14,24 +14,27 @@ loses about 0.2 bits per degree beyond (149 bits at n = 100, 128 at 200).
 All zeros are refined together by Ehrlich-Aberth sweeps (Newton corrections
 with pairwise repulsion, applied in place).  Deflation is deliberately not
 used: the zeros cluster along a curve and deflation compounds error there,
-while the simultaneous iteration is self-correcting.  A cold solve starts on
-that curve, the right branch of the lemniscate |z (1-z)^2| = 4/27 which the
-zeros approach as n grows, with the seeds equally spaced in the phase of
-sqrt(z) (1-z), so the sweeps refine the curve rather than find it.  p is
-real and the seeds are closed under conjugation, so the sweeps move one
-root of each conjugate pair, plus for odd n the real zero near 4/3, which
-stays on the axis; the conjugates of the others enter every repulsion sum,
-and afterwards each root is copied onto its partner, so the root set is
-exactly closed under conjugation by construction.  Each Newton quotient
-takes one Horner loop on the real coefficients: S' follows from the
-identity (1 - w) S' = b S - (n+b) a_n w^n of the section.  The sweeps run
-in fixed point on plain Python integers: every root is a Gaussian integer
-and every coefficient an integer at one shared scale 2^-(prec+8), the 8
-guard bits absorbing the floor rounding of each shift and division, and
-w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.  A sweep skips the
-per-operation normalisation that libmp's floating-point tuples cost in pure
-Python.  Values enter the scale once and leave it, rounded to the working
-precision, once.
+while the simultaneous iteration is self-correcting.  A cold solve starts
+next to the zeros: each seed is a point of the right branch of the
+lemniscate |z (1-z)^2| = 4/27, which the zeros approach as n grows, equally
+spaced in the phase of sqrt(z) (1-z), moved one step toward the
+leading-order zero condition of the saddle-point analysis.  Away from the
+pinch that puts it within about 1/n^2 of a zero, so from n = 26 to about
+115 three sweeps reach the working precision and a fourth confirms it.
+p is real and the seeds are closed under conjugation, so the sweeps move
+one root of each conjugate pair, plus for odd n the real zero near 4/3,
+which stays on the axis; the conjugates of the others enter every
+repulsion sum, and afterwards each root is copied onto its partner, so the
+root set is exactly closed under conjugation by construction.  Each
+Newton quotient takes one Horner loop on the real coefficients: S' follows
+from the identity (1 - w) S' = b S - (n+b) a_n w^n of the section.  The
+sweeps run in fixed point on plain Python integers: every root is a
+Gaussian integer and every coefficient an integer at one shared scale
+2^-(prec+8), the 8 guard bits absorbing the floor rounding of each shift
+and division, and w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.
+A sweep skips the per-operation normalisation that libmp's floating-point
+tuples cost in pure Python.  Values enter the scale once and leave it,
+rounded to the working precision, once.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -73,7 +76,7 @@ from .numerics import (
 RADIUS_REL_TOL = mpf("1e-20")
 
 _GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
-_SEED_SCALE = 64  # fixed-point bits of the lemniscate seeds
+_SEED_SCALE = 64  # fixed-point bits of the seeds
 _CTRL = 53  # control-flow comparisons don't need full precision
 
 
@@ -108,47 +111,76 @@ class RootSet:
 
 
 def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
-    """Starting configuration: n points on the right branch of the lemniscate
-    |z (1-z)^2| = 4/27 (Re z > 1/3), the curve the zeros approach.
+    """Starting configuration: n points next to the zeros, each a point of
+    the right branch of the lemniscate |z (1-z)^2| = 4/27 (Re z > 1/3)
+    moved one step toward the leading-order zero condition.
 
-    Seed k is the point where sqrt(z) (1-z) = (2/sqrt 27) e^(i phi_k),
-    phi_k = 2 pi (k + 1/2) / n, a phase that winds once around the branch.
-    No phi_k is 0, so no seed sits on the pinch z = 1/3;
-    phi_(n-1-k) = 2 pi - phi_k, so the set is closed under conjugation, and
-    odd n has the real seed 4/3 at phi = pi.  With s = sqrt(z) a seed solves
-    s - s^3 = w_k; the seeds with phi_k in [pi, 2 pi) are found by
-    continuation in k from s = 2/sqrt 3, each by Newton steps from the
-    previous s until the correction stops shrinking, and the rest are their
-    conjugates.  The arithmetic is on Gaussian integers at the fixed scale
-    2^-_SEED_SCALE, so the seeds are the same on every platform and depend
+    With r = 2/sqrt 27, c = sqrt(2 pi n)/3 and u = sqrt(z) (1-z)/r, the
+    saddle-point balance behind the zeros' asymptotics is
+    r u^(n+1) = c (3z - 1); the branch is |u| = 1, which the zeros
+    approach as n grows but miss by about (log n)/n.  Seed k starts at the
+    branch point z0 = s0^2 with u0 = e^(i phi_k), phi_k = 2 pi (k + 1/2)/n,
+    where s0 - s0^3 = r u0.  There u0^n = -1, so u = u0 v meets the balance
+    with 3z - 1 taken at z0 when v^(n+1) = B = -(c/r) (3 z0 - 1) conj(u0).
+    v is one Newton step v <- (n v + B / v^n) / (n + 1) from the previous
+    seed's v, the first seed's from (3c/r)^(1/(n+1)), the value at
+    phi = pi, and the seed solves s - s^3 = r u0 v by Newton steps from s0.
+    Away from the pinch a seed lies within about 1/n^2 of a zero, and for
+    n <= 120 within 0.56/n relative of one everywhere, where z0 misses by
+    up to 12/n.
+
+    No phi_k is 0, so no z0 sits on the pinch z = 1/3;
+    phi_(n-1-k) = 2 pi - phi_k, so the set is closed under conjugation.
+    For odd n the middle seed has phi = pi, z0 = 4/3 and a real B, so every
+    imaginary part in its arithmetic is 0 and it is exactly real.  The
+    seeds with phi_k in [pi, 2 pi) are found by continuation in k from
+    s0 = 2/sqrt 3, each s0 by Newton steps from the previous one, and the
+    rest are their conjugates.  The arithmetic is on Gaussian integers at
+    the fixed scale 2^-_SEED_SCALE, from constants that mpmath computes
+    once per call, so the seeds are the same on every platform and depend
     on `bits` only through their final rounding.
     """
     if n < 1:
         raise ValueError("initial_points: n must be >= 1")
     P = _SEED_SCALE
-    one = 1 << P
     with mp.workprec(P + 16):
+        r, c = 2 / mp.sqrt(27), mp.sqrt(2 * mp.pi * n) / 3
         rr, ri = _to_fixed(mp.expjpi(mpf(2) / n), P)
-        wr, wi = _to_fixed(mp.expjpi(mpf(2 * (n // 2) + 1) / n) * 2 / mp.sqrt(27), P)
+        wr, wi = _to_fixed(mp.expjpi(mpf(2 * (n // 2) + 1) / n) * r, P)
         sr, si = _to_fixed(mpc(2 / mp.sqrt(3)), P)
+        kr = _mpf_to_fixed((c / r**2)._mpf_, P)  # B = -kr (3 z0 - 1) conj(r u0)
+        vr, vi = _mpf_to_fixed(((3 * c / r) ** (mpf(1) / (n + 1)))._mpf_, P), 0
     points = [None] * n
     for k in range(n // 2, n):
         if k > n // 2:
             wr, wi = (wr * rr - wi * ri) >> P, (wr * ri + wi * rr) >> P
-        last = inf
-        while True:
-            ar, ai = (sr * sr - si * si) >> P, (2 * sr * si) >> P
-            br, bi = (ar * sr - ai * si) >> P, (ar * si + ai * sr) >> P
-            cr, ci = _fixed_div(sr - br - wr, si - bi - wi, one - 3 * ar, -3 * ai, P)
-            sr, si = sr - cr, si - ci
-            cc = cr * cr + ci * ci
-            if cc < 256 or cc >= last:  # at the rounding floor of the scale
-                break
-            last = cc
-        zr, zi = (sr * sr - si * si) >> P, (2 * sr * si) >> P
+        sr, si = _cubic_newton(sr, si, wr, wi, P)
+        tr, ti = 3 * ((sr * sr - si * si) >> P) - (1 << P), 3 * ((2 * sr * si) >> P)
+        br = -(kr * ((tr * wr + ti * wi) >> P)) >> P
+        bi = -(kr * ((ti * wr - tr * wi) >> P)) >> P
+        mr, mi, e = _power(vr, vi, n, P)  # v^n = m 2^e, e < 0
+        qr, qi = _fixed_div(br, bi, mr, mi, -e)  # B / v^n at scale 2^-P
+        vr, vi = (n * vr + qr) // (n + 1), (n * vi + qi) // (n + 1)
+        xr, xi = _cubic_newton(sr, si, (wr * vr - wi * vi) >> P, (wr * vi + wi * vr) >> P, P)
+        zr, zi = (xr * xr - xi * xi) >> P, (2 * xr * xi) >> P
         points[k] = _from_fixed((zr, zi), P, bits)
         points[n - 1 - k] = _from_fixed((zr, -zi), P, bits)
     return points
+
+
+def _cubic_newton(sr: int, si: int, wr: int, wi: int, P: int) -> tuple[int, int]:
+    """The solution of s - s^3 = w next to s, for Gaussian integers at scale
+    2^-P: Newton steps from s until the correction stops shrinking."""
+    one, last = 1 << P, inf
+    while True:
+        ar, ai = (sr * sr - si * si) >> P, (2 * sr * si) >> P
+        br, bi = (ar * sr - ai * si) >> P, (ar * si + ai * sr) >> P
+        cr, ci = _fixed_div(sr - br - wr, si - bi - wi, one - 3 * ar, -3 * ai, P)
+        sr, si = sr - cr, si - ci
+        cc = cr * cr + ci * ci
+        if cc < 256 or cc >= last:  # at the rounding floor of the scale
+            return sr, si
+        last = cc
 
 
 def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> RootSet:
@@ -156,8 +188,8 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
     precision until the certificate is strong (disjoint disks, radii below
     RADIUS_REL_TOL relative) or the precision ceiling is hit.
 
-    The iteration starts from the lemniscate seeds of initial_points, so the
-    result is a function of p and cfg alone, and the root set is exactly
+    The iteration starts from the seeds of initial_points, so the result
+    is a function of p and cfg alone, and the root set is exactly
     closed under conjugation (see _aberth_family).  In the w basis one rung
     suffices at the default precision at every degree tried (up to 200);
     the doubling is the safety net, and a retry starts from the previous

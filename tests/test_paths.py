@@ -1,5 +1,6 @@
 """Path tracing and the integral toolkit: identities, asymptotics, bounds."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from lemnizeros import paths
 from lemnizeros.exact import build_polynomial
-from lemnizeros.numerics import f_eval, to_mpc
+from lemnizeros.numerics import f_eval, principal_sqrt, to_mpc
 from lemnizeros.paths import (
     PathResolutionError,
     SaddleProximityError,
@@ -317,6 +318,32 @@ class TestZeroEquation:
                 lhs, rhs = zero_equation_residual(40, z, BITS)
                 ratio = (abs(lhs) / abs(rhs)) ** (mpf(1) / 40)
                 assert abs(ratio - 1) < mpf("1e-2")
+
+    def test_tail_and_zero_equation_share_one_sum(self):
+        # tail_integral and zero_equation_residual on one path and degree
+        # sum the stored quadrature samples once, with the direct sum's value
+        class CountedQuad(tuple):
+            sums = 0
+
+            def __iter__(self):
+                CountedQuad.sums += 1
+                return super().__iter__()
+
+        n, traced = 40, trace_path(Fraction(4, 3), bits=BITS)
+        path = dataclasses.replace(traced, quad=CountedQuad(traced.quad))
+        with mp.workprec(BITS):
+            bare = mpc(0)
+            for r, _, w, g in traced.quad:
+                bare += g * (w * r ** (n - 1))
+            tail = tail_integral(n, path)
+            lhs, _ = zero_equation_residual(n, path.z, BITS, path=path)
+            assert CountedQuad.sums == 1
+            assert tail == (1 - path.z) ** n * bare
+            assert lhs == principal_sqrt(path.z, BITS) ** (n + 1) * (1 - path.z) ** n * bare
+            assert tail_integral(n, path) == tail and CountedQuad.sums == 1
+            tail_integral(n + 1, path)
+            assert CountedQuad.sums == 2
+        assert path == traced  # the memo takes no part in equality
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

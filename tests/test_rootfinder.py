@@ -73,22 +73,19 @@ class TestInitialPoints:
         for p in initial_points(n):
             assert abs(p) < n + 1
 
-    @pytest.mark.parametrize("n", [*range(1, 13), 45, 60])
-    def test_seeds_on_the_lemniscate(self, n):
-        # seed k: |z (1-z)^2| = 4/27, Re z > 1/3, and sqrt(z)(1-z) has phase
-        # 2 pi (k + 1/2) / n, so the seeds wind once around the right branch
+    @pytest.mark.parametrize("n", [*range(1, 13), 45, 60, 120])
+    def test_seeds_near_the_zeros(self, n, root_cache):
+        # each seed lies within 1/n relative of a certified zero; the
+        # lemniscate points they start from miss this from n = 3 on
         pts = initial_points(n)
         assert len({(p.real, p.imag) for p in pts}) == n
-        tol = mpf(2) ** -40
+        roots = root_cache([n])[n].roots
         with mp.workprec(BITS):
-            for k, z in enumerate(pts):
-                assert abs(abs(z * (1 - z) ** 2) / (mpf(4) / 27) - 1) < tol
-                assert z.real > mpf(1) / 3
-                phase = mp.arg(mp.sqrt(z) * (1 - z)) % (2 * mp.pi)
-                assert abs(phase - 2 * mp.pi * (k + mpf(1) / 2) / n) < tol
+            worst = max(min(abs(z - x) for x in roots) / abs(z) for z in pts)
+        assert n * worst <= 1
 
     @pytest.mark.parametrize("n", [*range(1, 13), 45, 60])
-    def test_seeds_closed_under_conjugation(self, n):
+    def test_seeds_closed_under_conjugation(self, n, root_cache):
         pts = initial_points(n)
         for k in range(n):
             z, w = pts[k], pts[n - 1 - k]
@@ -96,8 +93,9 @@ class TestInitialPoints:
         if n % 2:
             middle = pts[n // 2]
             assert middle.imag == 0
+            (real_root,) = [x for x in root_cache([n])[n].roots if x.imag == 0]
             with mp.workprec(BITS):
-                assert abs(middle - mpf(4) / 3) < mpf(2) ** -60
+                assert abs(middle - real_root) < mpf(1) / n
 
     def test_seeds_repeat_exactly(self):
         first, again = initial_points(60, 270), initial_points(60, 270)
@@ -233,6 +231,17 @@ class TestWBasis:
         rs = root_cache([n])[n]
         assert rs.precision_used == bits
         assert rs.max_relative_radius() <= mpf(2) ** -150
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 45, 60, 100, 120])
+    def test_at_most_five_sweeps_from_the_seeds(self, n):
+        # the seeds sit within about 1/n^2 of the zeros away from the pinch,
+        # so three or four sweeps reach the working precision and one more
+        # confirms it; from the lemniscate points the sweeps took 6 to 9
+        bits = PrecisionConfig().bits
+        _, status, sweeps = rootfinder._aberth_family(
+            build_polynomial(n), initial_points(n, bits), bits
+        )
+        assert status == "converged" and sweeps <= 5
 
     def test_converges_at_degree_200(self):
         # Well past the degrees the other tests solve, the kernel still stops
