@@ -69,15 +69,24 @@ def to_mpf(x, bits: int) -> mpf:
         return mpf(x)
 
 
-def to_mpc(x, bits: int, imag=0) -> mpc:
+def to_mpc(x, bits: int, imag=None) -> mpc:
     """Build an mpc at the given precision from real/imag parts.
 
-    Accepts Fractions, mpf/mpc, python numbers and strings for either part.
+    Accepts Fractions, mpf/mpc, python numbers and strings for either part;
+    imag defaults to zero.  Each part is rounded to nearest at `bits`
+    exactly once, as to_mpf rounds it; an mpc, mpf or complex x takes that
+    one rounding directly (+x, or mpc(x), under mp.workprec(bits)).  A
+    complex or mpc x carries its own imaginary part, so giving `imag` as
+    well raises ValueError.
     """
+    if isinstance(x, (complex, mpc)) and imag is not None:
+        raise ValueError("to_mpc: x is complex, so imag must not be given")
     with mp.workprec(bits):
-        if isinstance(x, (complex, mpc)):
-            return mpc(to_mpf(x.real, bits), to_mpf(x.imag, bits))
-        return mpc(to_mpf(x, bits), to_mpf(imag, bits))
+        if isinstance(x, mpc):
+            return +x
+        if isinstance(x, (mpf, complex)) and imag is None:
+            return mpc(x)
+        return mpc(to_mpf(x, bits), to_mpf(0 if imag is None else imag, bits))
 
 
 def principal_sqrt(z: mpc, bits: int) -> mpc:
@@ -117,7 +126,8 @@ def _mpf_to_fixed(x, scale: int) -> int:
 
 def _from_fixed(z: tuple[int, int], scale: int, bits: int) -> mpc:
     """The Gaussian integer z at scale 2^-scale as an mpc rounded to `bits`."""
-    return mp.make_mpc(tuple(from_man_exp(v, -scale, bits, "n") for v in z))
+    x, y = z
+    return mp.make_mpc((from_man_exp(x, -scale, bits, "n"), from_man_exp(y, -scale, bits, "n")))
 
 
 def _fixed_div(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -121,6 +122,25 @@ def _panel_breakpoints(steps: int):
     return bps
 
 
+@lru_cache(maxsize=None)
+def _path_nodes(steps: int, bits: int) -> tuple[tuple[mpf, mpf, int], ...]:
+    """trace_path's quadrature nodes (r, weight, r at scale
+    2^-(bits+_GUARD)), ascending in r: the _PANEL_NODES-point Legendre rule
+    mapped onto each panel of _panel_breakpoints(steps) at `bits`."""
+    rule = legendre_rule(_PANEL_NODES, bits)
+    bps = _panel_breakpoints(steps)
+    P = bits + _GUARD
+    nodes = []
+    with mp.workprec(bits):
+        for a, b in zip(bps[:-1], bps[1:]):
+            mid = to_mpf((a + b) / 2, bits)
+            rad = to_mpf((b - a) / 2, bits)
+            for x, w in rule:
+                r = mid + rad * x
+                nodes.append((r, rad * w, _mpf_to_fixed(r._mpf_, P)))
+    return tuple(nodes)
+
+
 def trace_path(
     z,
     steps: int = DEFAULT_STEPS,
@@ -142,7 +162,9 @@ def trace_path(
     do not converge; both tests compare squared moduli.  The steps run on
     Gaussian integers at the scale 2^-(bits+_GUARD), and each sample t and
     its tail integrand g are rounded to `bits` once, so the samples do not
-    depend on the caller's mp.prec.
+    depend on the caller's mp.prec.  The r-nodes and weights depend only on
+    (steps, bits): _path_nodes builds them once, and every path with those
+    arguments reads the same tuple.
     """
     with mp.workprec(bits):
         z = to_mpc(z, bits)
@@ -167,15 +189,6 @@ def trace_path(
             else:
                 label, predicted = "inv-sqrt-z", 1 / principal_sqrt(z, bits)
 
-        rule = legendre_rule(_PANEL_NODES, bits)
-        bps = _panel_breakpoints(steps)
-        nodes: list[tuple[mpf, mpf]] = []  # (r, weight), ascending in r
-        for a, b in zip(bps[:-1], bps[1:]):
-            mid = to_mpf((a + b) / 2, bits)
-            rad = to_mpf((b - a) / 2, bits)
-            for x, w in rule:
-                nodes.append((mid + rad * x, rad * w))
-
         P = bits + _GUARD
         one = 1 << P
         zr, zi = _to_fixed(z, P)
@@ -184,12 +197,12 @@ def trace_path(
         noise = _mpf_to_fixed((mpf(2) ** (16 - bits) * (1 + abs(z)))._mpf_, P)
         saddle2 = _mpf_to_fixed((10 * path_tol)._mpf_, P) ** 2
 
-        def correct(r, t):
-            # Newton from the previous sample onto t(1-zt^2) = r(1-z); the
-            # tolerance scales with r so the constant-argument property holds
-            # uniformly along the path, floored at the evaluation noise of the
-            # residual itself.  Returns t with f_z(t) and 1-3zt^2 there.
-            rf = _mpf_to_fixed(r._mpf_, P)
+        def correct(r, rf, t):
+            # Newton from the previous sample onto t(1-zt^2) = r(1-z), with
+            # rf = r at scale 2^-P; the tolerance scales with r so the
+            # constant-argument property holds uniformly along the path,
+            # floored at the evaluation noise of the residual itself.
+            # Returns t with f_z(t) and 1-3zt^2 there.
             gr, gi = (rf * cr) >> P, (rf * ci) >> P
             tol = max((slope * rf) >> P, noise)
             tol2 = tol * tol
@@ -215,14 +228,14 @@ def trace_path(
 
         quad: list[tuple[mpf, mpc, mpf, mpc]] = []
         t = (one, 0)
-        for r, w in reversed(nodes):
-            t, f, d = correct(r, t)
+        for r, w, rf in reversed(_path_nodes(steps, bits)):
+            t, f, d = correct(r, rf, t)
             g = _fixed_div(*f, *d, P)
             quad.append((r, _from_fixed(t, P, bits), w, _from_fixed(g, P, bits)))
         quad.reverse()
 
         # land on r = 0: Newton on f_z(t) = 0 itself
-        t_end = _from_fixed(correct(mpf(0), t)[0], P, bits)
+        t_end = _from_fixed(correct(mpf(0), 0, t)[0], P, bits)
         if abs(t_end - predicted) > 100 * path_tol:
             raise EndpointMismatchError(
                 f"endpoint mismatch: t(0) = {mpmath.nstr(t_end, 12)}, "

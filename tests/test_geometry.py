@@ -1,5 +1,6 @@
 """Lemniscate, basins, the basin divide, divides, saddle-value equivalence."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from lemnizeros.geometry import (
     divides_and_level_field,
     level_field_csv,
 )
+from lemnizeros import geometry
 from lemnizeros.numerics import principal_sqrt, to_mpc
+from lemnizeros.rootfinder import solve_complex_poly
 
 from conftest import basin_boundary, saddle_comparison
 
@@ -86,6 +89,60 @@ class TestBranchPolyline:
         pts = branch_polyline(64, BITS)
         with mp.workprec(200):
             assert branch_polyline(64, BITS) == pts
+
+
+def _branch_by_mpmath(samples, bits):
+    """branch_polyline's cubic chain with both decisions in mpmath at
+    `bits`: the pinch filter by abs and the order by mp.atan2.  Returns the
+    kept points in order, their angles around 1, and every root solved."""
+    with mp.workprec(bits):
+        third = mpf(1) / 3
+        roots, solved, kept = None, [], []
+        for k in range(samples):
+            w = mpf(4) / 27 * mp.exp(mpc(0, 2 * math.pi * k / samples))
+            roots = solve_complex_poly([-w, mpf(1), mpf(-2), mpf(1)], bits, start=roots)
+            solved.extend(roots)
+            kept.extend(z for z in roots if z.real > third and abs(z - third) > 1e-8)
+        kept.append(mpc(third))
+        kept.sort(key=lambda z: mp.atan2(z.imag, z.real - 1))
+        angles = [mp.atan2(z.imag, z.real - 1) for z in kept]
+    return kept, angles, solved
+
+
+class TestBranchDecisionsInDoubles:
+    """branch_polyline filters and orders its points in doubles; the same
+    decisions at full precision must give the same list, with room to spare."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 7, 64, 256])
+    def test_equals_mpmath_filter_and_order(self, samples):
+        got = branch_polyline(samples, BITS)
+        kept, angles, solved = _branch_by_mpmath(samples, BITS)
+        assert [z._mpc_ for z in got] == [z._mpc_ for z in kept]
+        with mp.workprec(BITS):
+            third = mpf(1) / 3
+            # every root is either one of the colliding pair at the pinch or
+            # clearly on one side of both tests
+            for z in solved:
+                if abs(z - third) < mpf("1e-15"):
+                    continue
+                assert abs(z - third) >= 1e-3
+                assert abs(z.real - third) >= 1e-3
+            assert all(abs(z - third) >= 1e-3 for z in kept if z != third)
+            assert all(b - a >= 1e-6 for a, b in zip(angles, angles[1:]))
+
+    def test_one_warm_started_solve_per_phase(self, monkeypatch):
+        calls = []
+
+        def spy(coeffs, bits, start=None):
+            roots = solve_complex_poly(coeffs, bits, start=start)
+            calls.append((start, roots))
+            return roots
+
+        monkeypatch.setattr(geometry, "solve_complex_poly", spy)
+        branch_polyline(7, BITS)
+        assert len(calls) == 7
+        assert calls[0][0] is None
+        assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
 
 
 class TestBasins:

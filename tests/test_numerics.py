@@ -57,6 +57,76 @@ class TestPrecisionConfig:
             cfg.escalate(300)
 
 
+class TestToMpc:
+    """to_mpc rounds an mpc or mpf once; the oracle is the two-step rounding
+    of each part through to_mpf."""
+
+    @staticmethod
+    def _two_step(x, bits):
+        with mp.workprec(bits):
+            if isinstance(x, mpc):
+                return mpc(to_mpf(x.real, bits), to_mpf(x.imag, bits))
+            return mpc(to_mpf(x, bits), to_mpf(0, bits))
+
+    @staticmethod
+    def _wide(width, rng):
+        """A random mpf whose mantissa has exactly `width` bits."""
+        man = rng.getrandbits(width - 1) | (1 << (width - 1)) | 1
+        return mp.make_mpf((rng.getrandbits(1), man, rng.randint(-width - 20, 20 - width), width))
+
+    @staticmethod
+    def _mpc(re, im):
+        """re + i im with both parts kept as they are (mpc() would round
+        them to the global precision)."""
+        return mp.make_mpc((re._mpf_, im._mpf_))
+
+    @pytest.mark.parametrize("width", [53, 128, 400])
+    @pytest.mark.parametrize("bits", [64, 128, 160])
+    def test_one_rounding_equals_two_step(self, width, bits):
+        rng = random.Random(width * 1000 + bits)
+        for _ in range(50):
+            re, im = self._wide(width, rng), self._wide(width, rng)
+            for x in (self._mpc(re, im), re, self._mpc(re, mpf(0))):
+                got = to_mpc(x, bits)
+                assert isinstance(got, mpc)
+                assert got._mpc_ == self._two_step(x, bits)._mpc_
+                with mp.workprec(30):  # the caller's precision plays no part
+                    assert to_mpc(x, bits)._mpc_ == got._mpc_
+
+    @pytest.mark.parametrize("low", [(1 << 63) + 1, (1 << 63) + 2])
+    def test_ties_round_half_to_even(self, low):
+        # (2 low + 1) 2^-64 lies halfway between low 2^-63 and (low + 1) 2^-63
+        tie = mp.make_mpf((0, 2 * low + 1, -64, 65))
+        neg = mp.make_mpf((1, 2 * low + 1, -64, 65))
+        even = low + (low & 1)
+        with mp.workprec(64):
+            want, want_neg = mpf(even) / 2**63, -mpf(even) / 2**63
+        for x in (tie, self._mpc(tie, neg)):
+            got = to_mpc(x, 64)
+            assert got.real == want
+            assert got.imag == (0 if x is tie else want_neg)
+            assert got._mpc_ == self._two_step(x, 64)._mpc_
+
+    def test_zero_imaginary_part_is_exact_zero(self):
+        x = self._wide(400, random.Random(7))
+        for arg in (x, self._mpc(x, mpf(0))):
+            got = to_mpc(arg, 64)
+            assert got.imag._mpf_ == mpf(0)._mpf_
+            assert got.real._mpf_ == to_mpf(x, 64)._mpf_
+
+    def test_python_numbers_and_fractions_unchanged(self):
+        with mp.workprec(BITS):
+            assert to_mpc(1.5 - 2j, BITS) == mpc(1.5, -2)
+            assert to_mpc(Fraction(1, 3), BITS, Fraction(-2, 3)) == mpc(1, -2) / 3
+            assert to_mpc(2, BITS) == 2
+
+    @pytest.mark.parametrize("x", [mpc(1, 2), 1 + 2j])
+    @pytest.mark.parametrize("imag", [3, 0])
+    def test_complex_x_with_imag_rejected(self, x, imag):
+        with pytest.raises(ValueError, match="imag must not be given"):
+            to_mpc(x, BITS, imag)
+
+
 class TestPrincipalSqrt:
     def test_one_maps_to_one(self):
         assert principal_sqrt(to_mpc(1, BITS), BITS) == 1

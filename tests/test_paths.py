@@ -8,7 +8,8 @@ from mpmath import mp, mpc, mpf
 
 from lemnizeros import paths
 from lemnizeros.exact import build_polynomial
-from lemnizeros.numerics import f_eval, principal_sqrt, to_mpc
+from lemnizeros.numerics import f_eval, principal_sqrt, to_mpc, to_mpf
+from lemnizeros.quadrature import legendre_rule
 from lemnizeros.paths import (
     PathResolutionError,
     SaddleProximityError,
@@ -149,6 +150,44 @@ class TestTracePath:
         lines = path_csv(path).strip().split("\n")
         assert lines[0] == "r,re_t,im_t,implicit_residual"
         assert len(lines) == 1 + len(path.samples)
+
+
+class TestPathNodes:
+    """trace_path's (r, weight) nodes are built once per (steps, bits)."""
+
+    def test_two_paths_read_one_node_tuple(self):
+        a = trace_path(Fraction(4, 3), steps=64, bits=BITS)
+        b = trace_path(to_mpc(-1, BITS, Fraction(1, 2)), steps=64, bits=BITS)
+        nodes = paths._path_nodes(64, BITS)
+        assert len(a.quad) == len(b.quad) == len(nodes)
+        for (ra, _, wa, _), (rb, _, wb, _), (r, w, _) in zip(a.quad, b.quad, nodes):
+            assert ra is rb is r and wa is wb is w
+
+    @pytest.mark.parametrize("steps", [8, 64, 512])
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_nodes_equal_inline_construction(self, steps, bits):
+        rule = legendre_rule(paths._PANEL_NODES, bits)
+        bps = paths._panel_breakpoints(steps)
+        want = []
+        with mp.workprec(bits):
+            for a, b in zip(bps[:-1], bps[1:]):
+                mid = to_mpf((a + b) / 2, bits)
+                rad = to_mpf((b - a) / 2, bits)
+                for x, w in rule:
+                    want.append((mid + rad * x, rad * w))
+        got = paths._path_nodes(steps, bits)
+        assert [(r._mpf_, w._mpf_) for r, w, _ in got] == [(r._mpf_, w._mpf_) for r, w in want]
+        scale = bits + paths._GUARD
+        with mp.workprec(4 * bits):  # r 2^scale is exact here
+            assert [rf for _, _, rf in got] == [int(mp.floor(r * mpf(2) ** scale)) for r, _ in want]
+
+    def test_cold_nodes_under_a_wider_caller_precision(self):
+        for z in (Fraction(4, 3), to_mpc(Fraction(-1), BITS, Fraction(1, 2))):
+            paths._path_nodes.cache_clear()
+            with mp.workprec(200):
+                high = trace_path(z, bits=BITS)
+            paths._path_nodes.cache_clear()
+            assert high == trace_path(z, bits=BITS)
 
 
 # Both basins, with points beside the pinch z = 1/3 and beside z = 1.
