@@ -381,7 +381,13 @@ def zero_equation_residual(
 
 @dataclass(frozen=True)
 class HalfplaneVerdict:
-    """Outcome of the lower-bound check Re{(1-zt^2) t / (1-3zt^2)} > 1/6."""
+    """Outcome of the lower-bound check Re{(1-zt^2) t / (1-3zt^2)} > 1/6.
+
+    ok is sampled evidence: min_real is the least real part over the
+    samples_checked Gauss nodes of the path with r in [0.9, 1], and ok says
+    that it exceeds 1/6.  It is not a bound on the integrand between the
+    nodes.
+    """
 
     ok: bool
     min_real: mpf
@@ -389,11 +395,15 @@ class HalfplaneVerdict:
 
 
 def halfplane_bound_check(z, path: SteepestPath) -> HalfplaneVerdict:
-    """Verify the 1/6 lower bound along the path for r in [0.9, 1].
+    """Check the 1/6 lower bound along the path at its Gauss nodes with r in
+    [0.9, 1].
 
     Applies to z in the zero basin (Re(z) < 1/3 side): near r = 1 the
     integrand of the bare tail sum has real part exceeding 1/6, which is
-    what keeps the polynomial from vanishing there.
+    what keeps the polynomial from vanishing there.  The verdict's ok is
+    evidence sampled at those nodes only, where the path's quadrature
+    already evaluated the integrand; it does not bound the integrand
+    between them.
     """
     if path.start_label != "zero":
         raise ValueError("halfplane_bound_check: path must start at t = 0")

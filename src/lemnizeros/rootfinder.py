@@ -19,8 +19,9 @@ next to the zeros: each seed is a point of the right branch of the
 lemniscate |z (1-z)^2| = 4/27, which the zeros approach as n grows, equally
 spaced in the phase of sqrt(z) (1-z), moved one step toward the
 leading-order zero condition of the saddle-point analysis.  Away from the
-pinch that puts it within about 1/n^2 of a zero, so from n = 26 to about
-115 three sweeps reach the working precision and a fourth confirms it.
+pinch that puts it within about 1/n^2 of a zero, so three sweeps bring
+each root to within a predicted step of the working precision and the
+fourth freezes the last of them: 4 sweeps at n = 4..300 (5 at n = 2, 3).
 p is real and the seeds are closed under conjugation, so the sweeps move
 one root of each conjugate pair, plus for odd n the real zero near 4/3,
 which stays on the axis; the conjugates of the others enter every
@@ -34,7 +35,9 @@ Gaussian integer and every coefficient an integer at one shared scale
 and division, and w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.
 A sweep skips the per-operation normalisation that libmp's floating-point
 tuples cost in pure Python.  Values enter the scale once and leave it,
-rounded to the working precision, once.
+rounded to the working precision, once.  Only the repulsion sums, which
+merely steer each correction, run in IEEE doubles, one correctly rounded
+operation at a time, so the roots are the same bits on every platform.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -542,26 +545,41 @@ def _aberth_core(quotient, roots, prec, axis=None):
 
     Roots are (re, im) integer pairs at one shared scale 2^-P,
     P = prec + _GUARD, so x stands for x / 2^P, and quotient(zr, zi) returns
-    the Newton quotient p/p' at a root as (nr, ni, dr, di), standing for
+    the Newton quotient N = p/p' at a root as (nr, ni, dr, di), standing for
     (nr + i ni) / (dr + i di) at the same scale.  A product is one integer
     multiply and a right shift by P, and a complex quotient is one floor
     division by the squared modulus of the divisor; every shift and
     division rounds towards minus infinity.  The guard bits absorb the
     error that accumulates over a Horner loop.  This avoids libmp's
     per-operation normalisation of (sign, mantissa, exponent) tuples, which
-    in pure Python dominated the solve.
+    in pure Python dominated the solve.  The correction is
+    N / (1 - N sigma), with sigma the repulsion sum of 1/(z_i - z_j) over
+    the other roots.
 
     With axis set, the roots are one of each conjugate pair of a real
     polynomial's zeros: the first `axis` of them lie on the real axis and
     stay there (the imaginary part of their corrections is dropped), and
     every later one stands also for its conjugate, which enters each
-    repulsion sum, that root's own included.
+    repulsion sum, that root's own included.  Then sigma is summed in IEEE
+    doubles (_double_repulsion) on a double copy of each root and mirror,
+    refreshed whenever the root moves.  sigma only steers the correction:
+    its error moves the correction by about N^2 times as much, so once
+    |N| nears 2^-prec a 2^-53 relative error in sigma stays far below the
+    fixed scale, and the Newton quotient alone needs full precision (the
+    mixed precision of MPSolve, Bini and Fiorentino, Numer. Algorithms 23,
+    2000).  Without axis (the cubic of branch_polyline) sigma is summed in
+    integers at scale 2^-2P.
 
     Stops 'converged' when every relative correction in a sweep is below
     2^(8-prec), and 'stall' after max_sweeps otherwise; the caller certifies
-    the returned configuration either way.  Relative corrections are
-    compared as log2 values: math.log2 reads the top bits of an integer of
-    any size, where a float conversion would overflow beyond 2^1024.
+    the returned configuration either way.  A root whose relative
+    correction falls below 2^(4-prec) is frozen.  With axis set, so is one
+    whose relative correction c has 2 log2|c| < -prec - 16, and it counts
+    as converged: Aberth converges at least quadratically at simple zeros,
+    so its next correction would fall below 2^-(prec+8), the fixed scale,
+    where it would only dither.  Relative corrections are compared as log2
+    values: math.log2 reads the top bits of an integer of any size, where a
+    float conversion would overflow beyond 2^1024.
     """
     P = prec + _GUARD
     one, one3 = 1 << P, 1 << (3 * P)
@@ -571,6 +589,8 @@ def _aberth_core(quotient, roots, prec, axis=None):
     axis = axis or 0
     mirrors = [(x, -y) for x, y in roots[axis:]] if mirrored else []
     n = len(roots)
+    # double copies of the roots, then of the mirrors, for _double_repulsion
+    doubles = [_to_double(x, y, P) for x, y in roots + mirrors] if mirrored else []
     frozen = [False] * n
     max_sweeps = 120 + 6 * (n + len(mirrors))
     for sweep in range(1, max_sweeps + 1):
@@ -588,17 +608,20 @@ def _aberth_core(quotient, roots, prec, axis=None):
                 all_ok = False
             else:
                 wr, wi = _fixed_div(nr, ni, dr, di, P)
-                ar = ai = 0  # sum of 1/(z_i - z_j) at scale 2^-2P
-                for xr, xi in roots[:i] + roots[i + 1 :] + mirrors:
-                    er, ei = zr - xr, zi - xi
-                    ee = er * er + ei * ei
-                    if not ee:
-                        er, ee = tiny, tiny * tiny
-                    t = one3 // ee
-                    ar += er * t
-                    ai -= ei * t
-                ar >>= P
-                ai >>= P
+                if mirrored:
+                    ar, ai = _double_repulsion(doubles, i, P)
+                else:
+                    ar = ai = 0  # sum of 1/(z_i - z_j) at scale 2^-2P
+                    for xr, xi in roots[:i] + roots[i + 1 :]:
+                        er, ei = zr - xr, zi - xi
+                        ee = er * er + ei * ei
+                        if not ee:
+                            er, ee = tiny, tiny * tiny
+                        t = one3 // ee
+                        ar += er * t
+                        ai -= ei * t
+                    ar >>= P
+                    ai >>= P
                 qr = one - ((wr * ar - wi * ai) >> P)
                 qi = -((wr * ai + wi * ar) >> P)
                 cr, ci = (wr, wi) if not (qr or qi) else _fixed_div(wr, wi, qr, qi, P)
@@ -607,12 +630,57 @@ def _aberth_core(quotient, roots, prec, axis=None):
                 roots[i] = (zr - cr, zi - ci)
                 cc = cr * cr + ci * ci
                 rel = log2(cc) / 2 - log2(isqrt(zr * zr + zi * zi) + one) if cc else -inf
-                if rel >= 8 - prec:
+                if mirrored and 2 * rel < -prec - 16:
+                    frozen[i] = True  # the next correction is below the fixed scale
+                elif rel >= 8 - prec:
                     all_ok = False
                 elif rel < 4 - prec:
                     frozen[i] = True
-            if mirrored and i >= axis:
-                mirrors[i - axis] = (roots[i][0], -roots[i][1])
+            if mirrored:
+                x, y = roots[i]
+                doubles[i] = fx, fy = _to_double(x, y, P)
+                if i >= axis:
+                    mirrors[i - axis] = (x, -y)
+                    doubles[n + i - axis] = (fx, -fy)
         if all_ok:
             return roots, "converged", sweep
     return roots, "stall", max_sweeps
+
+
+_DOUBLE_SCALE = 60  # fixed-point bits of the double copies of the swept roots
+_DOUBLE_UNIT = 2.0**-_DOUBLE_SCALE
+
+
+def _to_double(x: int, y: int, P: int) -> tuple[float, float]:
+    """The Gaussian integer (x, y) at scale 2^-P as two doubles, cut to the
+    scale 2^-60 first: each is an integer multiple of 2^-60, so a nonzero
+    difference of two of them is at least 2^-60 in modulus."""
+    s = P - _DOUBLE_SCALE
+    return (x >> s) * _DOUBLE_UNIT, (y >> s) * _DOUBLE_UNIT
+
+
+def _double_repulsion(doubles: list[tuple[float, float]], i: int, P: int) -> tuple[int, int]:
+    """The repulsion sum of 1/(z_i - z_j) over the points doubles[j], j != i,
+    in IEEE doubles, returned as a Gaussian integer at scale 2^-P.
+
+    Only float + - * / are used, one operation a step, so every step rounds
+    once, correctly, on any IEEE-754 platform and the sum is the same
+    everywhere; complex division and cmath are avoided because C compilers
+    may fuse their multiplies and adds.  A zero difference stands for
+    2^-61, below any nonzero one, and adds its reciprocal 2^61 to the real
+    part.  The sum enters the scale through 2^-60, never through 2^-P,
+    which overflows a double beyond P = 1023.
+    """
+    zr, zi = doubles[i]
+    ar = ai = 0.0
+    for xr, xi in doubles[:i] + doubles[i + 1 :]:
+        er = zr - xr
+        ei = zi - xi
+        ee = er * er + ei * ei
+        if ee:
+            ar += er / ee
+            ai -= ei / ee
+        else:
+            ar += 2.0**61
+    s = P - _DOUBLE_SCALE
+    return int(ar * 2.0**_DOUBLE_SCALE) << s, int(ai * 2.0**_DOUBLE_SCALE) << s

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hashlib import sha256
 from math import factorial, isqrt
 
+import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, polyval
@@ -235,13 +236,27 @@ class TestWBasis:
     @pytest.mark.parametrize("n", [*range(1, 13), 45, 60, 100, 120])
     def test_at_most_five_sweeps_from_the_seeds(self, n):
         # the seeds sit within about 1/n^2 of the zeros away from the pinch,
-        # so three or four sweeps reach the working precision and one more
-        # confirms it; from the lemniscate points the sweeps took 6 to 9
+        # so three or four sweeps reach the working precision, a root
+        # freezing once its next correction is predicted below the fixed
+        # scale; from the lemniscate points the sweeps took 6 to 9
         bits = PrecisionConfig().bits
         _, status, sweeps = rootfinder._aberth_family(
             build_polynomial(n), initial_points(n, bits), bits
         )
         assert status == "converged" and sweeps <= 5
+
+    @pytest.mark.parametrize("n", [*range(4, 121), 150, 200, 300])
+    def test_at_most_four_sweeps_from_the_seeds(self, n):
+        # A root freezes once 2 log2 of its relative correction falls below
+        # -prec - 16: at least quadratic convergence puts its next correction
+        # below the fixed scale.  Without that rule the corrections dithered
+        # at the scale's rounding floor, 5 sweeps at n = 4..25 and up to 8 at
+        # n = 300.
+        bits = PrecisionConfig().bits
+        _, status, sweeps = rootfinder._aberth_family(
+            build_polynomial(n), initial_points(n, bits), bits
+        )
+        assert status == "converged" and sweeps <= 4
 
     def test_converges_at_degree_200(self):
         # Well past the degrees the other tests solve, the kernel still stops
@@ -610,3 +625,72 @@ class TestFixedPoint:
         # man/2 units of the scale: the last bit lies below it
         x = mp.make_mpf(from_man_exp(man, -self.SCALE - 1))
         assert numerics._to_fixed(mpc(x), self.SCALE) == (want, 0)
+
+
+def _root_digest(rs) -> str:
+    """SHA-256 of the (sign, mantissa, exponent, bitcount) tuples of the
+    roots, real part then imaginary part, in the order certify sorts them."""
+    parts = [tuple(int(v) for v in x._mpf_) for z in rs.roots for x in (z.real, z.imag)]
+    return sha256(repr(parts).encode()).hexdigest()
+
+
+class TestPurity:
+    """The sweeps sum their repulsion terms in IEEE doubles, one correctly
+    rounded operation at a time, so the roots are the same bits on every
+    platform and under every caller precision."""
+
+    ROOTS_160_SHA256 = {
+        7: "40b9071f2286c80688af725ad53bbcb3c5e0343d78d6a3087144c4d93cce8be7",
+        40: "431c0139ca798a6a88495fcd0b252b59f549f21ee52021113ba54d9a519218e5",
+        101: "769a71e8111732643e2fd7298ced7ae9e9fbe3ef7885327e4c6b9ddb2caae39f",
+    }
+
+    @pytest.mark.parametrize("n", [7, 40, 101])
+    def test_root_bits_pinned(self, n, root_cache):
+        rs = root_cache([n])[n]
+        assert rs.precision_used == 160
+        assert _root_digest(rs) == self.ROOTS_160_SHA256[n]
+        with mp.workprec(300):
+            assert find_roots(build_polynomial(n)) == rs
+
+    @pytest.mark.parametrize("n", [40, 101])
+    def test_double_repulsion_against_exact_sum(self, n):
+        # Each term 1/(z_i - z_j) takes a few correctly rounded operations
+        # and the sum n - 2 more, so the double sum is within
+        # (n + 8) 2^-52 sum |1/(z_i - z_j)| of the exact sum over the same
+        # doubles, plus 2^-60 for the cut to the scale.
+        bits = 160
+        P = bits + rootfinder._GUARD
+        doubles = []
+        for z in initial_points(n, bits):
+            doubles.append(rootfinder._to_double(*numerics._to_fixed(to_mpc(z, bits), P), P))
+        for i in (0, n // 3, n - 1):
+            ar, ai = rootfinder._double_repulsion(doubles, i, P)
+            zr, zi = (Fraction(v) for v in doubles[i])
+            exact_r = exact_i = Fraction(0)
+            mass = 0.0
+            for j, (xr, xi) in enumerate(doubles):
+                if j != i:
+                    er, ei = zr - Fraction(xr), zi - Fraction(xi)
+                    ee = er * er + ei * ei
+                    exact_r, exact_i = exact_r + er / ee, exact_i - ei / ee
+                    mass += float(ee) ** -0.5
+            slack = Fraction((n + 8) * 2.0**-52 * mass + 2.0**-59)
+            assert abs(Fraction(ar, 2**P) - exact_r) <= slack
+            assert abs(Fraction(ai, 2**P) - exact_i) <= slack
+
+    def test_coinciding_doubles_do_not_raise(self):
+        # A swept root whose imaginary part is below 2^-60 has the same
+        # double as its mirror, and two swept roots share one Gaussian
+        # integer: every zero difference takes the finite stand-in.
+        n, bits = 6, 160
+        P = bits + rootfinder._GUARD
+        half = []
+        for z in initial_points(n, bits)[n // 2 :]:
+            x, y = numerics._to_fixed(z, P)
+            half.append(((1 << P) - x, -y))  # w = 1 - z, as _aberth_family seeds them
+        half[0] = (half[0][0], 1)
+        half[1] = half[0]
+        roots, status, _ = rootfinder._aberth_core(rootfinder._family_quotient(n, P), half, bits, 0)
+        assert status in ("converged", "stall") and len(roots) == len(half)
+        assert all(mpmath.isfinite(numerics._from_fixed(z, P, bits)) for z in roots)
