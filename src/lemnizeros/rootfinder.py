@@ -41,14 +41,17 @@ operation at a time, so the roots are the same bits on every platform.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
-disks pin down all n zeros.  Both values come from one fixed-point Horner
-loop on the same w coefficients, at about twice the working precision, that
-carries a running integer bound on its rounding errors (_bounded_horner):
-the root is exact at that scale, so the bound covers every rounding and the
-radius is a proof, a little above the exact ratio rounded up.  Where the
-bound is too coarse for a root the scale doubles, at most up to the width
-at which the loop is exact.  p is real, so one evaluation serves both
-members of a conjugate pair.  The solve is restarted at doubled precision
+disks pin down all n zeros.  p comes from one fixed-point Horner loop on
+the same w coefficients, at about twice the working precision, that carries
+a running integer bound on its rounding errors (_bounded_horner), and p'
+from the same identity as in the sweeps, with w^n from one binary power
+whose cut error is bounded too: the root is exact at that scale, so the
+bounds cover every rounding and the radius is a proof, a little above the
+exact ratio rounded up.  Where the bounds are too coarse for a root the
+scale doubles, at most up to the width at which everything is exact.  p is
+real, so one evaluation serves both members of a conjugate pair, and the
+bookkeeping around the evaluations (pairing, order, overlaps) runs on the
+roots' dyadic integers.  The solve is restarted at doubled precision
 whenever the certificate comes out too weak.
 """
 
@@ -56,11 +59,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isqrt, lcm, log2
+from math import inf, isqrt, lcm, log2, sqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpf_neg, round_nearest, to_float
 
 from .exact import ExactPolynomial, build_polynomial
 from .numerics import (
@@ -80,7 +83,7 @@ RADIUS_REL_TOL = mpf("1e-20")
 
 _GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
 _SEED_SCALE = 64  # fixed-point bits of the seeds
-_CTRL = 53  # control-flow comparisons don't need full precision
+_NOT_FINITE = (finf, fninf, fnan)
 
 
 class CertificationError(RuntimeError):
@@ -108,9 +111,24 @@ class RootSet:
     def disks_disjoint(self) -> bool:
         return not any(self.overlaps)
 
-    def max_relative_radius(self) -> mpf:
-        with mp.workprec(_CTRL):
-            return max(r / (1 + abs(z)) for r, z in zip(self.inclusion_radii, self.roots))
+    def max_relative_radius(self) -> float:
+        """max_j r_j / (1 + |z_j|), find_roots' acceptance statistic, in IEEE
+        doubles: r_j and the parts of z_j are rounded to the nearest double
+        once, and every later step is one correctly rounded + - * / or
+        math.sqrt, so the value is the same on every IEEE-754 platform
+        (hypot and cmath are avoided, as in _double_repulsion).  |z| is taken
+        as a sqrt(1 + (b/a)^2), a >= b the moduli of the parts, so nothing
+        overflows short of the double range.  The value is within a few
+        units of 2^-53 relative of the exact statistic."""
+        worst = 0.0
+        for r, z in zip(self.inclusion_radii, self.roots):
+            xs, ys = z._mpc_
+            a, b = abs(to_float(xs, rnd=round_nearest)), abs(to_float(ys, rnd=round_nearest))
+            if a < b:
+                a, b = b, a
+            m = a * sqrt(1 + (b / a) * (b / a)) if a else 0.0
+            worst = max(worst, to_float(r._mpf_, rnd=round_nearest) / (1 + m))
+        return worst
 
 
 def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
@@ -194,11 +212,11 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
     The iteration starts from the seeds of initial_points, so the result
     is a function of p and cfg alone, and the root set is exactly
     closed under conjugation (see _aberth_family).  In the w basis one rung
-    suffices at the default precision at every degree tried (up to 200);
+    suffices at the default precision at every degree tried up to 400;
     the doubling is the safety net, and a retry starts from the previous
-    rung's estimates.  Each inclusion radius is an upper bound rounded in
-    integers (see certify).  Raises ValueError when p is not the family
-    member of its degree.
+    rung's estimates.  Each inclusion radius is an upper bound
+    rounded in integers (see certify).  Raises ValueError when p is not the
+    family member of its degree.
     """
     _require_family(p)
     n = p.degree
@@ -235,43 +253,58 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
     |p'(z_j)|, each within about 2^-(bits+1) relative of the exact value,
     and _div_up rounds the residual and the radius up at `bits`, so each is
     an upper bound less than 2^(2-bits) relative above its exact value: one
-    upward rounding and a little more.  p is real, so |p(conj z)| = |p(z)|:
-    every root is evaluated at the member of its conjugate pair with
-    Im z >= 0, and a conjugate-closed set costs one evaluation per pair.
-    Two disks overlap when they meet, touching included; that is decided
-    exactly, on the dyadic centres and radii as integers at one common
-    exponent.  Raises CertificationError when some p'(z_j) is exactly zero
-    or some root estimate is not finite, and ValueError when p is not the
-    family member of its degree.
+    upward rounding and a little more.
+
+    A root that is an mpc of at most `bits` bits is taken as it is; any
+    other is rounded to `bits` once.  The bookkeeping then runs on the
+    dyadic integers of the roots: every centre is a Gaussian integer at the
+    finest exponent among them, exactly.  p is real, so |p(conj z)| = |p(z)|:
+    roots are keyed by (Re, |Im|) there, every key is evaluated once, at
+    its member with Im z >= 0, and a conjugate-closed set costs one
+    evaluation per pair.  The order is that of the integer pairs, and two
+    disks overlap when they meet, touching included, decided exactly on the
+    centres and the radii as integers at one common exponent.  Raises
+    CertificationError when some p'(z_j) is exactly zero or some root
+    estimate is not finite, and ValueError when p is not the family member
+    of its degree.
     """
     _require_family(p)
     n = p.degree
     ints, scale = _integer_coefficients(n)
     with mp.workprec(bits):
-        zs = [mpc(z) for z in roots]
-        if len(zs) != n:
-            raise CertificationError(f"certification failed: expected {n} roots, got {len(zs)}")
-        done: dict[tuple[mpf, mpf], tuple[mpf, mpf]] = {}  # (residual, radius)
-        values = []
-        for z in zs:
-            if not mpmath.isfinite(z):
-                raise CertificationError(f"certification failed: root {z} is not finite")
-            key = (z.real, abs(z.imag))
-            if key not in done:
-                hi, lo, e = _bounded_horner(n, *key, bits)
-                if lo <= 0:
-                    raise CertificationError(
-                        f"certification failed: p' vanishes at root {mpmath.nstr(z, 17)}"
-                    )
-                done[key] = _div_up(hi * ints[0], scale << e, bits), _div_up(n * hi, lo, bits)
-            values.append(done[key])
-        order = sorted(range(n), key=lambda i: (zs[i].real, zs[i].imag))
-        zs = [zs[i] for i in order]
-        residuals = [values[i][0] for i in order]
-        radii = [values[i][1] for i in order]
-    disks = [(z.real._mpf_, z.imag._mpf_, r._mpf_) for z, r in zip(zs, radii)]
-    exp = min((v[2] for disk in disks for v in disk), default=0)
-    disks = [tuple(_mpf_to_fixed(v, -exp) for v in disk) for disk in disks]
+        zs = [
+            z if isinstance(z, mpc) and max(z._mpc_[0][3], z._mpc_[1][3]) <= bits else +mpc(z)
+            for z in roots
+        ]
+    if len(zs) != n:
+        raise CertificationError(f"certification failed: expected {n} roots, got {len(zs)}")
+    parts = [z._mpc_ for z in zs]
+    for z, (xs, ys) in zip(zs, parts):
+        if xs in _NOT_FINITE or ys in _NOT_FINITE:
+            raise CertificationError(f"certification failed: root {z} is not finite")
+    e0 = min((v[2] for xy in parts for v in xy if v[1]), default=0)
+    centres = [(_mpf_to_fixed(xs, -e0), _mpf_to_fixed(ys, -e0)) for xs, ys in parts]
+    done: dict[tuple[int, int], tuple[mpf, mpf]] = {}  # (residual, radius) by (Re, |Im|)
+    values = []
+    for z, (x, y), (_, ys) in zip(zs, centres, parts):
+        key = (x, abs(y))
+        if key not in done:
+            im = z.imag if y >= 0 else mp.make_mpf(mpf_neg(ys))  # the member with Im z >= 0
+            hi, lo, e = _bounded_horner(n, z.real, im, bits)
+            if lo <= 0:
+                raise CertificationError(
+                    f"certification failed: p' vanishes at root {mpmath.nstr(z, 17)}"
+                )
+            done[key] = _div_up(hi * ints[0], scale << e, bits), _div_up(n * hi, lo, bits)
+        values.append(done[key])
+    order = sorted(range(n), key=centres.__getitem__)
+    residuals = tuple(values[i][0] for i in order)
+    radii = tuple(values[i][1] for i in order)
+    rads = [r._mpf_ for r in radii]
+    e1 = min([e0, *(r[2] for r in rads if r[1])])  # a grid for the radii too
+    s = e0 - e1
+    centres = [centres[i] for i in order]
+    disks = [(x << s, y << s, _mpf_to_fixed(r, -e1)) for (x, y), r in zip(centres, rads)]
     overlaps = [False] * n
     rmax = max((r for _, _, r in disks), default=0)
     for i, (xi, yi, ri) in enumerate(disks):
@@ -284,7 +317,7 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
                 break
             if (xj - xi) ** 2 + (yj - yi) ** 2 <= (ri + rj) ** 2:
                 overlaps[i] = overlaps[j] = True
-    return RootSet(n, tuple(zs), tuple(residuals), tuple(radii), bits, tuple(overlaps))
+    return RootSet(n, tuple(zs[i] for i in order), residuals, radii, bits, tuple(overlaps))
 
 
 def _require_family(p: ExactPolynomial) -> None:
@@ -298,51 +331,78 @@ def _bounded_horner(n: int, x: mpf, y: mpf, bits: int) -> tuple[int, int, int]:
     """Bounds on the family's section S(w) = sum a_k w^k and on S'(w) at
     w = 1 - (x + iy), for finite x and y: (hi, lo, e) with |S(w)| <= hi 2^-e
     and |S'(w)| >= lo 2^-e, each within 2^-(bits+1) relative of the exact
-    modulus, up to a term of order 4^-bits.  S(w) = p(z) L / C_0 and |S'(w)| = |p'(z)| L / C_0, in the
-    notation of _integer_coefficients.
+    modulus, up to a term of order 4^-bits.  S(w) = p(z) L / C_0 and
+    |S'(w)| = |p'(z)| L / C_0, in the notation of _integer_coefficients.
 
     With k the number of fractional bits of x and y, w is the exact
-    Gaussian integer W at scale 2^-P for P >= k.  One Horner loop on the
-    fixed-point a_k of _fixed_coefficients gives S~ and its derivative S~'
-    at that scale, each product floored, with running integer bounds E and
-    D on their errors in units of 2^-P (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 5): a step changes the error of S~ to at most
-    |w| times the old one plus sqrt 2 for the two floors and 1 for the
-    floored coefficient, and that of S~' to at most |w| times the old one
-    plus sqrt 2 plus the error of the S~ it adds; the integer updates below
-    add 1 more for the floor of the bound product.  No other error enters,
-    so the bounds are a proof.  P starts at 2 bits + 40 and doubles until
-    E and D are below 2^-(bits+2) of |S~| and |S~'|; at n (k+2) + 2 bits,
-    where the doubling stops, every coefficient (its denominator divides
-    4^n) and every shift is exact, so E = D = 0 there and an exact zero
-    gets hi = 0.  The moduli are taken with bits + 4 more bits, so at any
-    scale their rounding is below 2^-(bits+4) relative.  lo <= 0 only when
-    S~' = 0 at the exact scale, that is when S'(w) = 0.
+    Gaussian integer W at scale 2^-P for P >= k, and so is z = 1 - w.  One
+    Horner loop on the fixed-point a_k of _fixed_coefficients gives S~ at
+    that scale, each product floored, with a running integer bound E on its
+    error in units of 2^-P (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 5): a step changes it to at most |w| times the old one
+    plus sqrt 2 for the two floors and 1 for the floored coefficient, and
+    the integer update adds 1 more for the floor of the bound product.
+
+    S' comes from the section's identity (1 - w) S' = b S - (n+b) a_n w^n,
+    as in _family_quotient: 2 z S' = N = (n+1) S - T, T = (3n+1) a_n w^n.
+    w^n comes from _power, within n 2^(2-P) relative, and a_n is floored
+    by less than 2^-P <= 2^-P a_n, so the floored T~ is within
+    (n+1) 2^(3-P) (|Re T~| + |Im T~| + 2) + 3 units of T, and
+    N~ = (n+1) S~ - T~ within F = (n+1) E plus that.  |Z|^2 = |z|^2 4^P is
+    an exact integer, so with e = P + g,
+    lo = floor(sqrt(|N~|^2 4^e / (4 |Z|^2))) - ceil(sqrt(F^2 4^e / (4 |Z|^2)))
+    rounds nothing but the two integer roots, and |z| adds no error.  At
+    z = 0 the identity gives no S'; there
+    S'(1) = -c_1 L / C_0 = n (n+1) L / ((n+3) C_0) exactly.  No other error
+    enters, so the bounds are a proof.
+
+    P starts at 2 bits + 40 and doubles until E and F are below
+    2^-(bits+2) of |S~| and |N~|.  At n (k+t) + 2 bits, with t >= 2 and
+    |w| < 2^t, where the doubling stops, every coefficient (its denominator
+    divides 4^n), every shift and every cut of _power is exact, so
+    E = F = 0 there, hi and lo are the exact moduli rounded up and down,
+    and an exact zero gets hi = 0.  The moduli are taken with g = bits + 4
+    more bits, so at any scale their rounding is below 2^-(bits+4)
+    relative.  lo <= 0 only when N~ = 0 at the exact scale, that is when
+    S'(w) = 0.
     """
     xs, ys = x._mpf_, y._mpf_
     k = max(0, -xs[2], -ys[2])
-    exact_scale = n * (k + 2) + 2
+    wk = abs((1 << k) - _mpf_to_fixed(xs, k)) | abs(_mpf_to_fixed(ys, k))  # parts of w 2^k
+    t = max(2, wk.bit_length() - k + 1)  # |w| < 2^t
+    exact_scale = n * (k + t) + 2
     P = max(2 * bits + 40, k)
     while True:
         exact = P >= exact_scale
-        wr, wi = (1 << P) - _mpf_to_fixed(xs, P), -_mpf_to_fixed(ys, P)
+        zr, zi = _mpf_to_fixed(xs, P), _mpf_to_fixed(ys, P)
+        wr, wi = (1 << P) - zr, -zi
         wabs = isqrt(wr * wr + wi * wi) + 1  # |W| rounded up
-        ec, dc = (0, 0) if exact else (4, 3)
+        ec = 0 if exact else 4
         coeffs = _fixed_coefficients(n, P)
-        sr, si, dr, di = coeffs[n], 0, 0, 0
-        E, D = (0 if exact else 1), 0
+        sr, si, E = coeffs[n], 0, (0 if exact else 1)
         for c in coeffs[n - 1 :: -1]:
-            dr, di = ((dr * wr - di * wi) >> P) + sr, ((dr * wi + di * wr) >> P) + si
             sr, si = ((sr * wr - si * wi) >> P) + c, (sr * wi + si * wr) >> P
-            D = ((D * wabs) >> P) + dc + E
             E = ((E * wabs) >> P) + ec
-        v2, d2 = sr * sr + si * si, dr * dr + di * di
-        if exact or (d2 and (E << (bits + 2)) ** 2 <= v2 and (D << (bits + 2)) ** 2 <= d2):
+        v2, z2 = sr * sr + si * si, zr * zr + zi * zi
+        if z2:
+            mr, mi, f = _power(wr, wi, n, P)
+            top = (3 * n + 1) * coeffs[n]
+            tr, ti = (top * mr << f, top * mi << f) if f >= 0 else (top * mr >> -f, top * mi >> -f)
+            nr, ni = (n + 1) * sr - tr, (n + 1) * si - ti
+            q = nr * nr + ni * ni
+            F = 0 if exact else (n + 1) * E + ((n + 1) * (abs(tr) + abs(ti) + 2) >> (P - 3)) + 3
+        if exact or ((E << (bits + 2)) ** 2 <= v2 and (not z2 or (F << (bits + 2)) ** 2 <= q)):
             break
         P = min(2 * P, exact_scale)
     g = bits + 4
-    hi = isqrt((v2 << 2 * g) - 1) + 1 if v2 else 0  # |S~| 2^g rounded up
-    return hi + (E << g), isqrt(d2 << 2 * g) - (D << g), P + g
+    e = P + g
+    hi = (isqrt((v2 << 2 * g) - 1) + 1 if v2 else 0) + (E << g)  # |S~| 2^g rounded up, + E
+    if not z2:
+        ints, scale = _integer_coefficients(n)
+        return hi, (n * (n + 1) * scale << e) // ((n + 3) * ints[0]), e
+    c = -(-(F * F << 2 * e) // (4 * z2))  # F^2 4^e / (4 |Z|^2), rounded up
+    r = isqrt(c)
+    return hi, isqrt((q << 2 * e) // (4 * z2)) - r - (r * r < c), e
 
 
 def _div_up(num: int, den: int, bits: int) -> mpf:
@@ -476,7 +536,17 @@ def _power(xr: int, xi: int, n: int, P: int) -> tuple[int, int, int]:
     """(x 2^-P)^n for the Gaussian integer x, as (mr, mi, e) standing for
     (mr + i mi) 2^e, by binary powering that cuts every product back to P
     bits: a small power keeps its relative precision, where at the fixed
-    scale it would lose it, down to zero."""
+    scale it would lose it, down to zero.
+
+    The cut error, which _bounded_horner's proof relies on: a cut floors a
+    product v whose larger part has P + c bits, c > 0, by less than 2^c in
+    each part, so it moves v by less than 2^(1.5-P) |v|.  A cut squaring
+    to x^(2^j) enters the result floor(n / 2^j) times, and a cut in the
+    accumulator once, one per set bit of n: n times in all.  So the result
+    is x^n (1 + d) with |d| <= (1 + 2^(1.5-P))^n - 1 < n 2^(2-P) for
+    n <= 2^(P-4).  Every intermediate is a power x^j, j <= n, so the
+    result is exact when x 2^-P has k fractional bits, |x 2^-P| < 2^t and
+    P >= n (k + t): each x^j then fits in P bits above 2^(-jk)."""
     mr, mi, e, be = 1, 0, 0, -P
     while True:
         if n & 1:

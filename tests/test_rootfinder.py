@@ -1,5 +1,6 @@
 """Root solver: closed-form small cases, eigenvalue oracles, certification."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
@@ -445,6 +446,15 @@ class TestCertify:
         assert rs.residuals == (mpf(2) ** -401,)
         assert rs.inclusion_radii == (mpf(2) ** -400,)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_at_zero(self, n):
+        # the identity 2 z S' = N gives no S' at z = 0, where S'(1) comes
+        # from c_1 = -n (n+1)/(n+3): |p(0)| = 1 and the radius is
+        # n / |c_1| = (n+3)/(n+1), rounded up
+        rs = certify(build_polynomial(n), [to_mpc(0, BITS)] * n, BITS)
+        assert rs.residuals == (1,) * n
+        assert rs.inclusion_radii == (mp.make_mpf(from_rational(n + 3, n + 1, BITS, "u")),) * n
+
     @pytest.mark.parametrize("z", [mpc("1.25", "0.375"), mpc("-0.5", "2.75"), mpc(3)])
     def test_exact_scale_at_degree_three(self, z):
         # No zero of the family but n = 1's z = 2 is dyadic, so at degree 3
@@ -496,22 +506,82 @@ class TestOracleGate:
             assert _within_one_rounding(res, v2, scale * scale, bits)
             assert _within_one_rounding(rad, n * n * v2, d2, bits)
 
-    @pytest.mark.parametrize("n", [5, 40, 100])
+    @pytest.mark.parametrize("n", [5, 40, 100, 300])
     def test_bounds_hold_to_the_unit(self, n, root_cache):
         # |S| <= hi 2^-e and |S'| >= lo 2^-e, compared exactly, at the roots
         # and at points a little off them: the floors of the Horner loop move
         # S~ by a few units of 2^-P, which the ceiling of the modulus alone
-        # would not cover, so this fails unless the running bounds do
+        # would not cover, so this fails unless the running bounds do.  At
+        # 1e-2 off a root (n+1) S and the w^n term of N are of one size.
+        # At n = 300 every fifth root of the upper half keeps the exact
+        # evaluations to a few seconds.
         rs = root_cache([n])[n]
         bits = rs.precision_used
+        offsets = (0, mpc("1e-6", "-3e-7"), mpc("1e-2", "-3e-3"))
         with mp.workprec(bits):
-            points = [z + d for z in rs.roots[: n // 2 + 1] for d in (0, mpc("1e-6", "-3e-7"))]
+            points = [z + d for z in rs.roots[: n // 2 + 1 : max(1, n // 60)] for d in offsets]
             keys = [(z.real, abs(z.imag)) for z in points]
         for z, key in zip(points, keys):
             hi, lo, e = rootfinder._bounded_horner(n, *key, bits)
             v, d, den = _exact_squares(build_polynomial(n), z, e)
             assert hi * hi * den >= v
             assert 0 < lo and lo * lo * den <= d
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "z",
+        [mpc(mpf(2) ** -300), mpc(mpf(2) ** -300, mpf(2) ** -290)],
+        ids=["real", "complex"],
+    )
+    def test_next_to_zero(self, n, z):
+        # the identity divides N by 2 z: at |z| = 2^-300 N cancels to
+        # 2^-300 of its terms, so only a wider scale bounds S' well
+        rs = certify(build_polynomial(n), [z] * n, BITS)
+        (vr, vi), (dr, di), scale = exact_horner(build_polynomial(n), z)
+        v2, d2 = vr * vr + vi * vi, dr * dr + di * di
+        assert _within_one_rounding(rs.residuals[0], v2, scale * scale, BITS)
+        assert _within_one_rounding(rs.inclusion_radii[0], n * n * v2, d2, BITS)
+
+
+class TestPower:
+    """_power's stated cut error, which enters the bound on S' in
+    _bounded_horner: within n 2^(2-P) |x|^n relative of the exact power."""
+
+    P = 360
+
+    @staticmethod
+    def _exact(xr: int, xi: int, n: int) -> tuple[int, int]:
+        mr, mi = 1, 0
+        for _ in range(n):
+            mr, mi = mr * xr - mi * xi, mr * xi + mi * xr
+        return mr, mi
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 64, 127, 128, 255, 300, 399, 400])
+    def test_cut_error_bound(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            xr, xi = (rng.randrange(-(2 << self.P), 2 << self.P) for _ in range(2))
+            mr, mi, e = rootfinder._power(xr, xi, n, self.P)
+            er, ei = self._exact(xr, xi, n)  # x^n 2^(-P n)
+            shift = e + self.P * n
+            dr, di = (mr << shift) - er, (mi << shift) - ei
+            assert (dr * dr + di * di) << 2 * self.P <= 16 * n * n * (er * er + ei * ei)
+
+    @pytest.mark.parametrize("n", [1, 17, 59])
+    def test_exact_for_short_points(self, n):
+        # x with k = 4 fractional bits and |x| < 2^t, t = 2: every cut is
+        # exact for P >= n (k + t), so the power is exact
+        rng = random.Random(n)
+        k = 4
+        for _ in range(3):
+            wr, wi = (rng.randrange(-(1 << (k + 1)) + 1, 1 << (k + 1)) for _ in range(2))
+            mr, mi, e = rootfinder._power(wr << (self.P - k), wi << (self.P - k), n, self.P)
+            er, ei = self._exact(wr, wi, n)  # x^n 2^(-k n)
+            shift = e + k * n
+            if shift >= 0:
+                assert (mr << shift, mi << shift) == (er, ei)
+            else:
+                assert (mr, mi) == (er << -shift, ei << -shift)
 
 
 class TestSqrtUp:
@@ -627,6 +697,13 @@ class TestFixedPoint:
         assert numerics._to_fixed(mpc(x), self.SCALE) == (want, 0)
 
 
+def _certificate_digest(rs) -> str:
+    """SHA-256 of the (sign, mantissa, exponent, bitcount) tuples of the
+    residuals, then of the inclusion radii, in the order certify sorts them."""
+    parts = [tuple(int(v) for v in x._mpf_) for x in rs.residuals + rs.inclusion_radii]
+    return sha256(repr(parts).encode()).hexdigest()
+
+
 def _root_digest(rs) -> str:
     """SHA-256 of the (sign, mantissa, exponent, bitcount) tuples of the
     roots, real part then imaginary part, in the order certify sorts them."""
@@ -652,6 +729,18 @@ class TestPurity:
         assert _root_digest(rs) == self.ROOTS_160_SHA256[n]
         with mp.workprec(300):
             assert find_roots(build_polynomial(n)) == rs
+
+    CERTIFICATE_160_SHA256 = {
+        7: "774cfe51274b46de381ff86f4901e8fe7fa0e6cc5a2efde53b88516c4b718881",
+        40: "661cf46155f4bf523a0af833f35442b9b60877048c2ce8a73b7b83a1cb6e689c",
+        101: "75182e9963eadecf40fb840c220350af5bdc10ab961ee5e1e0484d757e69bd21",
+    }
+
+    @pytest.mark.parametrize("n", [7, 40, 101])
+    def test_certificate_bits_pinned(self, n, root_cache):
+        # the residuals and radii are pinned to the bit, as the roots are
+        rs = root_cache([n])[n]
+        assert _certificate_digest(rs) == self.CERTIFICATE_160_SHA256[n]
 
     @pytest.mark.parametrize("n", [40, 101])
     def test_double_repulsion_against_exact_sum(self, n):
