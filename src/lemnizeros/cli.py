@@ -215,7 +215,8 @@ def parse_run_config_text(text: str, flags: dict | None = None) -> RunConfig:
 
 
 def parse_rational_complex(text: str) -> tuple[Fraction, Fraction]:
-    """Exact rational a+bi syntax: '4/3', '1/3+2/3i', '-1+0.5i', '2i'."""
+    """Exact rational a+bi syntax: '4/3', '1/3+2/3i', '-1+0.5i', '2i',
+    '2+1e-3i' (a sign after e or E belongs to an exponent)."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
@@ -223,7 +224,7 @@ def parse_rational_complex(text: str) -> tuple[Fraction, Fraction]:
         body = s[:-1]
         split = None
         for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/.":
+            if body[k] in "+-" and body[k - 1] not in "+-/.eE":
                 split = k
                 break
         if split is None:
@@ -292,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except OSError as exc:
+        raise ValueError(f"--config {args.config}: {exc.strerror or exc}") from None
     flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
     cfg = parse_run_config_text(text, flags)
     return replace(cfg, workers=os.cpu_count() or 1) if cfg.workers == 0 else cfg

@@ -51,8 +51,8 @@ def branch_polyline(samples: int = 2048, bits: int = DEFAULT_BITS) -> list[mpc]:
     `bits`: rounding moves a value by about 1e-16, and the margins are far
     wider.  For samples <= 4096 every root off theta = 0 lies 0.0149 or
     more from 1/3, with its real part 0.0106 or more from 1/3; the pair
-    colliding at theta = 0 lies within 5e-11 of 1/3 at 64 bits (2e-20 at
-    128); adjacent angles differ by 6.8e-4 rad or more.
+    colliding at theta = 0 lies within 5.1e-11 of 1/3 at 64 bits (1.6e-20
+    at 128); adjacent angles differ by 6.8e-4 rad or more.
     """
     if samples < 1:
         raise ValueError("branch_polyline: empty theta grid")

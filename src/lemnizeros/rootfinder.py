@@ -38,6 +38,10 @@ tuples cost in pure Python.  Values enter the scale once and leave it,
 rounded to the working precision, once.  Only the repulsion sums, which
 merely steer each correction, run in IEEE doubles, one correctly rounded
 operation at a time, so the roots are the same bits on every platform.
+The same loop, with the same arithmetic and the same stop rule (a root
+freezes once its next correction is predicted below the fixed scale, and
+the solve is converged when none is left moving), solves the cubic of
+geometry.branch_polyline, only without conjugate mirrors.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -566,7 +570,11 @@ def _cut(re: int, im: int, e: int, width: int) -> tuple[int, int, int]:
 def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
     """Zeros of a general small polynomial with complex coefficients
     (ascending order).  Exists for the cubic of geometry.branch_polyline;
-    this is not a general-purpose solver surface."""
+    this is not a general-purpose solver surface.  The sweeps are the
+    family's (_aberth_core without conjugate mirrors: repulsion sums in
+    doubles, the predicted-convergence freeze), on the quotient of
+    _horner_quotient; a solve that stalls is run once more at twice the
+    precision."""
     with mp.workprec(bits):
         cs = [to_mpc(c, bits) for c in coeffs]
         if len(cs) < 2 or cs[-1] == 0:
@@ -626,45 +634,41 @@ def _aberth_core(quotient, roots, prec, axis=None):
     N / (1 - N sigma), with sigma the repulsion sum of 1/(z_i - z_j) over
     the other roots.
 
-    With axis set, the roots are one of each conjugate pair of a real
-    polynomial's zeros: the first `axis` of them lie on the real axis and
-    stay there (the imaginary part of their corrections is dropped), and
-    every later one stands also for its conjugate, which enters each
-    repulsion sum, that root's own included.  Then sigma is summed in IEEE
-    doubles (_double_repulsion) on a double copy of each root and mirror,
-    refreshed whenever the root moves.  sigma only steers the correction:
-    its error moves the correction by about N^2 times as much, so once
-    |N| nears 2^-prec a 2^-53 relative error in sigma stays far below the
-    fixed scale, and the Newton quotient alone needs full precision (the
-    mixed precision of MPSolve, Bini and Fiorentino, Numer. Algorithms 23,
-    2000).  Without axis (the cubic of branch_polyline) sigma is summed in
-    integers at scale 2^-2P.
+    sigma is summed in IEEE doubles (_double_repulsion) on a double copy of
+    each root, refreshed whenever the root moves.  sigma only steers the
+    correction: its error moves the correction by about N^2 times as much,
+    so once |N| nears 2^-prec a 2^-53 relative error in sigma stays far
+    below the fixed scale, and the Newton quotient alone needs full
+    precision (the mixed precision of MPSolve, Bini and Fiorentino, Numer.
+    Algorithms 23, 2000).  With axis set, the roots are one of each
+    conjugate pair of a real polynomial's zeros: the first `axis` of them
+    lie on the real axis and stay there (the imaginary part of their
+    corrections is dropped), and every later one stands also for its
+    conjugate, whose double copy enters each repulsion sum, that root's own
+    included.  Without axis (the cubic of branch_polyline) there are no
+    mirrors.
 
-    Stops 'converged' when every relative correction in a sweep is below
-    2^(8-prec), and 'stall' after max_sweeps otherwise; the caller certifies
-    the returned configuration either way.  A root whose relative
-    correction falls below 2^(4-prec) is frozen.  With axis set, so is one
-    whose relative correction c has 2 log2|c| < -prec - 16, and it counts
-    as converged: Aberth converges at least quadratically at simple zeros,
-    so its next correction would fall below 2^-(prec+8), the fixed scale,
-    where it would only dither.  Relative corrections are compared as log2
-    values: math.log2 reads the top bits of an integer of any size, where a
-    float conversion would overflow beyond 2^1024.
+    A root freezes once its relative correction c has 2 log2|c| < -prec - 16:
+    Aberth converges at least quadratically at simple zeros, so its next
+    correction would fall below 2^-(prec+8), the fixed scale, where it
+    would only dither.  Stops 'converged' after a sweep that leaves no root
+    moving, and 'stall' after max_sweeps otherwise; the caller certifies
+    the returned configuration either way.  Relative corrections are
+    compared as log2 values: math.log2 reads the top bits of an integer of
+    any size, where a float conversion would overflow beyond 2^1024.
     """
     P = prec + _GUARD
-    one, one3 = 1 << P, 1 << (3 * P)
-    tiny = 1 << (P - prec)  # 2^-prec, the stand-in for a zero difference
+    one = 1 << P
     roots = list(roots)
+    n = len(roots)
     mirrored = axis is not None
     axis = axis or 0
-    mirrors = [(x, -y) for x, y in roots[axis:]] if mirrored else []
-    n = len(roots)
-    # double copies of the roots, then of the mirrors, for _double_repulsion
-    doubles = [_to_double(x, y, P) for x, y in roots + mirrors] if mirrored else []
+    doubles = [_to_double(x, y, P) for x, y in roots]
+    if mirrored:
+        doubles += [_to_double(x, -y, P) for x, y in roots[axis:]]
     frozen = [False] * n
-    max_sweeps = 120 + 6 * (n + len(mirrors))
+    max_sweeps = 120 + 6 * len(doubles)
     for sweep in range(1, max_sweeps + 1):
-        all_ok = True
         for i in range(n):
             if frozen[i]:
                 continue
@@ -675,23 +679,9 @@ def _aberth_core(quotient, roots, prec, axis=None):
                 continue
             if not (dr or di):
                 roots[i] = (zr + (1 << (P + (-prec // 2))), zi)
-                all_ok = False
             else:
                 wr, wi = _fixed_div(nr, ni, dr, di, P)
-                if mirrored:
-                    ar, ai = _double_repulsion(doubles, i, P)
-                else:
-                    ar = ai = 0  # sum of 1/(z_i - z_j) at scale 2^-2P
-                    for xr, xi in roots[:i] + roots[i + 1 :]:
-                        er, ei = zr - xr, zi - xi
-                        ee = er * er + ei * ei
-                        if not ee:
-                            er, ee = tiny, tiny * tiny
-                        t = one3 // ee
-                        ar += er * t
-                        ai -= ei * t
-                    ar >>= P
-                    ai >>= P
+                ar, ai = _double_repulsion(doubles, i, P)
                 qr = one - ((wr * ar - wi * ai) >> P)
                 qi = -((wr * ai + wi * ar) >> P)
                 cr, ci = (wr, wi) if not (qr or qi) else _fixed_div(wr, wi, qr, qi, P)
@@ -699,20 +689,13 @@ def _aberth_core(quotient, roots, prec, axis=None):
                     ci = 0
                 roots[i] = (zr - cr, zi - ci)
                 cc = cr * cr + ci * ci
-                rel = log2(cc) / 2 - log2(isqrt(zr * zr + zi * zi) + one) if cc else -inf
-                if mirrored and 2 * rel < -prec - 16:
+                if not cc or log2(cc) - 2 * log2(isqrt(zr * zr + zi * zi) + one) < -prec - 16:
                     frozen[i] = True  # the next correction is below the fixed scale
-                elif rel >= 8 - prec:
-                    all_ok = False
-                elif rel < 4 - prec:
-                    frozen[i] = True
-            if mirrored:
-                x, y = roots[i]
-                doubles[i] = fx, fy = _to_double(x, y, P)
-                if i >= axis:
-                    mirrors[i - axis] = (x, -y)
-                    doubles[n + i - axis] = (fx, -fy)
-        if all_ok:
+            x, y = roots[i]
+            doubles[i] = fx, fy = _to_double(x, y, P)
+            if mirrored and i >= axis:
+                doubles[n + i - axis] = (fx, -fy)
+        if all(frozen):
             return roots, "converged", sweep
     return roots, "stall", max_sweeps
 

@@ -1,5 +1,7 @@
 """Campaign reports, convergence statistics, figure emission."""
 
+from fractions import Fraction
+
 from mpmath import mp, mpc, mpf
 
 from lemnizeros import analysis, cli, geometry, rootfinder
@@ -14,7 +16,7 @@ from lemnizeros.analysis import (
     summary_csv,
 )
 from lemnizeros.geometry import branch_polyline
-from lemnizeros.numerics import PrecisionConfig
+from lemnizeros.numerics import PrecisionConfig, to_mpc
 
 
 class TestVerifyLemmas:
@@ -74,6 +76,14 @@ class TestConvergence:
         thetas = [d.theta for d in rep.per_zero if d.theta is not None]
         assert len(thetas) + rep.excluded_near_pinch == 12
         assert rep.theta_gap_ratio is not None and 1 <= rep.theta_gap_ratio < 2
+
+    def test_branch_distance_falls_back_to_the_vertex_near_the_pinch(self):
+        # |(1 - z)(1 - 3z)| < 1/10 at z = 1/3 + 0.02: the Newton projection
+        # degenerates there, so the nearest vertex, the pinch, stands
+        polyline = [complex(v) for v in branch_polyline(64)]
+        z = to_mpc(Fraction(1, 3) + Fraction(1, 50), 128)
+        d = analysis._branch_distance(z, polyline, 128)
+        assert d == mpf(min(abs(complex(z) - v) for v in polyline)) == mpf(abs(complex(z) - 1 / 3))
 
     def test_slope_is_negative(self, root_cache):
         reports = convergence_report(root_cache([6, 12, 24]), branch_samples=256)

@@ -35,6 +35,9 @@ class TestParsing:
             ("-i", "0", "-1"),
             ("1-2/7j", "1", "-2/7"),
             ("1.4", "7/5", "0"),
+            ("2+1e-3i", "2", "1/1000"),
+            ("1e-3i", "0", "1/1000"),
+            ("-1E+2-2.5e-1j", "-100", "-1/4"),
         ],
     )
     def test_rational_complex(self, text, re_q, im_q):
@@ -58,6 +61,7 @@ class TestParsing:
             ("2i", "0+2i"),
             ("-i", "0-1i"),
             ("1.4-2/7j", "7/5-2/7i"),
+            ("2+1e-3i", "2+1/1000i"),
         ],
     )
     def test_one_spelling_per_point(self, text, canonical):
@@ -235,6 +239,12 @@ class TestCommands:
             assert capsys.readouterr().out.startswith("cached: ") == (i > 0)
         assert len(list(tmp_path.iterdir())) == 1
 
+    def test_exponent_spelling_shares_the_directory(self, tmp_path, capsys):
+        for i, z in enumerate(("2+1/1000i", "2+1e-3i")):
+            assert cli.main(["trace", "--z", z, "--steps", "64", "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().out.startswith("cached: ") == (i > 0)
+        assert len(list(tmp_path.iterdir())) == 1
+
     @pytest.mark.parametrize(
         "argv,raises,code",
         [
@@ -306,6 +316,14 @@ class TestCommands:
         for argv in (["--config", str(conf)], ["--config", str(conf), "roots", "--out", str(out)]):
             assert cli.main(argv) == 2
             assert "roots does not read --steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("conf", ["missing.conf", "."], ids=["missing", "directory"])
+    def test_an_unreadable_config_is_a_usage_error(self, conf, tmp_path, capsys):
+        # exit 1 would read as a failed verification check
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(tmp_path / conf), "roots", "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --config {tmp_path / conf}: ")
         assert not out.exists()
 
     def test_spellings_of_one_window_share_one_directory(self, tmp_path, capsys):

@@ -69,6 +69,23 @@ class TestLemniscateBranch:
         worst = max(min(abs(r - e) for e in expected) for r in right)
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("bits", [64, 128])
+    @pytest.mark.parametrize("samples", [1, 7, 64, 256])
+    def test_closed_form(self, samples, bits):
+        # with s = sqrt(z) the branch is s - s^3 = (2/sqrt(27)) e^(i phi), so
+        # z(phi) = (4/3) cos^2(arccos(e^(i phi)) / 3); the cubic at phase
+        # theta has the points phi = theta/2 and theta/2 - pi
+        pts = branch_polyline(samples, bits)
+        with mp.workprec(bits + 64):
+            oracle = [mpc(1) / 3]  # phi = -pi, where arccos is ill-conditioned
+            for k in range(samples):
+                half = mpf(2 * math.pi * k / samples) / 2
+                phis = (half, half - mp.pi) if k else (half,)
+                oracle += [mpf(4) / 3 * mp.cos(mp.acos(mp.expj(phi)) / 3) ** 2 for phi in phis]
+            oracle.sort(key=lambda z: mp.atan2(z.imag, z.real - 1))
+            assert len(pts) == len(oracle)
+            assert max(abs(z - c) for z, c in zip(pts, oracle)) <= mpf(2) ** (4 - bits)
+
     def test_empty_grid_rejected(self):
         for samples in (0, -3):
             with pytest.raises(ValueError, match="empty theta grid"):

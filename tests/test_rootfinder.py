@@ -29,7 +29,7 @@ from lemnizeros.rootfinder import (
 from conftest import exact_horner, sqrt_up
 
 BITS = 128
-BRANCH_64_SHA256 = "00569ea2772fab701398700d5c16aa30b836da3c547be6df3e94fba6bd8ba190"
+BRANCH_64_SHA256 = "b98a1fb9a729986a75ce31388d5710d1d842407c298755d5f7192e66ad057cb4"
 
 
 def _match_greedily(found, expected):
@@ -180,6 +180,25 @@ class TestFindRoots:
         with pytest.raises(PrecisionExhaustedError) as err:
             find_roots(build_polynomial(240), cfg)
         assert "64" in str(err.value)
+
+    def test_failed_rung_escalates_and_certifies(self, monkeypatch):
+        # the degree of test_precision_exhausted, with room to double: the
+        # 128-bit rung starts from the 64-bit rung's estimates
+        rungs = []
+
+        def spy(p, start, bits):
+            raw, status, sweeps = aberth_family(p, start, bits)
+            rungs.append((start, bits, raw))
+            return raw, status, sweeps
+
+        aberth_family = rootfinder._aberth_family
+        monkeypatch.setattr(rootfinder, "_aberth_family", spy)
+        rs = find_roots(build_polynomial(240), PrecisionConfig(bits=64, max_bits=128))
+        assert [bits for _, bits, _ in rungs] == [64, 128]
+        assert rungs[1][0] is rungs[0][2]
+        assert rs.precision_used == 128
+        assert rs.disks_disjoint() and _exactly_closed(rs.roots)
+        assert rs.max_relative_radius() <= RADIUS_REL_TOL
 
     def test_rejects_a_polynomial_outside_the_family(self):
         # 1 - z + 3/7 z^2 passes ExactPolynomial's checks (c_0 = 1, alternating
@@ -657,9 +676,31 @@ class TestCsvAndCubic:
         roots = solve_complex_poly(coeffs, BITS)
         assert _match_greedily(roots, [1, 1j, -2 + 0.5j]) < 2.0 ** (8 - BITS)
 
+    def test_cubic_started_at_its_critical_point(self, monkeypatch):
+        # p' = (3z - 1)(z - 1) vanishes at the start z = 1, so the sweep loop
+        # bumps that root before its first Newton step
+        statuses = []
+
+        def spy(quotient, roots, prec, axis=None):
+            out = aberth_core(quotient, roots, prec, axis)
+            statuses.append(out[1])
+            return out
+
+        aberth_core = rootfinder._aberth_core
+        monkeypatch.setattr(rootfinder, "_aberth_core", spy)
+        with mp.workprec(BITS):
+            w = mpf(4) / 27 * mp.expj(1)
+            coeffs = [-w, mpf(1), mpf(-2), mpf(1)]
+            roots = solve_complex_poly(coeffs, BITS, start=[mpc(1), mpc(0), mpc(2)])
+        assert statuses == ["converged"]
+        with mp.workprec(2 * BITS):
+            assert max(abs(polyval(coeffs[::-1], z)) for z in roots) <= mpf("1e-39")
+        assert _match_greedily(roots, np.roots([1, -2, 1, -complex(w)])) < 1e-15
+
     def test_branch_polyline_cubics_bit_identical(self):
-        # the cubics keep the arithmetic of the complex Horner sweeps, so
-        # the branch samples are pinned to the bit
+        # the cubics run the family's sweep arithmetic (double repulsion
+        # sums, predicted-convergence freeze), so the branch samples are
+        # pinned to the bit; test_geometry holds them to the closed form
         text = "\n".join(
             f"{v._mpf_[0]},{int(v._mpf_[1])},{v._mpf_[2]}"
             for z in branch_polyline(64)
