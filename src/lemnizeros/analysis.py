@@ -18,6 +18,7 @@ from statistics import median
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_abs
 
 from .geometry import DEFAULT_BITS, branch_polyline, divides_and_level_field, level_field_csv
 from .numerics import to_mpc
@@ -46,7 +47,8 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
     """The verdicts of one certified RootSet.  Its roots and radii are
     dyadic, so |z| +- r is compared with n+1 and 1 exactly: |z|^2 against
     (n+1 -+ r)^2 and (1+r)^2, as integers at one common exponent.  The
-    smallest Re z - r is rounded down."""
+    smallest Re z - r is rounded down.  |z| is taken once per conjugate
+    pair: mpmath squares both parts, so |conj z| is bitwise |z|."""
     n = rs.degree
     inside = boundary = True
     outside = False
@@ -60,7 +62,14 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
         outside = outside or modulus2 > (one + rad) ** 2
     ek = "inside" if inside else "boundary" if boundary else "violated"
     with mp.workprec(rs.precision_used):
-        moduli = [abs(z) for z in rs.roots]
+        by_pair: dict[tuple, mpf] = {}  # |z| by (Re z, |Im z|)
+        moduli = []
+        for z in rs.roots:
+            x, y = z._mpc_
+            key = (x, mpf_abs(y))
+            if key not in by_pair:
+                by_pair[key] = abs(z)
+            moduli.append(by_pair[key])
         min_re = min(mp.fsub(z.real, r, rounding="d") for z, r in zip(rs.roots, rs.inclusion_radii))
         prod = mpf(1)
         for m in moduli:

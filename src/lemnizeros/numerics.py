@@ -11,8 +11,8 @@ its zeros are {0, +1/sqrt(z), -1/sqrt(z)} and its critical points sit at
 +-1/sqrt(3z), the zeros of 1 - 3 z t^2.  Callers build these points from
 principal_sqrt, whose branch convention fixes which zero is +1/sqrt(z).
 
-The fixed-point kernels (the Aberth sweeps and seeding in rootfinder, the
-path continuation in paths, the Legendre nodes in quadrature) work on
+The fixed-point kernels (the Aberth sweeps in rootfinder, the path
+continuation in paths, the Legendre nodes in quadrature) work on
 Gaussian integers (x, y) standing for (x + iy) 2^-scale, or on plain
 integers for real values; _to_fixed, _mpf_to_fixed, _from_fixed and
 _fixed_div move values into and out of that scale and divide within it.

@@ -18,10 +18,15 @@ while the simultaneous iteration is self-correcting.  A cold solve starts
 next to the zeros: each seed is a point of the right branch of the
 lemniscate |z (1-z)^2| = 4/27, which the zeros approach as n grows, equally
 spaced in the phase of sqrt(z) (1-z), moved one step toward the
-leading-order zero condition of the saddle-point analysis.  Away from the
-pinch that puts it within about 1/n^2 of a zero, so three sweeps bring
-each root to within a predicted step of the working precision and the
-fourth freezes the last of them: 4 sweeps at n = 4..300 (5 at n = 2, 3).
+leading-order zero condition of the saddle-point analysis, which puts it
+within about 1/n^2 of a zero away from the pinch.  Aberth sweeps in IEEE
+doubles then polish each seed for as long as a running bound on the
+rounding of the section's Horner value says that doubles resolve it there,
+and the fixed-point sweeps finish the last digits, as MPSolve moves from
+floating point to multiprecision (Bini and Robol, J. Comput. Appl. Math.
+272, 2014).  Every seed is polished up to n = 73 and fewer beyond, so the
+fixed-point sweeps take 2 at n = 2..48, 3 at n = 49..73 and 4 from n = 74
+up to 300 and at 400, the last of them freezing the last roots.
 p is real and the seeds are closed under conjugation, so the sweeps move
 one root of each conjugate pair, plus for odd n the real zero near 4/3,
 which stays on the axis; the conjugates of the others enter every
@@ -63,11 +68,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isqrt, lcm, log2, sqrt
+from math import inf, isqrt, lcm, ldexp, log2, sqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpf_neg, round_nearest, to_float
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fone,
+    from_float,
+    from_man_exp,
+    mpf_neg,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .exact import ExactPolynomial, build_polynomial
 from .numerics import (
@@ -86,7 +102,8 @@ from .numerics import (
 RADIUS_REL_TOL = mpf("1e-20")
 
 _GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
-_SEED_SCALE = 64  # fixed-point bits of the seeds
+_UNIT_ROUNDOFF = ldexp(1.0, -53)  # of an IEEE double
+_DOUBLE_FREEZE = ldexp(1.0, -53 - 16)  # _aberth_core's freeze at prec = 53
 _NOT_FINITE = (finf, fninf, fnan)
 
 
@@ -138,7 +155,8 @@ class RootSet:
 def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
     """Starting configuration: n points next to the zeros, each a point of
     the right branch of the lemniscate |z (1-z)^2| = 4/27 (Re z > 1/3)
-    moved one step toward the leading-order zero condition.
+    moved one step toward the leading-order zero condition, then polished
+    by Aberth sweeps in IEEE doubles while doubles resolve the section.
 
     With r = 2/sqrt 27, c = sqrt(2 pi n)/3 and u = sqrt(z) (1-z)/r, the
     saddle-point balance behind the zeros' asymptotics is
@@ -150,62 +168,183 @@ def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
     v is one Newton step v <- (n v + B / v^n) / (n + 1) from the previous
     seed's v, the first seed's from (3c/r)^(1/(n+1)), the value at
     phi = pi, and the seed solves s - s^3 = r u0 v by Newton steps from s0.
-    Away from the pinch a seed lies within about 1/n^2 of a zero, and for
-    n <= 120 within 0.56/n relative of one everywhere, where z0 misses by
-    up to 12/n.
+    Away from the pinch such a point lies within about 1/n^2 of a zero,
+    and for n <= 120 within 0.56/n relative of one everywhere, where z0
+    misses by up to 12/n.  _polish_in_doubles then takes each seed on
+    toward its zero for as long as doubles resolve the section there, so
+    that the fixed-point sweeps of find_roots take 2 at n = 2..48, 3 at
+    n = 49..73 and 4 from n = 74 up to 300 and at 400 (4 at every n >= 4
+    from the unpolished points).
 
     No phi_k is 0, so no z0 sits on the pinch z = 1/3;
     phi_(n-1-k) = 2 pi - phi_k, so the set is closed under conjugation.
     For odd n the middle seed has phi = pi, z0 = 4/3 and a real B, so every
     imaginary part in its arithmetic is 0 and it is exactly real.  The
     seeds with phi_k in [pi, 2 pi) are found by continuation in k from
-    s0 = 2/sqrt 3, each s0 by Newton steps from the previous one, and the
-    rest are their conjugates.  The arithmetic is on Gaussian integers at
-    the fixed scale 2^-_SEED_SCALE, from constants that mpmath computes
-    once per call, so the seeds are the same on every platform and depend
-    on `bits` only through their final rounding.
+    s0 = 2/sqrt 3, each s0 by Newton steps from the previous one, and
+    polished; the rest are their exact conjugates.  The arithmetic is in
+    IEEE doubles, one correctly rounded + - * / or math.sqrt at a time,
+    from constants that mpmath computes once per call and that are rounded
+    to the nearest double once, so the seeds are the same bits on every
+    IEEE-754 platform.  They leave as z = 1 - w, exact at `bits` unless
+    |Re w| is below about 2^(53-bits), and so depend on `bits` only
+    through that rounding.
     """
     if n < 1:
         raise ValueError("initial_points: n must be >= 1")
-    P = _SEED_SCALE
-    with mp.workprec(P + 16):
-        r, c = 2 / mp.sqrt(27), mp.sqrt(2 * mp.pi * n) / 3
-        rr, ri = _to_fixed(mp.expjpi(mpf(2) / n), P)
-        wr, wi = _to_fixed(mp.expjpi(mpf(2 * (n // 2) + 1) / n) * r, P)
-        sr, si = _to_fixed(mpc(2 / mp.sqrt(3)), P)
-        kr = _mpf_to_fixed((c / r**2)._mpf_, P)  # B = -kr (3 z0 - 1) conj(r u0)
-        vr, vi = _mpf_to_fixed(((3 * c / r) ** (mpf(1) / (n + 1)))._mpf_, P), 0
     points = [None] * n
-    for k in range(n // 2, n):
-        if k > n // 2:
-            wr, wi = (wr * rr - wi * ri) >> P, (wr * ri + wi * rr) >> P
-        sr, si = _cubic_newton(sr, si, wr, wi, P)
-        tr, ti = 3 * ((sr * sr - si * si) >> P) - (1 << P), 3 * ((2 * sr * si) >> P)
-        br = -(kr * ((tr * wr + ti * wi) >> P)) >> P
-        bi = -(kr * ((ti * wr - tr * wi) >> P)) >> P
-        mr, mi, e = _power(vr, vi, n, P)  # v^n = m 2^e, e < 0
-        qr, qi = _fixed_div(br, bi, mr, mi, -e)  # B / v^n at scale 2^-P
-        vr, vi = (n * vr + qr) // (n + 1), (n * vi + qi) // (n + 1)
-        xr, xi = _cubic_newton(sr, si, (wr * vr - wi * vi) >> P, (wr * vi + wi * vr) >> P, P)
-        zr, zi = (xr * xr - xi * xi) >> P, (2 * xr * xi) >> P
-        points[k] = _from_fixed((zr, zi), P, bits)
-        points[n - 1 - k] = _from_fixed((zr, -zi), P, bits)
+    for k, (wr, wi) in enumerate(_polish_in_doubles(n, _saddle_seeds(n)), n // 2):
+        x = mpf_sub(fone, from_float(wr), bits, round_nearest)
+        y = from_float(wi, bits, round_nearest)
+        points[k], points[n - 1 - k] = mp.make_mpc((x, mpf_neg(y))), mp.make_mpc((x, y))
     return points
 
 
-def _cubic_newton(sr: int, si: int, wr: int, wi: int, P: int) -> tuple[int, int]:
-    """The solution of s - s^3 = w next to s, for Gaussian integers at scale
-    2^-P: Newton steps from s until the correction stops shrinking."""
-    one, last = 1 << P, inf
+def _saddle_seeds(n: int) -> list[tuple[float, float]]:
+    """w = 1 - z of the unpolished seeds n//2 .. n-1 of initial_points, as
+    pairs of doubles."""
+    with mp.workprec(80):
+        r, c = 2 / mp.sqrt(27), mp.sqrt(2 * mp.pi * n) / 3
+        rot = mp.expjpi(mpf(2) / n)  # u0 of one seed over u0 of the one before
+        w = mp.expjpi(mpf(2 * (n // 2) + 1) / n) * r  # r u0 of seed n//2
+        s0, kr, v = 2 / mp.sqrt(3), c / r**2, (3 * c / r) ** (mpf(1) / (n + 1))
+    consts = (rot.real, rot.imag, w.real, w.imag, s0, kr, v)
+    rr, ri, wr, wi, sr, kr, vr = (to_float(x._mpf_, rnd=round_nearest) for x in consts)
+    si = vi = 0.0
+    seeds = []
+    for k in range(n // 2, n):
+        if k > n // 2:
+            wr, wi = wr * rr - wi * ri, wr * ri + wi * rr
+        sr, si = _cubic_newton(sr, si, wr, wi)
+        tr, ti = 3.0 * (sr * sr - si * si) - 1.0, 6.0 * (sr * si)  # 3 z0 - 1
+        # B = -kr (3 z0 - 1) conj(r u0)
+        br, bi = -kr * (tr * wr + ti * wi), -kr * (ti * wr - tr * wi)
+        mr, mi = _double_power(vr, vi, n)
+        qr, qi = _double_div(br, bi, mr, mi)
+        vr, vi = (n * vr + qr) / (n + 1), (n * vi + qi) / (n + 1)
+        xr, xi = _cubic_newton(sr, si, wr * vr - wi * vi, wr * vi + wi * vr)
+        seeds.append((1.0 - (xr * xr - xi * xi), -(2.0 * (xr * xi))))
+    return seeds
+
+
+def _cubic_newton(sr: float, si: float, wr: float, wi: float) -> tuple[float, float]:
+    """The solution of s - s^3 = w next to s, in doubles: Newton steps from
+    s until the next correction is predicted below the doubles' resolution
+    (|c|^2 < 2^-69 at |s| < 2, as _polish_in_doubles freezes a root) or the
+    correction stops shrinking."""
+    last = inf
     while True:
-        ar, ai = (sr * sr - si * si) >> P, (2 * sr * si) >> P
-        br, bi = (ar * sr - ai * si) >> P, (ar * si + ai * sr) >> P
-        cr, ci = _fixed_div(sr - br - wr, si - bi - wi, one - 3 * ar, -3 * ai, P)
+        ar, ai = sr * sr - si * si, 2.0 * (sr * si)
+        fr, fi = sr - (ar * sr - ai * si) - wr, si - (ar * si + ai * sr) - wi
+        cr, ci = _double_div(fr, fi, 1.0 - 3.0 * ar, -3.0 * ai)
         sr, si = sr - cr, si - ci
         cc = cr * cr + ci * ci
-        if cc < 256 or cc >= last:  # at the rounding floor of the scale
+        if cc < _DOUBLE_FREEZE or cc >= last:
             return sr, si
         last = cc
+
+
+def _double_div(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
+    """(ar + i ai) / (br + i bi) in doubles, as a conj(b) / |b|^2."""
+    bb = br * br + bi * bi
+    return (ar * br + ai * bi) / bb, (ai * br - ar * bi) / bb
+
+
+def _double_power(xr: float, xi: float, n: int) -> tuple[float, float]:
+    """(xr + i xi)^n in doubles, by binary powering."""
+    mr, mi = 1.0, 0.0
+    while True:
+        if n & 1:
+            mr, mi = mr * xr - mi * xi, mr * xi + mi * xr
+        n >>= 1
+        if not n:
+            return mr, mi
+        xr, xi = xr * xr - xi * xi, 2.0 * (xr * xi)
+
+
+def _polish_in_doubles(n: int, half: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Ehrlich-Aberth sweeps in IEEE doubles on the section S(w) of the
+    family, from the seeds' w = 1 - z for roots n//2 .. n-1 (for odd n the
+    first of them lies on the real axis and stays there); returns the
+    polished w.  They sweep as _aberth_family and _aberth_core do in fixed
+    point: the quotient S/S' from the identity
+    (1 - w) S' = b S - (n+b) a_n w^n, the conjugates of the other roots as
+    mirrors in every repulsion sum, and the repulsion sums from
+    _double_repulsion itself, at its 2^-60 scale.
+
+    A root takes a correction only while doubles resolve S there: the
+    Horner value S~ must exceed gamma mu, mu = sum a_k |w|^k, which bounds
+    its rounding error.  Each step rounds the product s w by at most
+    2^(1/2) gamma_2 relative (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 3.5), the sum by u = 2^-53 and each a_k once more, so
+    gamma = (4n + 4) u covers the first-order bound with room for the rest.
+    A root also stops once its correction c has |c|^2 < 2^-69 (1 + |w|)^2,
+    _aberth_core's freeze at 53 bits, as its next correction would fall
+    below the doubles' resolution; and a correction that is not at
+    most half its root's last one is left unapplied and stops the root, so
+    the corrections of a moving root halve every sweep and the loop ends.
+    A stopped root is not evaluated again.
+
+    Doubles resolve S least on the far side of the branch, near z = 4/3:
+    every seed takes corrections up to n = 73, 20 of 50 at n = 100, and
+    from n = 200 on only about a dozen next to the pinch, which start
+    farthest from their zeros.  From n = 740 on a_n overflows a double and
+    nothing is polished.  S~ and the a_n w^n term are divided by mu before
+    any square is taken, so nothing overflows below that.  Near the zeros
+    2 z S' is about -(3n+1) a_n w^n, so where w^n would underflow, S' is
+    far too small against mu for the guard to pass.  Only + - * / and
+    math.sqrt on doubles are used, one correctly rounded operation at a
+    time, so the result is the same on every IEEE-754 platform.
+    """
+    ints, _ = _integer_coefficients(n)
+    try:
+        coeffs = [c / ints[0] for c in ints]  # a_k, each correctly rounded
+        top = (3 * n + 1) * ints[n] / ints[0]
+    except OverflowError:
+        return half
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    gamma = (4 * n + 4) * _UNIT_ROUNDOFF
+    axis = n % 2
+    m = len(half)
+    doubles = half + [(x, -y) for x, y in half[axis:]]
+    last = [inf] * m
+    moving = list(range(m))
+    while moving:
+        still = []
+        for i in moving:
+            wr, wi = doubles[i]
+            aw = sqrt(wr * wr + wi * wi)
+            sr, si, mu = lead, 0.0, lead
+            for c in rest:
+                sr, si = sr * wr - si * wi + c, sr * wi + si * wr
+                mu = mu * aw + c
+            sr, si, t = sr / mu, si / mu, top / mu  # so that no square below overflows
+            if not sr * sr + si * si > gamma * gamma:
+                continue  # S~ is rounding noise here
+            mr, mi = _double_power(wr, wi, n)
+            dr, di = (n + 1) * sr - t * mr, (n + 1) * si - t * mi  # 2 z S' / mu
+            if not dr * dr + di * di:
+                continue  # S' vanishes here: left to the fixed-point sweeps
+            zr, zi = 1.0 - wr, -wi
+            nr, ni = _double_div(2.0 * (sr * zr - si * zi), 2.0 * (sr * zi + si * zr), dr, di)
+            ar, ai = _double_repulsion(doubles, i, _DOUBLE_SCALE)
+            ar, ai = ar * _DOUBLE_UNIT, ai * _DOUBLE_UNIT
+            qr, qi = 1.0 - (nr * ar - ni * ai), -(nr * ai + ni * ar)
+            cr, ci = (nr, ni) if not (qr or qi) else _double_div(nr, ni, qr, qi)
+            if i < axis:
+                ci = 0.0
+            cc = cr * cr + ci * ci
+            if 4.0 * cc > last[i]:
+                continue
+            last[i] = cc
+            doubles[i] = wr, wi = wr - cr, wi - ci
+            if i >= axis:
+                doubles[m + i - axis] = wr, -wi
+            s = 1.0 + aw
+            if cc >= _DOUBLE_FREEZE * (s * s):
+                still.append(i)
+        moving = still
+    return doubles[:m]
 
 
 def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> RootSet:
@@ -213,9 +352,9 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
     precision until the certificate is strong (disjoint disks, radii below
     RADIUS_REL_TOL relative) or the precision ceiling is hit.
 
-    The iteration starts from the seeds of initial_points, so the result
-    is a function of p and cfg alone, and the root set is exactly
-    closed under conjugation (see _aberth_family).  In the w basis one rung
+    The iteration starts from the seeds of initial_points, polished in
+    doubles, so the result is a function of p and cfg alone, and the root
+    set is exactly closed under conjugation (see _aberth_family).  In the w basis one rung
     suffices at the default precision at every degree tried up to 400;
     the doubling is the safety net, and a retry starts from the previous
     rung's estimates.  Each inclusion radius is an upper bound

@@ -7,7 +7,6 @@ from hashlib import sha256
 from math import factorial, isqrt
 
 import mpmath
-import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf, polyval
 from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sqrt
@@ -99,6 +98,20 @@ class TestInitialPoints:
             with mp.workprec(BITS):
                 assert abs(middle - real_root) < mpf(1) / n
 
+    def test_past_the_double_range(self):
+        # From n = 740 on a_n = C_n / C_0 overflows a double, so the seeds are
+        # left as the saddle-point step puts them; at n = 739 some are still
+        # polished.
+        n = 760
+        pts = initial_points(n, 160)
+        assert len({(z.real, z.imag) for z in pts}) == n
+        assert _exactly_closed(pts)
+        with mp.workprec(160):
+            unpolished = [mpc(1 - mpf(x), -y) for x, y in rootfinder._saddle_seeds(n)]
+        assert pts[n // 2 :] == unpolished
+        half = rootfinder._saddle_seeds(739)
+        assert rootfinder._polish_in_doubles(739, half) != half
+
     def test_seeds_repeat_exactly(self):
         first, again = initial_points(60, 270), initial_points(60, 270)
         assert [(z.real._mpf_, z.imag._mpf_) for z in first] == [
@@ -131,6 +144,8 @@ class TestFindRoots:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_numpy_companion_oracle(self, n):
         # double-precision eigenvalues are trustworthy only at small degree
+        import numpy as np  # here, so that the module collects without numpy
+
         p = build_polynomial(n)
         coeffs = [float(c) for c in p.coefficients[::-1]]
         oracle = np.roots(coeffs)
@@ -271,12 +286,14 @@ class TestWBasis:
         # -prec - 16: at least quadratic convergence puts its next correction
         # below the fixed scale.  Without that rule the corrections dithered
         # at the scale's rounding floor, 5 sweeps at n = 4..25 and up to 8 at
-        # n = 300.
+        # n = 300.  Up to n = 40 doubles resolve the section at every seed,
+        # so the seeds come polished to about double precision and two sweeps
+        # finish them; from the unpolished seeds it took four.
         bits = PrecisionConfig().bits
         _, status, sweeps = rootfinder._aberth_family(
             build_polynomial(n), initial_points(n, bits), bits
         )
-        assert status == "converged" and sweeps <= 4
+        assert status == "converged" and sweeps <= (2 if n <= 40 else 4)
 
     def test_converges_at_degree_200(self):
         # Well past the degrees the other tests solve, the kernel still stops
@@ -679,6 +696,8 @@ class TestCsvAndCubic:
     def test_cubic_started_at_its_critical_point(self, monkeypatch):
         # p' = (3z - 1)(z - 1) vanishes at the start z = 1, so the sweep loop
         # bumps that root before its first Newton step
+        import numpy as np  # here, so that the module collects without numpy
+
         statuses = []
 
         def spy(quotient, roots, prec, axis=None):
@@ -753,14 +772,31 @@ def _root_digest(rs) -> str:
 
 
 class TestPurity:
-    """The sweeps sum their repulsion terms in IEEE doubles, one correctly
-    rounded operation at a time, so the roots are the same bits on every
-    platform and under every caller precision."""
+    """The seeds are computed and polished in IEEE doubles and the sweeps sum
+    their repulsion terms in them, one correctly rounded operation at a time,
+    so the seeds and the roots are the same bits on every platform and under
+    every caller precision."""
+
+    SEEDS_SHA256 = {
+        7: "2c9d21544bee4fed592507a942e0065e8b7f9c9dad1dcda91e8da90d125666d2",
+        40: "6b70f851e979182a77d4ea8b6e17bef1caa55e3e0d4df9ea03d1878348344f66",
+        101: "439dcf18577b4e7d5615b4f2b5884f06cd32c78352c370fc8bd7137bf0632e4a",
+    }
+
+    @pytest.mark.parametrize("n", [7, 40, 101])
+    def test_seed_bits_pinned(self, n):
+        # the polished w = 1 - z of the swept half, as float.hex pairs, and
+        # initial_points gives exactly 1 - w and its conjugate
+        half = rootfinder._polish_in_doubles(n, rootfinder._saddle_seeds(n))
+        text = ";".join(f"{x.hex()},{y.hex()}" for x, y in half)
+        assert sha256(text.encode()).hexdigest() == self.SEEDS_SHA256[n]
+        with mp.workprec(160):
+            assert initial_points(n, 160)[n // 2 :] == [mpc(1 - mpf(x), -y) for x, y in half]
 
     ROOTS_160_SHA256 = {
         7: "40b9071f2286c80688af725ad53bbcb3c5e0343d78d6a3087144c4d93cce8be7",
-        40: "431c0139ca798a6a88495fcd0b252b59f549f21ee52021113ba54d9a519218e5",
-        101: "769a71e8111732643e2fd7298ced7ae9e9fbe3ef7885327e4c6b9ddb2caae39f",
+        40: "fb41885989fe9af1da81c72c66b4ce144671cffa82855843de8aaab11af1c4a5",
+        101: "b183f62f6bd8e373de13455ce785d38a3801e790581a7ef197b7e5ca0e65a4cf",
     }
 
     @pytest.mark.parametrize("n", [7, 40, 101])
@@ -773,8 +809,8 @@ class TestPurity:
 
     CERTIFICATE_160_SHA256 = {
         7: "774cfe51274b46de381ff86f4901e8fe7fa0e6cc5a2efde53b88516c4b718881",
-        40: "661cf46155f4bf523a0af833f35442b9b60877048c2ce8a73b7b83a1cb6e689c",
-        101: "75182e9963eadecf40fb840c220350af5bdc10ab961ee5e1e0484d757e69bd21",
+        40: "f02b69c97283b383c42edb8bc78689e553d43383f8a559c77d6fb3c73040a2bb",
+        101: "98b8b23a2106bdd321f5bd99d35dd9720efbbbee7c606006ec1e0a536232dda0",
     }
 
     @pytest.mark.parametrize("n", [7, 40, 101])
