@@ -18,7 +18,7 @@ from statistics import median
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpf_abs
+from mpmath.libmp import from_man_exp, mpf_abs
 
 from .geometry import DEFAULT_BITS, branch_polyline, divides_and_level_field, level_field_csv
 from .numerics import to_mpc
@@ -47,11 +47,14 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
     """The verdicts of one certified RootSet.  Its roots and radii are
     dyadic, so |z| +- r is compared with n+1 and 1 exactly: |z|^2 against
     (n+1 -+ r)^2 and (1+r)^2, as integers at one common exponent.  The
-    smallest Re z - r is rounded down.  |z| is taken once per conjugate
-    pair: mpmath squares both parts, so |conj z| is bitwise |z|."""
+    smallest Re z - r is found exactly on the same integers and rounded
+    down once, which, rounding being monotone, is the smallest of the
+    rounded differences.  |z| is taken once per conjugate pair: mpmath
+    squares both parts, so |conj z| is bitwise |z|."""
     n = rs.degree
     inside = boundary = True
     outside = False
+    low = None  # the smallest Re z - r so far, as (mantissa, exponent)
     for z, r in zip(rs.roots, rs.inclusion_radii):
         (ma, ea), (mb, eb), (mr, er) = z.real.man_exp, z.imag.man_exp, r.man_exp
         e = min(ea, eb, er, 0)
@@ -60,7 +63,13 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
         inside = inside and (n + 1) * one > rad and modulus2 < ((n + 1) * one - rad) ** 2
         boundary = boundary and modulus2 <= ((n + 1) * one + rad) ** 2
         outside = outside or modulus2 > (one + rad) ** 2
+        d = a - rad
+        if low is None or (
+            (d << (e - low[1])) < low[0] if e >= low[1] else d < (low[0] << (low[1] - e))
+        ):
+            low = d, e
     ek = "inside" if inside else "boundary" if boundary else "violated"
+    min_re = mp.make_mpf(from_man_exp(*low, rs.precision_used, "d"))
     with mp.workprec(rs.precision_used):
         by_pair: dict[tuple, mpf] = {}  # |z| by (Re z, |Im z|)
         moduli = []
@@ -70,7 +79,6 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
             if key not in by_pair:
                 by_pair[key] = abs(z)
             moduli.append(by_pair[key])
-        min_re = min(mp.fsub(z.real, r, rounding="d") for z, r in zip(rs.roots, rs.inclusion_radii))
         prod = mpf(1)
         for m in moduli:
             prod *= m

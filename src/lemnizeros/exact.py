@@ -65,23 +65,28 @@ def build_polynomial(n: int) -> ExactPolynomial:
     """Exact coefficients of the degree-n family member, cached per degree
     (the result is frozen).
 
-    Uses the multiplicative recurrence
+    The multiplicative recurrence
 
         c_m = c_{m-1} * (m-1-n) * ((n+1)/2 + m-1) / ( ((n+3)/2 + m-1) * m )
+            = c_{m-1} * (m-1-n) (n+2m-1) / ( (n+2m+1) m )
 
-    which is O(n) Fraction multiplications and immune to cancellation.
-    Rejects n = 0: a constant polynomial has no zero set to study.
+    telescopes: the factors (n+2m-1)/(n+2m+1) multiply to (n+1)/(n+2m+1)
+    and the factors (m-1-n)/m to (-1)^m C(n, m), so
+
+        c_m = (-1)^m C(n, m) (n+1) / (n+2m+1).
+
+    The signed binomial is carried as an integer, each step one exact
+    integer division, and each coefficient is one Fraction, reduced once;
+    nothing cancels.  Rejects n = 0: a constant polynomial has no zero set
+    to study.
     """
     if n < 1:
         raise ValueError("build_polynomial: n must be >= 1")
     coeffs = [Fraction(1)]
-    half_a = Fraction(n + 1, 2)
-    half_c = Fraction(n + 3, 2)
-    c = Fraction(1)
+    binom = 1  # (-1)^m C(n, m)
     for m in range(1, n + 1):
-        c *= Fraction(m - 1 - n) * (half_a + (m - 1))
-        c /= (half_c + (m - 1)) * m
-        coeffs.append(c)
+        binom = binom * (m - 1 - n) // m
+        coeffs.append(Fraction(binom * (n + 1), n + 2 * m + 1))
     return ExactPolynomial(n, tuple(coeffs))
 
 

@@ -19,30 +19,37 @@ next to the zeros: each seed is a point of the right branch of the
 lemniscate |z (1-z)^2| = 4/27, which the zeros approach as n grows, equally
 spaced in the phase of sqrt(z) (1-z), moved one step toward the
 leading-order zero condition of the saddle-point analysis, which puts it
-within about 1/n^2 of a zero away from the pinch.  Aberth sweeps in IEEE
-doubles then polish each seed for as long as a running bound on the
-rounding of the section's Horner value says that doubles resolve it there,
-and the fixed-point sweeps finish the last digits, as MPSolve moves from
-floating point to multiprecision (Bini and Robol, J. Comput. Appl. Math.
-272, 2014).  Every seed is polished up to n = 73 and fewer beyond, so the
-fixed-point sweeps take 2 at n = 2..48, 3 at n = 49..73 and 4 from n = 74
-up to 300 and at 400, the last of them freezing the last roots.
-p is real and the seeds are closed under conjugation, so the sweeps move
-one root of each conjugate pair, plus for odd n the real zero near 4/3,
-which stays on the axis; the conjugates of the others enter every
-repulsion sum, and afterwards each root is copied onto its partner, so the
-root set is exactly closed under conjugation by construction.  Each
+within about 1/n^2 of a zero away from the pinch.  The seeds, their
+constants included, are computed in IEEE doubles with + - * / and
+math.sqrt alone.  Aberth sweeps in IEEE doubles then polish each seed for
+as long as a running bound on the rounding of the section's Horner value
+says that doubles resolve it there, and stop it once its next correction
+is predicted below that resolution; the fixed-point sweeps finish the last
+digits, as MPSolve moves from floating point to multiprecision (Bini and
+Robol, J. Comput. Appl. Math. 272, 2014).  Every seed is polished up to
+n = 73 and fewer beyond, so the fixed-point sweeps take 2 at n = 2..48,
+3 at n = 49..73 and 4 from n = 74 up to 300 and at 400, the last of them
+freezing the last roots.  p is real and the seeds are closed under
+conjugation, so the sweeps move one root of each conjugate pair, plus for
+odd n the real zero near 4/3, which stays on the axis; the conjugates of
+the others enter every repulsion sum, and afterwards each root is copied
+onto its partner, so the root set is exactly closed under conjugation by
+construction.  Each
 Newton quotient takes one Horner loop on the real coefficients: S' follows
 from the identity (1 - w) S' = b S - (n+b) a_n w^n of the section.  The
 sweeps run in fixed point on plain Python integers: every root is a
 Gaussian integer and every coefficient an integer at one shared scale
 2^-(prec+8), the 8 guard bits absorbing the floor rounding of each shift
 and division, and w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.
-A sweep skips the per-operation normalisation that libmp's floating-point
-tuples cost in pure Python.  Values enter the scale once and leave it,
-rounded to the working precision, once.  Only the repulsion sums, which
-merely steer each correction, run in IEEE doubles, one correctly rounded
-operation at a time, so the roots are the same bits on every platform.
+The Horner products take w as its own Gaussian integer w 2^k, k its
+fractional bits, and shift by k: the same integers as at the full scale,
+from a shorter multiplier wherever w has fewer bits than the scale, as a
+seed in the first sweep and every root in certify have.  A sweep skips
+the per-operation normalisation that libmp's floating-point tuples cost
+in pure Python.  Values enter the scale once and leave it, rounded to the
+working precision, once.  Only the repulsion sums, which merely steer
+each correction, run in IEEE doubles, one correctly rounded operation at
+a time, so the roots are the same bits on every platform.
 The same loop, with the same arithmetic and the same stop rule (a root
 freezes once its next correction is predicted below the fixed scale, and
 the solve is converged when none is left moving), solves the cubic of
@@ -68,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isqrt, lcm, ldexp, log2, sqrt
+from math import inf, isqrt, lcm, ldexp, log2, pi, sqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -182,13 +189,13 @@ def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
     imaginary part in its arithmetic is 0 and it is exactly real.  The
     seeds with phi_k in [pi, 2 pi) are found by continuation in k from
     s0 = 2/sqrt 3, each s0 by Newton steps from the previous one, and
-    polished; the rest are their exact conjugates.  The arithmetic is in
-    IEEE doubles, one correctly rounded + - * / or math.sqrt at a time,
-    from constants that mpmath computes once per call and that are rounded
-    to the nearest double once, so the seeds are the same bits on every
-    IEEE-754 platform.  They leave as z = 1 - w, exact at `bits` unless
-    |Re w| is below about 2^(53-bits), and so depend on `bits` only
-    through that rounding.
+    polished; the rest are their exact conjugates.  The arithmetic, the
+    constants of _seed_constants included, is in IEEE doubles, one
+    correctly rounded + - * / or math.sqrt at a time, with no mpmath and no
+    libm function, so the seeds are the same bits on every IEEE-754
+    platform.  They leave as z = 1 - w, exact at `bits` unless |Re w| is
+    below about 2^(53-bits), and so depend on `bits` only through that
+    rounding.
     """
     if n < 1:
         raise ValueError("initial_points: n must be >= 1")
@@ -202,15 +209,9 @@ def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
 
 def _saddle_seeds(n: int) -> list[tuple[float, float]]:
     """w = 1 - z of the unpolished seeds n//2 .. n-1 of initial_points, as
-    pairs of doubles."""
-    with mp.workprec(80):
-        r, c = 2 / mp.sqrt(27), mp.sqrt(2 * mp.pi * n) / 3
-        rot = mp.expjpi(mpf(2) / n)  # u0 of one seed over u0 of the one before
-        w = mp.expjpi(mpf(2 * (n // 2) + 1) / n) * r  # r u0 of seed n//2
-        s0, kr, v = 2 / mp.sqrt(3), c / r**2, (3 * c / r) ** (mpf(1) / (n + 1))
-    consts = (rot.real, rot.imag, w.real, w.imag, s0, kr, v)
-    rr, ri, wr, wi, sr, kr, vr = (to_float(x._mpf_, rnd=round_nearest) for x in consts)
-    si = vi = 0.0
+    pairs of doubles, from the constants of _seed_constants."""
+    rr, ri, wr, wi, kr, vr = _seed_constants(n)
+    sr, si, vi = _S0, 0.0, 0.0
     seeds = []
     for k in range(n // 2, n):
         if k > n // 2:
@@ -227,10 +228,53 @@ def _saddle_seeds(n: int) -> list[tuple[float, float]]:
     return seeds
 
 
+_R = 2.0 / sqrt(27.0)  # r, |s - s^3| on the branch
+_S0 = 2.0 / sqrt(3.0)  # s0 of the branch point at phi = pi: s0 - s0^3 = -r
+
+
+def _seed_constants(n: int) -> tuple[float, float, float, float, float, float]:
+    """(rot, r u0, kr, v) of _saddle_seeds as doubles, complex values as
+    their two parts: rot = e^(2 pi i / n), u0 of one seed over u0 of the
+    one before; r u0 of seed n//2, -r for odd n and -r e^(i pi / n) for
+    even n; kr = c / r^2; and v = (3c/r)^(1/(n+1)), the v of phi = pi.
+    With c = sqrt(2 pi n)/3 and r = 2/sqrt 27, kr = 9/4 sqrt(2 pi n) and
+    3c/r = sqrt(54 pi n)/2, each from pi in two roundings and a square root.
+
+    e^(i pi / n) comes from the Taylor polynomials of cos t and sin t / t of
+    degree 30 at t = pi / n, in Horner form, whose first omitted term is
+    below 2^-64 at t <= pi; rot is its square.  r = 2/sqrt 27 and
+    s0 = 2/sqrt 3 are module constants.  v comes from (3c/r)^(2^-j),
+    2^j > n + 1, by j square roots, taken to the power 2^j / (n + 1) in
+    (1, 2] to first order, which by Bernoulli's inequality lies below v,
+    and then by Newton steps on v^(n+1) = 3c/r, which rise above v once
+    and then fall, until a step no longer falls.
+    """
+    t = pi / n
+    tt = t * t
+    cr = sr = 1.0
+    for j in range(15, 0, -1):
+        cr = 1.0 - tt * cr / ((2 * j) * (2 * j - 1))
+        sr = 1.0 - tt * sr / ((2 * j + 1) * (2 * j))
+    sr *= t  # e^(i pi / n) = cr + i sr
+    wr, wi = (-_R, 0.0) if n % 2 else (-_R * cr, -_R * sr)
+    a = 0.5 * sqrt(54.0 * pi * n)  # 3c/r
+    j = (n + 1).bit_length()
+    x = a
+    for _ in range(j):
+        x = sqrt(x)
+    v, last = 1.0 + (x - 1.0) * (2**j / (n + 1)), inf
+    while True:
+        v = (n * v + a / _double_power(v, 0.0, n)[0]) / (n + 1)
+        if v >= last:
+            break
+        last = v
+    return cr * cr - sr * sr, 2.0 * (cr * sr), wr, wi, 2.25 * sqrt(2.0 * pi * n), v
+
+
 def _cubic_newton(sr: float, si: float, wr: float, wi: float) -> tuple[float, float]:
     """The solution of s - s^3 = w next to s, in doubles: Newton steps from
     s until the next correction is predicted below the doubles' resolution
-    (|c|^2 < 2^-69 at |s| < 2, as _polish_in_doubles freezes a root) or the
+    (|c|^2 < 2^-69 at |s| < 2, _aberth_core's freeze at 53 bits) or the
     correction stops shrinking."""
     last = inf
     while True:
@@ -278,12 +322,18 @@ def _polish_in_doubles(n: int, half: list[tuple[float, float]]) -> list[tuple[fl
     2^(1/2) gamma_2 relative (Higham, Accuracy and Stability of Numerical
     Algorithms, Lemma 3.5), the sum by u = 2^-53 and each a_k once more, so
     gamma = (4n + 4) u covers the first-order bound with room for the rest.
-    A root also stops once its correction c has |c|^2 < 2^-69 (1 + |w|)^2,
-    _aberth_core's freeze at 53 bits, as its next correction would fall
-    below the doubles' resolution; and a correction that is not at
-    most half its root's last one is left unapplied and stops the root, so
-    the corrections of a moving root halve every sweep and the loop ends.
-    A stopped root is not evaluated again.
+    A root also stops once its next correction is predicted below its
+    resolution gamma mu / |S'|, the distance from the root within which S~
+    is rounding noise: Aberth converges cubically at simple zeros, so after
+    the corrections c' and c the next is about |c| (|c| / |c'|)^3.  A
+    root's first correction has no predecessor, so it is always evaluated
+    once more.  The stop saves the Horner pass that would only find S~
+    below gamma mu: at every n up to 300 and at 400 no root it stops would
+    take a further correction, and at n = 16..48 each root takes two
+    passes.  A correction that is not at most half its root's last one is
+    left unapplied and stops the root, so the corrections of a moving root
+    halve every sweep and the loop ends.  A stopped root is not evaluated
+    again.
 
     Doubles resolve S least on the far side of the branch, near z = 4/3:
     every seed takes corrections up to n = 73, 20 of 50 at n = 100, and
@@ -323,7 +373,8 @@ def _polish_in_doubles(n: int, half: list[tuple[float, float]]) -> list[tuple[fl
                 continue  # S~ is rounding noise here
             mr, mi = _double_power(wr, wi, n)
             dr, di = (n + 1) * sr - t * mr, (n + 1) * si - t * mi  # 2 z S' / mu
-            if not dr * dr + di * di:
+            dd = dr * dr + di * di
+            if not dd:
                 continue  # S' vanishes here: left to the fixed-point sweeps
             zr, zi = 1.0 - wr, -wi
             nr, ni = _double_div(2.0 * (sr * zr - si * zi), 2.0 * (sr * zi + si * zr), dr, di)
@@ -334,14 +385,17 @@ def _polish_in_doubles(n: int, half: list[tuple[float, float]]) -> list[tuple[fl
             if i < axis:
                 ci = 0.0
             cc = cr * cr + ci * ci
-            if 4.0 * cc > last[i]:
+            prev = last[i]
+            if 4.0 * cc > prev:
                 continue
             last[i] = cc
             doubles[i] = wr, wi = wr - cr, wi - ci
             if i >= axis:
                 doubles[m + i - axis] = wr, -wi
-            s = 1.0 + aw
-            if cc >= _DOUBLE_FREEZE * (s * s):
+            # the predicted next correction |c| (|c| / |c_prev|)^3 against
+            # the resolution gamma mu / |S'| = 2 gamma |z| / |d|, squared
+            c2, zz = cc * cc, zr * zr + zi * zi
+            if prev == inf or c2 * c2 * dd > 4.0 * gamma * gamma * zz * (prev * prev * prev):
                 still.append(i)
         moving = still
     return doubles[:m]
@@ -477,14 +531,19 @@ def _bounded_horner(n: int, x: mpf, y: mpf, bits: int) -> tuple[int, int, int]:
     modulus, up to a term of order 4^-bits.  S(w) = p(z) L / C_0 and
     |S'(w)| = |p'(z)| L / C_0, in the notation of _integer_coefficients.
 
-    With k the number of fractional bits of x and y, w is the exact
-    Gaussian integer W at scale 2^-P for P >= k, and so is z = 1 - w.  One
-    Horner loop on the fixed-point a_k of _fixed_coefficients gives S~ at
-    that scale, each product floored, with a running integer bound E on its
-    error in units of 2^-P (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 5): a step changes it to at most |w| times the old one
-    plus sqrt 2 for the two floors and 1 for the floored coefficient, and
-    the integer update adds 1 more for the floor of the bound product.
+    With k the number of fractional bits of x and y, w = W 2^-k for a
+    Gaussian integer W, so w and z = 1 - w are exact at scale 2^-P for
+    P >= k.  One Horner loop on the fixed-point a_k of _fixed_coefficients
+    gives S~ at that scale, each product floored, with a running integer
+    bound E on its error in units of 2^-P (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 5): a step changes it to at most |w| times
+    the old one plus sqrt 2 for the two floors and 1 for the floored
+    coefficient, and the integer update adds 1 more for the floor of the
+    bound product.  Each product is taken as s W shifted by k, not as
+    s (W 2^(P-k)) shifted by P: the same integer floored at the same place,
+    so the loop is bit for bit the one at the full scale, while its
+    multiplier has about as many bits as the root's own k (157 to 165 for
+    the roots of a 160-bit solve) instead of P, 360 and more.
 
     S' comes from the section's identity (1 - w) S' = b S - (n+b) a_n w^n,
     as in _family_quotient: 2 z S' = N = (n+1) S - T, T = (3n+1) a_n w^n.
@@ -511,24 +570,24 @@ def _bounded_horner(n: int, x: mpf, y: mpf, bits: int) -> tuple[int, int, int]:
     """
     xs, ys = x._mpf_, y._mpf_
     k = max(0, -xs[2], -ys[2])
-    wk = abs((1 << k) - _mpf_to_fixed(xs, k)) | abs(_mpf_to_fixed(ys, k))  # parts of w 2^k
-    t = max(2, wk.bit_length() - k + 1)  # |w| < 2^t
+    wr, wi = (1 << k) - _mpf_to_fixed(xs, k), -_mpf_to_fixed(ys, k)  # W = w 2^k
+    w2 = wr * wr + wi * wi
+    t = max(2, (abs(wr) | abs(wi)).bit_length() - k + 1)  # |w| < 2^t
     exact_scale = n * (k + t) + 2
     P = max(2 * bits + 40, k)
     while True:
         exact = P >= exact_scale
         zr, zi = _mpf_to_fixed(xs, P), _mpf_to_fixed(ys, P)
-        wr, wi = (1 << P) - zr, -zi
-        wabs = isqrt(wr * wr + wi * wi) + 1  # |W| rounded up
+        wabs = isqrt(w2 << 2 * (P - k)) + 1  # |w| 2^P rounded up
         ec = 0 if exact else 4
         coeffs = _fixed_coefficients(n, P)
         sr, si, E = coeffs[n], 0, (0 if exact else 1)
         for c in coeffs[n - 1 :: -1]:
-            sr, si = ((sr * wr - si * wi) >> P) + c, (sr * wi + si * wr) >> P
+            sr, si = ((sr * wr - si * wi) >> k) + c, (sr * wi + si * wr) >> k
             E = ((E * wabs) >> P) + ec
         v2, z2 = sr * sr + si * si, zr * zr + zi * zi
         if z2:
-            mr, mi, f = _power(wr, wi, n, P)
+            mr, mi, f = _power(wr, wi, n, k, P)
             top = (3 * n + 1) * coeffs[n]
             tr, ti = (top * mr << f, top * mi << f) if f >= 0 else (top * mr >> -f, top * mi >> -f)
             nr, ni = (n + 1) * sr - tr, (n + 1) * si - ti
@@ -645,13 +704,19 @@ def _family_quotient(n: int, P: int):
 
     S comes from one Horner loop on the real fixed-point a_k, 4 multiplies a
     step.  They are exact at this scale for n <= P/2, their denominators
-    being powers of two below 2^(2k), and rounded down, each by less than
+    being powers of two dividing 4^n, and rounded down, each by less than
     2^-P, beyond.  S' comes from the identity
     (1 - w) S' = b S - (n+b) a_n w^n, so
     S/S' = 2 S (1 - w) / ((n+1) S - (3n+1) a_n w^n); 1 - w = z is not 0
     near any zero, since all of them have Re z > 1/3.  w^n comes from
     _power, because at the fixed scale it would underflow: |w| is about
     0.385 near z = 1, so w^120 is about 2^-165.
+
+    As in _bounded_horner, w enters the products as its own Gaussian
+    integer w 2^k, k <= P its fractional bits, with shifts by k: the same
+    integers as at the full scale.  A seed from initial_points has 50 to
+    60 fractional bits, so the first sweep multiplies by integers of that
+    width; later sweeps see all P bits.
     """
     coeffs = _fixed_coefficients(n, P)
     lead, rest = coeffs[-1], coeffs[-2::-1]
@@ -659,10 +724,13 @@ def _family_quotient(n: int, P: int):
     one = 1 << P
 
     def quotient(wr, wi):
+        low = wr | wi
+        s = min(P, (low & -low).bit_length() - 1) if low else P
+        xr, xi, k = wr >> s, wi >> s, P - s  # w = (xr + i xi) 2^-k
         sr, si = lead, 0
         for c in rest:
-            sr, si = ((sr * wr - si * wi) >> P) + c, (sr * wi + si * wr) >> P
-        mr, mi, e = _power(wr, wi, n, P)
+            sr, si = ((sr * xr - si * xi) >> k) + c, (sr * xi + si * xr) >> k
+        mr, mi, e = _power(xr, xi, n, k, P)
         tr, ti = (top * mr << e, top * mi << e) if e >= 0 else (top * mr >> -e, top * mi >> -e)
         zr, zi = one - wr, -wi
         return (
@@ -675,11 +743,18 @@ def _family_quotient(n: int, P: int):
     return quotient
 
 
-def _power(xr: int, xi: int, n: int, P: int) -> tuple[int, int, int]:
-    """(x 2^-P)^n for the Gaussian integer x, as (mr, mi, e) standing for
+def _power(xr: int, xi: int, n: int, k: int, P: int) -> tuple[int, int, int]:
+    """(x 2^-k)^n for the Gaussian integer x, as (mr, mi, e) standing for
     (mr + i mi) 2^e, by binary powering that cuts every product back to P
     bits: a small power keeps its relative precision, where at the fixed
-    scale it would lose it, down to zero.
+    scale 2^-P it would lose it, down to zero.
+
+    The callers pass a point of the scale 2^-P as its own Gaussian integer
+    x = w 2^k, k <= P its fractional bits, so the first products are short.
+    A cut keeps the top P bits of a product whatever its trailing zeros,
+    and a product with no more than P bits is kept whole, so every
+    intermediate, and the result, has the same value as the power of
+    x 2^(P-k) at the scale 2^-P: only the first products are cheaper.
 
     The cut error, which _bounded_horner's proof relies on: a cut floors a
     product v whose larger part has P + c bits, c > 0, by less than 2^c in
@@ -688,9 +763,9 @@ def _power(xr: int, xi: int, n: int, P: int) -> tuple[int, int, int]:
     accumulator once, one per set bit of n: n times in all.  So the result
     is x^n (1 + d) with |d| <= (1 + 2^(1.5-P))^n - 1 < n 2^(2-P) for
     n <= 2^(P-4).  Every intermediate is a power x^j, j <= n, so the
-    result is exact when x 2^-P has k fractional bits, |x 2^-P| < 2^t and
-    P >= n (k + t): each x^j then fits in P bits above 2^(-jk)."""
-    mr, mi, e, be = 1, 0, 0, -P
+    result is exact when |x 2^-k| < 2^t and P >= n (k + t): each x^j then
+    fits in P bits above 2^(-jk)."""
+    mr, mi, e, be = 1, 0, 0, -k
     while True:
         if n & 1:
             mr, mi, e = _cut(mr * xr - mi * xi, mr * xi + mi * xr, e + be, P)

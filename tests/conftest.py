@@ -14,9 +14,9 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from lemnizeros.exact import pochhammer  # noqa: E402
-from lemnizeros.numerics import f_eval, principal_sqrt, to_mpc, to_mpf  # noqa: E402
+from lemnizeros.numerics import _mpf_to_fixed, f_eval, principal_sqrt, to_mpc, to_mpf  # noqa: E402
 from lemnizeros.quadrature import legendre_rule  # noqa: E402
-from lemnizeros.rootfinder import _integer_coefficients  # noqa: E402
+from lemnizeros.rootfinder import _cut, _fixed_coefficients, _integer_coefficients  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +67,105 @@ def exact_horner(p, z):
         dr, di = dr * x - di * y + vr, dr * y + di * x + vi
         vr, vi = vr * x - vi * y + (coeffs[m] << (k * (n - m))), vr * y + vi * x
     return (vr, vi), (-dr << k, -di << k), scale << (k * n)
+
+
+def power_p_wide(xr: int, xi: int, n: int, P: int) -> tuple[int, int, int]:
+    """(x 2^-P)^n for the Gaussian integer x at scale 2^-P as (mr, mi, e),
+    (mr + i mi) 2^e, every product cut back to P bits: rootfinder._power
+    with x at the full scale, the reference whose values the power of the
+    root's own Gaussian integer must match."""
+    mr, mi, e, be = 1, 0, 0, -P
+    while True:
+        if n & 1:
+            mr, mi, e = _cut(mr * xr - mi * xi, mr * xi + mi * xr, e + be, P)
+        n >>= 1
+        if not n:
+            return mr, mi, e
+        xr, xi, be = _cut(xr * xr - xi * xi, 2 * xr * xi, 2 * be, P)
+
+
+def family_quotient_p_wide(n: int, P: int):
+    """rootfinder._family_quotient with every product taken against w at
+    the full scale 2^-P and shifted by P: the reference whose integers the
+    kernel, which multiplies by w's own Gaussian integer, must return."""
+    coeffs = _fixed_coefficients(n, P)
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    top = (3 * n + 1) * lead
+    one = 1 << P
+
+    def quotient(wr, wi):
+        sr, si = lead, 0
+        for c in rest:
+            sr, si = ((sr * wr - si * wi) >> P) + c, (sr * wi + si * wr) >> P
+        mr, mi, e = power_p_wide(wr, wi, n, P)
+        tr, ti = (top * mr << e, top * mi << e) if e >= 0 else (top * mr >> -e, top * mi >> -e)
+        zr, zi = one - wr, -wi
+        return (
+            (sr * zr - si * zi) >> (P - 1),
+            (sr * zi + si * zr) >> (P - 1),
+            (n + 1) * sr - tr,
+            (n + 1) * si - ti,
+        )
+
+    return quotient
+
+
+def bounded_horner_p_wide(n: int, x: mpf, y: mpf, bits: int) -> tuple[int, int, int]:
+    """rootfinder._bounded_horner with w taken at the full scale 2^-P in
+    every Horner product and in the power: the reference for the kernel's
+    (hi, lo, e), which multiplies by w's own Gaussian integer instead."""
+    xs, ys = x._mpf_, y._mpf_
+    k = max(0, -xs[2], -ys[2])
+    wk = abs((1 << k) - _mpf_to_fixed(xs, k)) | abs(_mpf_to_fixed(ys, k))
+    t = max(2, wk.bit_length() - k + 1)
+    exact_scale = n * (k + t) + 2
+    P = max(2 * bits + 40, k)
+    while True:
+        exact = P >= exact_scale
+        zr, zi = _mpf_to_fixed(xs, P), _mpf_to_fixed(ys, P)
+        wr, wi = (1 << P) - zr, -zi
+        wabs = isqrt(wr * wr + wi * wi) + 1
+        ec = 0 if exact else 4
+        coeffs = _fixed_coefficients(n, P)
+        sr, si, E = coeffs[n], 0, (0 if exact else 1)
+        for c in coeffs[n - 1 :: -1]:
+            sr, si = ((sr * wr - si * wi) >> P) + c, (sr * wi + si * wr) >> P
+            E = ((E * wabs) >> P) + ec
+        v2, z2 = sr * sr + si * si, zr * zr + zi * zi
+        if z2:
+            mr, mi, f = power_p_wide(wr, wi, n, P)
+            top = (3 * n + 1) * coeffs[n]
+            tr, ti = (top * mr << f, top * mi << f) if f >= 0 else (top * mr >> -f, top * mi >> -f)
+            nr, ni = (n + 1) * sr - tr, (n + 1) * si - ti
+            q = nr * nr + ni * ni
+            F = 0 if exact else (n + 1) * E + ((n + 1) * (abs(tr) + abs(ti) + 2) >> (P - 3)) + 3
+        if exact or ((E << (bits + 2)) ** 2 <= v2 and (not z2 or (F << (bits + 2)) ** 2 <= q)):
+            break
+        P = min(2 * P, exact_scale)
+    g = bits + 4
+    e = P + g
+    hi = (isqrt((v2 << 2 * g) - 1) + 1 if v2 else 0) + (E << g)
+    if not z2:
+        ints, scale = _integer_coefficients(n)
+        return hi, (n * (n + 1) * scale << e) // ((n + 3) * ints[0]), e
+    c = -(-(F * F << 2 * e) // (4 * z2))
+    r = isqrt(c)
+    return hi, isqrt((q << 2 * e) // (4 * z2)) - r - (r * r < c), e
+
+
+def fraction_recurrence(n: int) -> tuple[Fraction, ...]:
+    """c_0..c_n by the multiplicative recurrence
+    c_m = c_(m-1) (m-1-n) ((n+1)/2 + m-1) / (((n+3)/2 + m-1) m) in
+    normalised Fractions, one operation at a time: the reference for
+    exact.build_polynomial's integer recurrence."""
+    coeffs = [Fraction(1)]
+    half_a, half_c = Fraction(n + 1, 2), Fraction(n + 3, 2)
+    c = Fraction(1)
+    for m in range(1, n + 1):
+        c *= Fraction(m - 1 - n) * (half_a + (m - 1))
+        c /= (half_c + (m - 1)) * m
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def sqrt_up(num: int, den: int, bits: int) -> mpf:

@@ -59,6 +59,19 @@ class TestVerifyLemmas:
         assert lo.min_real_part < 1
 
 
+    def test_min_real_part_is_the_smallest_rounded_difference(self, root_cache):
+        # the exact minimum of Re z - r rounded down once equals the minimum
+        # of the differences each rounded down, rounding being monotone
+        solved = root_cache(range(1, 61))
+        for rep in lemma_reports(solved):
+            rs = solved[rep.n]
+            with mp.workprec(rs.precision_used):
+                want = min(
+                    mp.fsub(z.real, r, rounding="d") for z, r in zip(rs.roots, rs.inclusion_radii)
+                )
+            assert rep.min_real_part._mpf_ == want._mpf_
+
+
 class TestConvergence:
     def test_reports_shrink_with_n(self, root_cache):
         reports = convergence_report(root_cache([6, 12]), branch_samples=256)

@@ -16,7 +16,7 @@ from lemnizeros.exact import (
     pochhammer,
 )
 
-from conftest import coefficient_by_pochhammer
+from conftest import coefficient_by_pochhammer, fraction_recurrence
 
 
 class TestPochhammer:
@@ -71,6 +71,12 @@ class TestBuildPolynomial:
         p = build_polynomial(n)
         for m, c in enumerate(p.coefficients):
             assert c == coefficient_by_pochhammer(n, m)
+
+    def test_matches_the_fraction_recurrence(self):
+        # the telescoped recurrence on integers, one Fraction per coefficient,
+        # against the recurrence taken one normalised Fraction step at a time
+        for n in range(1, 201):
+            assert build_polynomial(n).coefficients == fraction_recurrence(n)
 
     def test_end_ratio_exact(self):
         for n in range(2, 201):
