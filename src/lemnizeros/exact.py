@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable
 
 
@@ -88,6 +88,25 @@ def build_polynomial(n: int) -> ExactPolynomial:
         binom = binom * (m - 1 - n) // m
         coeffs.append(Fraction(binom * (n + 1), n + 2 * m + 1))
     return ExactPolynomial(n, tuple(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
+    """((C_0, ..., C_n), L) with p(z) L = sum_k C_k w^k, w = 1 - z.
+
+    L is the lcm of the denominators of the paper's monomial coefficients
+    c_m, and the C_k come from c_m L by an exact integer Taylor shift, so
+    they rest on those coefficients alone.  Every C_k is positive, and
+    C_k / C_0 = (b)_k / k! with b = (n+1)/2.
+    """
+    pc = build_polynomial(degree).coefficients
+    scale = lcm(*(c.denominator for c in pc))
+    a = [c.numerator * (scale // c.denominator) for c in pc]
+    # p(1 + u) by repeated synthetic division, then u = -w
+    for i in range(degree):
+        for j in range(degree - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return tuple(-c if k % 2 else c for k, c in enumerate(a)), scale
 
 
 def ek_scaled_coefficients(p: ExactPolynomial) -> tuple[list[Fraction], bool]:

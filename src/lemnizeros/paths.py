@@ -358,19 +358,20 @@ def zero_equation_residual(
 
     lhs = (sqrt z)^(n+1) (1-z)^n * (bare r-integral along the path);
     rhs = -(2/sqrt 27)^n sqrt(2 pi) / (3 sqrt n).  At a true zero of the
-    degree-n polynomial, lhs = rhs * (1 + O(1/n)).
+    degree-n polynomial, lhs = rhs * (1 + O(1/n)).  A given path must be
+    traced for z rounded to path.bits, and its r-integral carries path.bits.
     """
     if n < 1:
         raise ValueError("zero_equation_residual: n must be >= 1")
     with mp.workprec(bits):
-        z = to_mpc(z, bits)
+        given, z = z, to_mpc(z, bits)
         if not z.real > mpf(1) / 3:
             raise ValueError("zero_equation_residual: requires Re(z) > 1/3")
         if z == 1:
             raise ValueError("zero_equation_residual: z = 1 is excluded")
         if path is None:
             path = trace_path(z, bits=bits)
-        elif path.z != z:
+        elif to_mpc(given, path.bits) != path.z:
             raise ValueError("zero_equation_residual: path was traced for a different z")
         bare = _bare_tail_sum(n, path)
         sz = principal_sqrt(z, bits)

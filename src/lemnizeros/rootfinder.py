@@ -15,45 +15,23 @@ All zeros are refined together by Ehrlich-Aberth sweeps (Newton corrections
 with pairwise repulsion, applied in place).  Deflation is deliberately not
 used: the zeros cluster along a curve and deflation compounds error there,
 while the simultaneous iteration is self-correcting.  A cold solve starts
-next to the zeros: each seed is a point of the right branch of the
-lemniscate |z (1-z)^2| = 4/27, which the zeros approach as n grows, equally
-spaced in the phase of sqrt(z) (1-z), moved one step toward the
-leading-order zero condition of the saddle-point analysis, which puts it
-within about 1/n^2 of a zero away from the pinch.  The seeds, their
-constants included, are computed in IEEE doubles with + - * / and
-math.sqrt alone.  Aberth sweeps in IEEE doubles then polish each seed for
-as long as a running bound on the rounding of the section's Horner value
-says that doubles resolve it there, and stop it once its next correction
-is predicted below that resolution; the fixed-point sweeps finish the last
-digits, as MPSolve moves from floating point to multiprecision (Bini and
-Robol, J. Comput. Appl. Math. 272, 2014).  Every seed is polished up to
-n = 73 and fewer beyond, so the fixed-point sweeps take 2 at n = 2..48,
-3 at n = 49..73 and 4 from n = 74 up to 300 and at 400, the last of them
-freezing the last roots.  p is real and the seeds are closed under
-conjugation, so the sweeps move one root of each conjugate pair, plus for
-odd n the real zero near 4/3, which stays on the axis; the conjugates of
-the others enter every repulsion sum, and afterwards each root is copied
-onto its partner, so the root set is exactly closed under conjugation by
-construction.  Each
-Newton quotient takes one Horner loop on the real coefficients: S' follows
-from the identity (1 - w) S' = b S - (n+b) a_n w^n of the section.  The
-sweeps run in fixed point on plain Python integers: every root is a
-Gaussian integer and every coefficient an integer at one shared scale
-2^-(prec+8), the 8 guard bits absorbing the floor rounding of each shift
-and division, and w = 1 - z maps (x, y) to (2^(prec+8) - x, -y) exactly.
-The Horner products take w as its own Gaussian integer w 2^k, k its
-fractional bits, and shift by k: the same integers as at the full scale,
-from a shorter multiplier wherever w has fewer bits than the scale, as a
-seed in the first sweep and every root in certify have.  A sweep skips
-the per-operation normalisation that libmp's floating-point tuples cost
-in pure Python.  Values enter the scale once and leave it, rounded to the
-working precision, once.  Only the repulsion sums, which merely steer
-each correction, run in IEEE doubles, one correctly rounded operation at
-a time, so the roots are the same bits on every platform.
-The same loop, with the same arithmetic and the same stop rule (a root
-freezes once its next correction is predicted below the fixed scale, and
-the solve is converged when none is left moving), solves the cubic of
-geometry.branch_polyline, only without conjugate mirrors.
+from the seeds of initial_points, next to the zeros; the seeds module
+computes and polishes them in IEEE doubles and tells how.  p is real and
+the seeds are closed under conjugation, so the sweeps move one root of
+each conjugate pair and the root set is exactly closed under conjugation
+by construction (see _aberth_family).  Each Newton quotient takes one
+Horner loop on the real coefficients: S' follows from the identity
+(1 - w) S' = b S - (n+b) a_n w^n of the section.  The sweeps run in fixed
+point on plain Python integers at one shared scale 2^-(prec+8) (see
+_aberth_core), where w = 1 - z maps (x, y) to (2^(prec+8) - x, -y)
+exactly, and the Horner products take w as its own Gaussian integer
+w 2^k, k its fractional bits (see _family_quotient).  Values enter the
+scale once and leave it, rounded to the working precision, once.  Only
+the repulsion sums, which merely steer each correction, run in IEEE
+doubles, one correctly rounded operation at a time, so the roots are the
+same bits on every platform.  The same loop, with the same arithmetic
+and stop rule, solves the cubic of geometry.branch_polyline, only without
+conjugate mirrors.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -75,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isqrt, lcm, ldexp, log2, pi, sqrt
+from math import isqrt, log2, sqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -92,7 +70,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .exact import ExactPolynomial, build_polynomial
+from .exact import ExactPolynomial, _integer_coefficients, build_polynomial
 from .numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
@@ -102,6 +80,7 @@ from .numerics import (
     _to_fixed,
     to_mpc,
 )
+from .seeds import _double_repulsion, _to_double, polished_half
 
 # Certified-radius acceptance target, relative to 1 + |root|.  At low working
 # precision the rounding floor itself is coarser than this, so the effective
@@ -109,8 +88,6 @@ from .numerics import (
 RADIUS_REL_TOL = mpf("1e-20")
 
 _GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
-_UNIT_ROUNDOFF = ldexp(1.0, -53)  # of an IEEE double
-_DOUBLE_FREEZE = ldexp(1.0, -53 - 16)  # _aberth_core's freeze at prec = 53
 _NOT_FINITE = (finf, fninf, fnan)
 
 
@@ -144,7 +121,7 @@ class RootSet:
         doubles: r_j and the parts of z_j are rounded to the nearest double
         once, and every later step is one correctly rounded + - * / or
         math.sqrt, so the value is the same on every IEEE-754 platform
-        (hypot and cmath are avoided, as in _double_repulsion).  |z| is taken
+        (hypot and cmath are avoided, as in seeds._double_repulsion).  |z| is taken
         as a sqrt(1 + (b/a)^2), a >= b the moduli of the parts, so nothing
         overflows short of the double range.  The value is within a few
         units of 2^-53 relative of the exact statistic."""
@@ -159,246 +136,17 @@ class RootSet:
         return worst
 
 
-def initial_points(n: int, bits: int = PrecisionConfig().bits) -> list[mpc]:
-    """Starting configuration: n points next to the zeros, each a point of
-    the right branch of the lemniscate |z (1-z)^2| = 4/27 (Re z > 1/3)
-    moved one step toward the leading-order zero condition, then polished
-    by Aberth sweeps in IEEE doubles while doubles resolve the section.
-
-    With r = 2/sqrt 27, c = sqrt(2 pi n)/3 and u = sqrt(z) (1-z)/r, the
-    saddle-point balance behind the zeros' asymptotics is
-    r u^(n+1) = c (3z - 1); the branch is |u| = 1, which the zeros
-    approach as n grows but miss by about (log n)/n.  Seed k starts at the
-    branch point z0 = s0^2 with u0 = e^(i phi_k), phi_k = 2 pi (k + 1/2)/n,
-    where s0 - s0^3 = r u0.  There u0^n = -1, so u = u0 v meets the balance
-    with 3z - 1 taken at z0 when v^(n+1) = B = -(c/r) (3 z0 - 1) conj(u0).
-    v is one Newton step v <- (n v + B / v^n) / (n + 1) from the previous
-    seed's v, the first seed's from (3c/r)^(1/(n+1)), the value at
-    phi = pi, and the seed solves s - s^3 = r u0 v by Newton steps from s0.
-    Away from the pinch such a point lies within about 1/n^2 of a zero,
-    and for n <= 120 within 0.56/n relative of one everywhere, where z0
-    misses by up to 12/n.  _polish_in_doubles then takes each seed on
-    toward its zero for as long as doubles resolve the section there, so
-    that the fixed-point sweeps of find_roots take 2 at n = 2..48, 3 at
-    n = 49..73 and 4 from n = 74 up to 300 and at 400 (4 at every n >= 4
-    from the unpolished points).
-
-    No phi_k is 0, so no z0 sits on the pinch z = 1/3;
-    phi_(n-1-k) = 2 pi - phi_k, so the set is closed under conjugation.
-    For odd n the middle seed has phi = pi, z0 = 4/3 and a real B, so every
-    imaginary part in its arithmetic is 0 and it is exactly real.  The
-    seeds with phi_k in [pi, 2 pi) are found by continuation in k from
-    s0 = 2/sqrt 3, each s0 by Newton steps from the previous one, and
-    polished; the rest are their exact conjugates.  The arithmetic, the
-    constants of _seed_constants included, is in IEEE doubles, one
-    correctly rounded + - * / or math.sqrt at a time, with no mpmath and no
-    libm function, so the seeds are the same bits on every IEEE-754
-    platform.  They leave as z = 1 - w, exact at `bits` unless |Re w| is
-    below about 2^(53-bits), and so depend on `bits` only through that
-    rounding.
-    """
+def initial_points(n: int) -> list[mpc]:
+    """The n seeds of find_roots, next to the zeros (see the seeds module):
+    seeds n//2 .. n-1 are z = 1 - w of seeds.polished_half, exactly, and
+    seed n-1-k is the exact conjugate of seed k."""
     if n < 1:
         raise ValueError("initial_points: n must be >= 1")
     points = [None] * n
-    for k, (wr, wi) in enumerate(_polish_in_doubles(n, _saddle_seeds(n)), n // 2):
-        x = mpf_sub(fone, from_float(wr), bits, round_nearest)
-        y = from_float(wi, bits, round_nearest)
+    for k, (wr, wi) in enumerate(polished_half(n), n // 2):
+        x, y = mpf_sub(fone, from_float(wr)), from_float(wi)  # exact
         points[k], points[n - 1 - k] = mp.make_mpc((x, mpf_neg(y))), mp.make_mpc((x, y))
     return points
-
-
-def _saddle_seeds(n: int) -> list[tuple[float, float]]:
-    """w = 1 - z of the unpolished seeds n//2 .. n-1 of initial_points, as
-    pairs of doubles, from the constants of _seed_constants."""
-    rr, ri, wr, wi, kr, vr = _seed_constants(n)
-    sr, si, vi = _S0, 0.0, 0.0
-    seeds = []
-    for k in range(n // 2, n):
-        if k > n // 2:
-            wr, wi = wr * rr - wi * ri, wr * ri + wi * rr
-        sr, si = _cubic_newton(sr, si, wr, wi)
-        tr, ti = 3.0 * (sr * sr - si * si) - 1.0, 6.0 * (sr * si)  # 3 z0 - 1
-        # B = -kr (3 z0 - 1) conj(r u0)
-        br, bi = -kr * (tr * wr + ti * wi), -kr * (ti * wr - tr * wi)
-        mr, mi = _double_power(vr, vi, n)
-        qr, qi = _double_div(br, bi, mr, mi)
-        vr, vi = (n * vr + qr) / (n + 1), (n * vi + qi) / (n + 1)
-        xr, xi = _cubic_newton(sr, si, wr * vr - wi * vi, wr * vi + wi * vr)
-        seeds.append((1.0 - (xr * xr - xi * xi), -(2.0 * (xr * xi))))
-    return seeds
-
-
-_R = 2.0 / sqrt(27.0)  # r, |s - s^3| on the branch
-_S0 = 2.0 / sqrt(3.0)  # s0 of the branch point at phi = pi: s0 - s0^3 = -r
-
-
-def _seed_constants(n: int) -> tuple[float, float, float, float, float, float]:
-    """(rot, r u0, kr, v) of _saddle_seeds as doubles, complex values as
-    their two parts: rot = e^(2 pi i / n), u0 of one seed over u0 of the
-    one before; r u0 of seed n//2, -r for odd n and -r e^(i pi / n) for
-    even n; kr = c / r^2; and v = (3c/r)^(1/(n+1)), the v of phi = pi.
-    With c = sqrt(2 pi n)/3 and r = 2/sqrt 27, kr = 9/4 sqrt(2 pi n) and
-    3c/r = sqrt(54 pi n)/2, each from pi in two roundings and a square root.
-
-    e^(i pi / n) comes from the Taylor polynomials of cos t and sin t / t of
-    degree 30 at t = pi / n, in Horner form, whose first omitted term is
-    below 2^-64 at t <= pi; rot is its square.  r = 2/sqrt 27 and
-    s0 = 2/sqrt 3 are module constants.  v comes from (3c/r)^(2^-j),
-    2^j > n + 1, by j square roots, taken to the power 2^j / (n + 1) in
-    (1, 2] to first order, which by Bernoulli's inequality lies below v,
-    and then by Newton steps on v^(n+1) = 3c/r, which rise above v once
-    and then fall, until a step no longer falls.
-    """
-    t = pi / n
-    tt = t * t
-    cr = sr = 1.0
-    for j in range(15, 0, -1):
-        cr = 1.0 - tt * cr / ((2 * j) * (2 * j - 1))
-        sr = 1.0 - tt * sr / ((2 * j + 1) * (2 * j))
-    sr *= t  # e^(i pi / n) = cr + i sr
-    wr, wi = (-_R, 0.0) if n % 2 else (-_R * cr, -_R * sr)
-    a = 0.5 * sqrt(54.0 * pi * n)  # 3c/r
-    j = (n + 1).bit_length()
-    x = a
-    for _ in range(j):
-        x = sqrt(x)
-    v, last = 1.0 + (x - 1.0) * (2**j / (n + 1)), inf
-    while True:
-        v = (n * v + a / _double_power(v, 0.0, n)[0]) / (n + 1)
-        if v >= last:
-            break
-        last = v
-    return cr * cr - sr * sr, 2.0 * (cr * sr), wr, wi, 2.25 * sqrt(2.0 * pi * n), v
-
-
-def _cubic_newton(sr: float, si: float, wr: float, wi: float) -> tuple[float, float]:
-    """The solution of s - s^3 = w next to s, in doubles: Newton steps from
-    s until the next correction is predicted below the doubles' resolution
-    (|c|^2 < 2^-69 at |s| < 2, _aberth_core's freeze at 53 bits) or the
-    correction stops shrinking."""
-    last = inf
-    while True:
-        ar, ai = sr * sr - si * si, 2.0 * (sr * si)
-        fr, fi = sr - (ar * sr - ai * si) - wr, si - (ar * si + ai * sr) - wi
-        cr, ci = _double_div(fr, fi, 1.0 - 3.0 * ar, -3.0 * ai)
-        sr, si = sr - cr, si - ci
-        cc = cr * cr + ci * ci
-        if cc < _DOUBLE_FREEZE or cc >= last:
-            return sr, si
-        last = cc
-
-
-def _double_div(ar: float, ai: float, br: float, bi: float) -> tuple[float, float]:
-    """(ar + i ai) / (br + i bi) in doubles, as a conj(b) / |b|^2."""
-    bb = br * br + bi * bi
-    return (ar * br + ai * bi) / bb, (ai * br - ar * bi) / bb
-
-
-def _double_power(xr: float, xi: float, n: int) -> tuple[float, float]:
-    """(xr + i xi)^n in doubles, by binary powering."""
-    mr, mi = 1.0, 0.0
-    while True:
-        if n & 1:
-            mr, mi = mr * xr - mi * xi, mr * xi + mi * xr
-        n >>= 1
-        if not n:
-            return mr, mi
-        xr, xi = xr * xr - xi * xi, 2.0 * (xr * xi)
-
-
-def _polish_in_doubles(n: int, half: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Ehrlich-Aberth sweeps in IEEE doubles on the section S(w) of the
-    family, from the seeds' w = 1 - z for roots n//2 .. n-1 (for odd n the
-    first of them lies on the real axis and stays there); returns the
-    polished w.  They sweep as _aberth_family and _aberth_core do in fixed
-    point: the quotient S/S' from the identity
-    (1 - w) S' = b S - (n+b) a_n w^n, the conjugates of the other roots as
-    mirrors in every repulsion sum, and the repulsion sums from
-    _double_repulsion itself, at its 2^-60 scale.
-
-    A root takes a correction only while doubles resolve S there: the
-    Horner value S~ must exceed gamma mu, mu = sum a_k |w|^k, which bounds
-    its rounding error.  Each step rounds the product s w by at most
-    2^(1/2) gamma_2 relative (Higham, Accuracy and Stability of Numerical
-    Algorithms, Lemma 3.5), the sum by u = 2^-53 and each a_k once more, so
-    gamma = (4n + 4) u covers the first-order bound with room for the rest.
-    A root also stops once its next correction is predicted below its
-    resolution gamma mu / |S'|, the distance from the root within which S~
-    is rounding noise: Aberth converges cubically at simple zeros, so after
-    the corrections c' and c the next is about |c| (|c| / |c'|)^3.  A
-    root's first correction has no predecessor, so it is always evaluated
-    once more.  The stop saves the Horner pass that would only find S~
-    below gamma mu: at every n up to 300 and at 400 no root it stops would
-    take a further correction, and at n = 16..48 each root takes two
-    passes.  A correction that is not at most half its root's last one is
-    left unapplied and stops the root, so the corrections of a moving root
-    halve every sweep and the loop ends.  A stopped root is not evaluated
-    again.
-
-    Doubles resolve S least on the far side of the branch, near z = 4/3:
-    every seed takes corrections up to n = 73, 20 of 50 at n = 100, and
-    from n = 200 on only about a dozen next to the pinch, which start
-    farthest from their zeros.  From n = 740 on a_n overflows a double and
-    nothing is polished.  S~ and the a_n w^n term are divided by mu before
-    any square is taken, so nothing overflows below that.  Near the zeros
-    2 z S' is about -(3n+1) a_n w^n, so where w^n would underflow, S' is
-    far too small against mu for the guard to pass.  Only + - * / and
-    math.sqrt on doubles are used, one correctly rounded operation at a
-    time, so the result is the same on every IEEE-754 platform.
-    """
-    ints, _ = _integer_coefficients(n)
-    try:
-        coeffs = [c / ints[0] for c in ints]  # a_k, each correctly rounded
-        top = (3 * n + 1) * ints[n] / ints[0]
-    except OverflowError:
-        return half
-    lead, rest = coeffs[-1], coeffs[-2::-1]
-    gamma = (4 * n + 4) * _UNIT_ROUNDOFF
-    axis = n % 2
-    m = len(half)
-    doubles = half + [(x, -y) for x, y in half[axis:]]
-    last = [inf] * m
-    moving = list(range(m))
-    while moving:
-        still = []
-        for i in moving:
-            wr, wi = doubles[i]
-            aw = sqrt(wr * wr + wi * wi)
-            sr, si, mu = lead, 0.0, lead
-            for c in rest:
-                sr, si = sr * wr - si * wi + c, sr * wi + si * wr
-                mu = mu * aw + c
-            sr, si, t = sr / mu, si / mu, top / mu  # so that no square below overflows
-            if not sr * sr + si * si > gamma * gamma:
-                continue  # S~ is rounding noise here
-            mr, mi = _double_power(wr, wi, n)
-            dr, di = (n + 1) * sr - t * mr, (n + 1) * si - t * mi  # 2 z S' / mu
-            dd = dr * dr + di * di
-            if not dd:
-                continue  # S' vanishes here: left to the fixed-point sweeps
-            zr, zi = 1.0 - wr, -wi
-            nr, ni = _double_div(2.0 * (sr * zr - si * zi), 2.0 * (sr * zi + si * zr), dr, di)
-            ar, ai = _double_repulsion(doubles, i, _DOUBLE_SCALE)
-            ar, ai = ar * _DOUBLE_UNIT, ai * _DOUBLE_UNIT
-            qr, qi = 1.0 - (nr * ar - ni * ai), -(nr * ai + ni * ar)
-            cr, ci = (nr, ni) if not (qr or qi) else _double_div(nr, ni, qr, qi)
-            if i < axis:
-                ci = 0.0
-            cc = cr * cr + ci * ci
-            prev = last[i]
-            if 4.0 * cc > prev:
-                continue
-            last[i] = cc
-            doubles[i] = wr, wi = wr - cr, wi - ci
-            if i >= axis:
-                doubles[m + i - axis] = wr, -wi
-            # the predicted next correction |c| (|c| / |c_prev|)^3 against
-            # the resolution gamma mu / |S'| = 2 gamma |z| / |d|, squared
-            c2, zz = cc * cc, zr * zr + zi * zi
-            if prev == inf or c2 * c2 * dd > 4.0 * gamma * gamma * zz * (prev * prev * prev):
-                still.append(i)
-        moving = still
-    return doubles[:m]
 
 
 def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> RootSet:
@@ -406,19 +154,19 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
     precision until the certificate is strong (disjoint disks, radii below
     RADIUS_REL_TOL relative) or the precision ceiling is hit.
 
-    The iteration starts from the seeds of initial_points, polished in
-    doubles, so the result is a function of p and cfg alone, and the root
-    set is exactly closed under conjugation (see _aberth_family).  In the w basis one rung
-    suffices at the default precision at every degree tried up to 400;
-    the doubling is the safety net, and a retry starts from the previous
-    rung's estimates.  Each inclusion radius is an upper bound
-    rounded in integers (see certify).  Raises ValueError when p is not the
-    family member of its degree.
+    The iteration starts from the seeds of initial_points, so the result is
+    a function of p and cfg alone, and the root set is exactly closed under
+    conjugation (see _aberth_family).  In the w basis one rung suffices at
+    the default precision at every degree tried up to 400; the doubling is
+    the safety net, and a retry starts from the previous rung's estimates.
+    Each inclusion radius is an upper bound rounded in integers (see
+    certify).  Raises ValueError when p is not the family member of its
+    degree.
     """
     _require_family(p)
     n = p.degree
     bits = cfg.bits
-    start = initial_points(n, bits)
+    start = initial_points(n)
     trace: list[str] = []
     while True:
         raw, status, sweeps = _aberth_family(p, start, bits)
@@ -635,25 +383,6 @@ def rootset_csv(*root_sets: RootSet) -> str:
     """CSV with ROOT_COLUMNS: one row per root of each set, in the order given."""
     rows = [root_row(rs, j) for rs in root_sets for j in range(len(rs.roots))]
     return "\n".join([ROOT_COLUMNS, *rows]) + "\n"
-
-
-@lru_cache(maxsize=None)
-def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
-    """((C_0, ..., C_n), L) with p(z) L = sum_k C_k w^k, w = 1 - z.
-
-    L is the lcm of the denominators of the paper's monomial coefficients
-    c_m, and the C_k come from c_m L by an exact integer Taylor shift, so
-    they rest on those coefficients alone.  Every C_k is positive, and
-    C_k / C_0 = (b)_k / k! with b = (n+1)/2.
-    """
-    pc = build_polynomial(degree).coefficients
-    scale = lcm(*(c.denominator for c in pc))
-    a = [c.numerator * (scale // c.denominator) for c in pc]
-    # p(1 + u) by repeated synthetic division, then u = -w
-    for i in range(degree):
-        for j in range(degree - 1, i - 1, -1):
-            a[j] += a[j + 1]
-    return tuple(-c if k % 2 else c for k, c in enumerate(a)), scale
 
 
 @lru_cache(maxsize=16)
@@ -912,42 +641,3 @@ def _aberth_core(quotient, roots, prec, axis=None):
         if all(frozen):
             return roots, "converged", sweep
     return roots, "stall", max_sweeps
-
-
-_DOUBLE_SCALE = 60  # fixed-point bits of the double copies of the swept roots
-_DOUBLE_UNIT = 2.0**-_DOUBLE_SCALE
-
-
-def _to_double(x: int, y: int, P: int) -> tuple[float, float]:
-    """The Gaussian integer (x, y) at scale 2^-P as two doubles, cut to the
-    scale 2^-60 first: each is an integer multiple of 2^-60, so a nonzero
-    difference of two of them is at least 2^-60 in modulus."""
-    s = P - _DOUBLE_SCALE
-    return (x >> s) * _DOUBLE_UNIT, (y >> s) * _DOUBLE_UNIT
-
-
-def _double_repulsion(doubles: list[tuple[float, float]], i: int, P: int) -> tuple[int, int]:
-    """The repulsion sum of 1/(z_i - z_j) over the points doubles[j], j != i,
-    in IEEE doubles, returned as a Gaussian integer at scale 2^-P.
-
-    Only float + - * / are used, one operation a step, so every step rounds
-    once, correctly, on any IEEE-754 platform and the sum is the same
-    everywhere; complex division and cmath are avoided because C compilers
-    may fuse their multiplies and adds.  A zero difference stands for
-    2^-61, below any nonzero one, and adds its reciprocal 2^61 to the real
-    part.  The sum enters the scale through 2^-60, never through 2^-P,
-    which overflows a double beyond P = 1023.
-    """
-    zr, zi = doubles[i]
-    ar = ai = 0.0
-    for xr, xi in doubles[:i] + doubles[i + 1 :]:
-        er = zr - xr
-        ei = zi - xi
-        ee = er * er + ei * ei
-        if ee:
-            ar += er / ee
-            ai -= ei / ee
-        else:
-            ar += 2.0**61
-    s = P - _DOUBLE_SCALE
-    return int(ar * 2.0**_DOUBLE_SCALE) << s, int(ai * 2.0**_DOUBLE_SCALE) << s

@@ -13,10 +13,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from lemnizeros.exact import pochhammer  # noqa: E402
+from lemnizeros.exact import _integer_coefficients, pochhammer  # noqa: E402
 from lemnizeros.numerics import _mpf_to_fixed, f_eval, principal_sqrt, to_mpc, to_mpf  # noqa: E402
 from lemnizeros.quadrature import legendre_rule  # noqa: E402
-from lemnizeros.rootfinder import _cut, _fixed_coefficients, _integer_coefficients  # noqa: E402
+from lemnizeros.rootfinder import _cut, _fixed_coefficients  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -384,6 +384,20 @@ class TestZeroEquation:
             assert CountedQuad.sums == 2
         assert path == traced  # the memo takes no part in equality
 
+    def test_path_of_another_precision(self):
+        # z is compared with the path's z at the path's precision, and the
+        # tail sum carries that precision, so a 128-bit path serves a
+        # 160-bit call; a path traced for another z is still refused
+        z, path = Fraction(4, 3), trace_path(Fraction(4, 3))
+        assert path.bits == 128
+        got = zero_equation_residual(12, z, bits=160, path=path)
+        want = zero_equation_residual(12, z, bits=128, path=path)
+        with mp.workprec(300):
+            for x, y in zip(got, want):
+                assert abs(x - y) <= abs(y) * mpf(2) ** -100
+        with pytest.raises(ValueError, match="different z"):
+            zero_equation_residual(12, z, bits=160, path=trace_path(Fraction(5, 4)))
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             zero_equation_residual(5, Fraction(1, 4), BITS)  # Re <= 1/3

@@ -1,5 +1,7 @@
 """Root solver: closed-form small cases, eigenvalue oracles, certification."""
 
+import ast
+import inspect
 import math
 import random
 from collections import Counter
@@ -12,7 +14,7 @@ import pytest
 from mpmath import mp, mpc, mpf, polyval
 from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sqrt
 
-from lemnizeros import numerics, rootfinder
+from lemnizeros import exact, numerics, rootfinder, seeds
 from lemnizeros.exact import ExactPolynomial, build_polynomial, pochhammer
 from lemnizeros.geometry import branch_polyline
 from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError, to_mpc, to_mpf
@@ -104,17 +106,17 @@ class TestInitialPoints:
         # left as the saddle-point step puts them; at n = 739 some are still
         # polished.
         n = 760
-        pts = initial_points(n, 160)
+        pts = initial_points(n)
         assert len({(z.real, z.imag) for z in pts}) == n
         assert _exactly_closed(pts)
         with mp.workprec(160):
-            unpolished = [mpc(1 - mpf(x), -y) for x, y in rootfinder._saddle_seeds(n)]
+            unpolished = [mpc(1 - mpf(x), -y) for x, y in seeds._saddle_seeds(n)]
         assert pts[n // 2 :] == unpolished
-        half = rootfinder._saddle_seeds(739)
-        assert rootfinder._polish_in_doubles(739, half) != half
+        half = seeds._saddle_seeds(739)
+        assert seeds._polish_in_doubles(739, half) != half
 
     def test_seeds_repeat_exactly(self):
-        first, again = initial_points(60, 270), initial_points(60, 270)
+        first, again = initial_points(60), initial_points(60)
         assert [(z.real._mpf_, z.imag._mpf_) for z in first] == [
             (z.real._mpf_, z.imag._mpf_) for z in again
         ]
@@ -235,7 +237,7 @@ class TestWBasis:
 
     def test_coefficients_are_the_binomial_section(self):
         for n in range(1, 61):
-            cs, _ = rootfinder._integer_coefficients(n)
+            cs, _ = exact._integer_coefficients(n)
             b = Fraction(n + 1, 2)
             assert len(cs) == n + 1 and all(c > 0 for c in cs)
             for k, c in enumerate(cs):
@@ -245,7 +247,7 @@ class TestWBasis:
         # sum_k C_k (1 - z)^k = p(z) L, checked at a rational point
         z = Fraction(3, 7)
         for n in (1, 2, 7, 30):
-            cs, scale = rootfinder._integer_coefficients(n)
+            cs, scale = exact._integer_coefficients(n)
             want = sum(c * z**m for m, c in enumerate(build_polynomial(n).coefficients))
             assert sum(c * (1 - z) ** k for k, c in enumerate(cs)) == want * scale
 
@@ -253,7 +255,7 @@ class TestWBasis:
     def test_derivative_identity(self, n):
         # (1 - w) S' = b S - (n + b) a_n w^n, coefficient by coefficient:
         # the sweeps take S' from it instead of a second Horner loop
-        cs, _ = rootfinder._integer_coefficients(n)
+        cs, _ = exact._integer_coefficients(n)
         a = [Fraction(c, cs[0]) for c in cs] + [Fraction(0)]
         b = Fraction(n + 1, 2)
         for k in range(n + 1):
@@ -263,7 +265,7 @@ class TestWBasis:
     def test_one_rung_at_the_default_precision(self, n, root_cache):
         bits = PrecisionConfig().bits
         p = build_polynomial(n)
-        _, status, _ = rootfinder._aberth_family(p, initial_points(n, bits), bits)
+        _, status, _ = rootfinder._aberth_family(p, initial_points(n), bits)
         assert status == "converged"
         rs = root_cache([n])[n]
         assert rs.precision_used == bits
@@ -277,7 +279,7 @@ class TestWBasis:
         # scale; from the lemniscate points the sweeps took 6 to 9
         bits = PrecisionConfig().bits
         _, status, sweeps = rootfinder._aberth_family(
-            build_polynomial(n), initial_points(n, bits), bits
+            build_polynomial(n), initial_points(n), bits
         )
         assert status == "converged" and sweeps <= 5
 
@@ -293,7 +295,7 @@ class TestWBasis:
         # unpolished seeds it took four.
         bits = PrecisionConfig().bits
         _, status, sweeps = rootfinder._aberth_family(
-            build_polynomial(n), initial_points(n, bits), bits
+            build_polynomial(n), initial_points(n), bits
         )
         assert status == "converged"
         if n <= 73:
@@ -306,7 +308,7 @@ class TestWBasis:
         # on small corrections, long before its max_sweeps of 1320.
         n, bits = 200, PrecisionConfig().bits
         _, status, sweeps = rootfinder._aberth_family(
-            build_polynomial(n), initial_points(n, bits), bits
+            build_polynomial(n), initial_points(n), bits
         )
         assert status == "converged" and sweeps <= 40
 
@@ -315,14 +317,14 @@ class TestWBasis:
         # about 0.385 near z = 1), which stalls a Newton quotient built on it.
         n, bits = 120, PrecisionConfig().bits
         _, status, sweeps = rootfinder._aberth_family(
-            build_polynomial(n), initial_points(n, bits), bits
+            build_polynomial(n), initial_points(n), bits
         )
         assert status == "converged" and sweeps <= 20
 
     @pytest.mark.parametrize("n", range(1, 42, 2))
     def test_middle_root_stays_real(self, n, root_cache):
         bits = PrecisionConfig().bits
-        raw, _, _ = rootfinder._aberth_family(build_polynomial(n), initial_points(n, bits), bits)
+        raw, _, _ = rootfinder._aberth_family(build_polynomial(n), initial_points(n), bits)
         assert raw[n // 2].imag == 0 and raw[n // 2].real > 1
         assert raw[n // 2] in root_cache([n])[n].roots
 
@@ -514,7 +516,7 @@ def _exact_squares(p, z, e: int) -> tuple[int, int, int]:
     """(v, d, den) with |S(w)|^2 4^e = v / den and |S'(w)|^2 4^e = d / den,
     w = 1 - z, from the oracle, whose values are C_0 2^(kn) times S and -S'."""
     (vr, vi), (dr, di), scale = exact_horner(p, z)
-    ints, lcm_den = rootfinder._integer_coefficients(p.degree)
+    ints, lcm_den = exact._integer_coefficients(p.degree)
     kn = (scale // lcm_den).bit_length() - 1
     return (vr * vr + vi * vi) << 2 * e, (dr * dr + di * di) << 2 * e, ints[0] ** 2 << 2 * kn
 
@@ -600,7 +602,7 @@ class TestKernelBits:
         with mp.workprec(64):
             points += [(64, +z) for z in roots]
         with mp.workprec(160):
-            points += [(160, mpc(1 - mpf(x), -y)) for x, y in rootfinder._saddle_seeds(n)]
+            points += [(160, mpc(1 - mpf(x), -y)) for x, y in seeds._saddle_seeds(n)]
         for bits, z in points:
             x, y = z.real, z.imag
             assert rootfinder._bounded_horner(n, x, y, bits) == bounded_horner_p_wide(n, x, y, bits)
@@ -818,11 +820,11 @@ class TestPurity:
     def test_seed_bits_pinned(self, n):
         # the polished w = 1 - z of the swept half, as float.hex pairs, and
         # initial_points gives exactly 1 - w and its conjugate
-        half = rootfinder._polish_in_doubles(n, rootfinder._saddle_seeds(n))
+        half = seeds._polish_in_doubles(n, seeds._saddle_seeds(n))
         text = ";".join(f"{x.hex()},{y.hex()}" for x, y in half)
         assert sha256(text.encode()).hexdigest() == self.SEEDS_SHA256[n]
         with mp.workprec(160):
-            assert initial_points(n, 160)[n // 2 :] == [mpc(1 - mpf(x), -y) for x, y in half]
+            assert initial_points(n)[n // 2 :] == [mpc(1 - mpf(x), -y) for x, y in half]
 
     SEED_CONSTANTS_HEX = {
         1: (
@@ -852,25 +854,48 @@ class TestPurity:
         # rot, r u0, kr and v of _saddle_seeds, from + - * / and math.sqrt
         # on doubles alone: a platform whose doubles round otherwise, or a
         # libm call slipped in, shows here first
-        got = tuple(x.hex() for x in rootfinder._seed_constants(n))
+        got = tuple(x.hex() for x in seeds._seed_constants(n))
         assert got == self.SEED_CONSTANTS_HEX[n]
 
     def test_seeds_use_neither_mpmath_nor_libm(self):
-        # every global name the seed and polish functions read is checked:
-        # nothing of mpmath, and of the math module only sqrt and constants
-        funcs = [
-            rootfinder._seed_constants,
-            rootfinder._saddle_seeds,
-            rootfinder._cubic_newton,
-            rootfinder._double_div,
-            rootfinder._double_power,
-            rootfinder._polish_in_doubles,
-        ]
-        for name in set().union(*(f.__code__.co_names for f in funcs)):
-            obj = getattr(rootfinder, name, None)
-            module = getattr(obj, "__module__", None) or ""
-            assert not module.startswith("mpmath") and obj is not mpmath, name
-            assert module != "math" or obj is math.sqrt, name
+        # one check over the module's source and namespace, not over a list
+        # of its functions
+        def imports(module):
+            found = {}
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.Import):
+                    found.update((a.name, None) for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    names = found.setdefault("." * node.level + (node.module or ""), set())
+                    names.update(a.name for a in node.names)
+            return found
+
+        # seeds.py imports math and exact alone, so nothing from mpmath,
+        # rootfinder or numerics, and of math by name only sqrt and constants
+        found = imports(seeds)
+        assert set(found) == {"__future__", "math", ".exact"}, found
+        assert isinstance(found["math"], set), "math enters by name only"
+        assert all(x == "sqrt" or type(getattr(math, x)) is float for x in found["math"]), found
+        # exact, which it imports, has no mpmath either
+        assert not any(m.startswith("mpmath") for m in imports(exact))
+        for module in (seeds, exact):
+            for name, obj in vars(module).items():
+                owner = getattr(obj, "__module__", None) or ""
+                assert obj is not mpmath and not owner.startswith("mpmath"), (module, name)
+                assert module is exact or owner != "math" or obj is math.sqrt, name
+
+    @pytest.mark.parametrize("n", [*range(1, 121), 200, 400, 760])
+    def test_seeds_enter_mpmath_exactly(self, n):
+        # initial_points(n)[n//2:] is 1 - w of the polished half to the last
+        # bit, compared as Fractions, and the set is closed under conjugation
+        def fraction(x):
+            man, exp = x.man_exp
+            return Fraction(man) * Fraction(2) ** exp
+
+        pts = initial_points(n)
+        got = [(fraction(z.real), fraction(z.imag)) for z in pts[n // 2 :]]
+        assert got == [(1 - Fraction(x), -Fraction(y)) for x, y in seeds.polished_half(n)]
+        assert _exactly_closed(pts)
 
     ROOTS_160_SHA256 = {
         7: "40b9071f2286c80688af725ad53bbcb3c5e0343d78d6a3087144c4d93cce8be7",
@@ -907,10 +932,10 @@ class TestPurity:
         bits = 160
         P = bits + rootfinder._GUARD
         doubles = []
-        for z in initial_points(n, bits):
-            doubles.append(rootfinder._to_double(*numerics._to_fixed(to_mpc(z, bits), P), P))
+        for z in initial_points(n):
+            doubles.append(seeds._to_double(*numerics._to_fixed(to_mpc(z, bits), P), P))
         for i in (0, n // 3, n - 1):
-            ar, ai = rootfinder._double_repulsion(doubles, i, P)
+            ar, ai = seeds._double_repulsion(doubles, i, P)
             zr, zi = (Fraction(v) for v in doubles[i])
             exact_r = exact_i = Fraction(0)
             mass = 0.0
@@ -931,7 +956,7 @@ class TestPurity:
         n, bits = 6, 160
         P = bits + rootfinder._GUARD
         half = []
-        for z in initial_points(n, bits)[n // 2 :]:
+        for z in initial_points(n)[n // 2 :]:
             x, y = numerics._to_fixed(z, P)
             half.append(((1 << P) - x, -y))  # w = 1 - z, as _aberth_family seeds them
         half[0] = (half[0][0], 1)
