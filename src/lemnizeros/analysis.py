@@ -14,11 +14,12 @@ artifacts; contouring and styling are left to the consumer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from statistics import median
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_abs
+from mpmath.libmp import from_man_exp, mpf_sqrt
 
 from .geometry import DEFAULT_BITS, branch_polyline, divides_and_level_field, level_field_csv
 from .numerics import to_mpc
@@ -29,8 +30,10 @@ _PINCH_EXCLUSION = 0.05  # |z - 1/3| below this is too close to the pinch for th
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Certified per-degree verdicts; all disk/position checks account for
-    the inclusion radius, so a True verdict is backed by the certificate."""
+    """Certified per-degree verdicts, each decided exactly on the disks of
+    the certificate, so every True verdict is a proof.  min_real_part is
+    the smallest Re z - r, a certified lower bound; max_modulus is the
+    largest |z| of the root estimates."""
 
     n: int
     root_count: int
@@ -38,23 +41,32 @@ class LemmaReport:
     outside_unit_circle: bool
     min_real_part: mpf
     max_modulus: mpf
-    product_deviation: mpf  # relative deviation of prod |roots| from (3n+1)/(n+1)
+    vieta_enclosed: bool  # (3n+1)/(n+1) in the certified enclosure of prod |zeros|
     precision_used: int
     error: str | None = None
 
 
+def _below(x: int, ex: int, y: int, ey: int) -> bool:
+    """x 2^ex < y 2^ey, exactly."""
+    return (x << (ex - ey)) < y if ex >= ey else x < (y << (ey - ex))
+
+
 def _lemma_report(rs: RootSet) -> LemmaReport:
-    """The verdicts of one certified RootSet.  Its roots and radii are
-    dyadic, so |z| +- r is compared with n+1 and 1 exactly: |z|^2 against
-    (n+1 -+ r)^2 and (1+r)^2, as integers at one common exponent.  The
-    smallest Re z - r is found exactly on the same integers and rounded
-    down once, which, rounding being monotone, is the smallest of the
-    rounded differences.  |z| is taken once per conjugate pair: mpmath
-    squares both parts, so |conj z| is bitwise |z|."""
-    n = rs.degree
+    """The verdicts of one certified RootSet, in one pass over its dyadic
+    integers.  Each root and radius is an integer at one common exponent
+    e, so |z| +- r is compared with n+1 and 1 exactly: |z|^2 against
+    (n+1 -+ r)^2 and (1+r)^2.  The smallest Re z - r and the largest |z|^2
+    are found exactly and rounded once, down and by a square root to
+    nearest.  With m = isqrt(|z|^2), the zero in the disk has modulus in
+    [max(m - r, 0), m + 1 + r] 2^e.  The products of these bounds, cut to
+    precision_used + 32 bits down and up after each factor, enclose
+    prod |zeros| = |c_0/c_n| = (3n+1)/(n+1) when the n disks are disjoint:
+    each holds at least one zero, so each holds exactly one."""
+    n, bits = rs.degree, rs.precision_used
     inside = boundary = True
     outside = False
-    low = None  # the smallest Re z - r so far, as (mantissa, exponent)
+    low = top = None  # the smallest Re z - r and the largest |z|^2, as (mantissa, exponent)
+    lower, upper, exp = 1, 1, 0  # the enclosure [lower, upper] 2^exp of prod |zeros|
     for z, r in zip(rs.roots, rs.inclusion_radii):
         (ma, ea), (mb, eb), (mr, er) = z.real.man_exp, z.imag.man_exp, r.man_exp
         e = min(ea, eb, er, 0)
@@ -63,29 +75,22 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
         inside = inside and (n + 1) * one > rad and modulus2 < ((n + 1) * one - rad) ** 2
         boundary = boundary and modulus2 <= ((n + 1) * one + rad) ** 2
         outside = outside or modulus2 > (one + rad) ** 2
-        d = a - rad
-        if low is None or (
-            (d << (e - low[1])) < low[0] if e >= low[1] else d < (low[0] << (low[1] - e))
-        ):
-            low = d, e
+        if low is None or _below(a - rad, e, *low):
+            low = a - rad, e
+        if top is None or _below(*top, modulus2, 2 * e):
+            top = modulus2, 2 * e
+        m = isqrt(modulus2)
+        lower, upper, exp = lower * max(m - rad, 0), upper * (m + 1 + rad), exp + e
+        cut = upper.bit_length() - bits - 32
+        if cut > 0:
+            lower, upper, exp = lower >> cut, -(-upper >> cut), exp + cut
     ek = "inside" if inside else "boundary" if boundary else "violated"
-    min_re = mp.make_mpf(from_man_exp(*low, rs.precision_used, "d"))
-    with mp.workprec(rs.precision_used):
-        by_pair: dict[tuple, mpf] = {}  # |z| by (Re z, |Im z|)
-        moduli = []
-        for z in rs.roots:
-            x, y = z._mpc_
-            key = (x, mpf_abs(y))
-            if key not in by_pair:
-                by_pair[key] = abs(z)
-            moduli.append(by_pair[key])
-        prod = mpf(1)
-        for m in moduli:
-            prod *= m
-        deviation = abs(prod * (n + 1) / (3 * n + 1) - 1)
-        return LemmaReport(
-            n, len(rs.roots), ek, outside, min_re, max(moduli), deviation, rs.precision_used
-        )
+    vieta = (len(rs.roots) == n and rs.disks_disjoint()
+             and not _below(3 * n + 1, 0, lower * (n + 1), exp)
+             and not _below(upper * (n + 1), exp, 3 * n + 1, 0))
+    min_re = mp.make_mpf(from_man_exp(*low, bits, "d"))
+    max_modulus = mp.make_mpf(mpf_sqrt(from_man_exp(*top), bits, "n"))
+    return LemmaReport(n, len(rs.roots), ek, outside, min_re, max_modulus, vieta, bits)
 
 
 def lemma_reports(solved: dict[int, RootSet | Exception]) -> list[LemmaReport]:
@@ -95,7 +100,7 @@ def lemma_reports(solved: dict[int, RootSet | Exception]) -> list[LemmaReport]:
     nan = mpf("nan")
     return [
         _lemma_report(rs) if isinstance(rs, RootSet)
-        else LemmaReport(n, 0, "violated", False, nan, nan, nan, 0, str(rs))
+        else LemmaReport(n, 0, "violated", False, nan, nan, False, 0, str(rs))
         for n, rs in sorted(solved.items())
     ]
 
@@ -114,7 +119,9 @@ class ZeroDatum:
 
 @dataclass(frozen=True)
 class LemniscateReport:
-    """Per-degree zero-vs-lemniscate statistics."""
+    """Per-degree zero-vs-lemniscate statistics of the root estimates:
+    min_real_part and max_modulus ignore the radii, unlike LemmaReport's
+    certified min_real_part."""
 
     n: int
     per_zero: tuple[ZeroDatum, ...]
@@ -239,7 +246,8 @@ def roots_report_csv(reports: list[LemniscateReport], roots: dict[int, RootSet])
 
 def summary_csv(reports: list[LemniscateReport]) -> str:
     """Per-degree CSV (n, max_value_residual, median_value_residual, min_re,
-    max_modulus, theta_gap_ratio)."""
+    max_modulus, theta_gap_ratio).  min_re and max_modulus describe the
+    root estimates; lemmas.csv's min_real_part is the certified bound."""
     lines = ["n,max_value_residual,median_value_residual,min_re,max_modulus,theta_gap_ratio"]
     for rep in reports:
         ratio = "" if rep.theta_gap_ratio is None else mpmath.nstr(rep.theta_gap_ratio, 20)
@@ -252,16 +260,16 @@ def summary_csv(reports: list[LemniscateReport]) -> str:
 
 
 def lemma_csv(reports: list[LemmaReport]) -> str:
-    """Per-degree CSV of lemma verdicts."""
+    """Per-degree CSV of the lemma verdicts, certified by each root set."""
     lines = [
         "n,root_count,ek_disk,outside_unit_circle,min_real_part,max_modulus,"
-        "product_deviation,precision_used,error"
+        "vieta_enclosed,precision_used,error"
     ]
     for r in reports:
         lines.append(
             f"{r.n},{r.root_count},{r.ek_disk},{str(r.outside_unit_circle).lower()},"
             f"{mpmath.nstr(r.min_real_part, 20)},{mpmath.nstr(r.max_modulus, 20)},"
-            f"{mpmath.nstr(r.product_deviation, 10)},{r.precision_used},"
+            f"{str(r.vieta_enclosed).lower()},{r.precision_used},"
             f"{'' if r.error is None else r.error}"
         )
     return "\n".join(lines) + "\n"

@@ -49,8 +49,6 @@ EXIT_PATH = 5
 _EXIT_CODES = {CertificationError: EXIT_CERTIFICATION, PrecisionExhaustedError: EXIT_PRECISION,
                PathError: EXIT_PATH, ValueError: EXIT_USAGE, ZeroDivisionError: EXIT_USAGE}
 
-VIETA_TOL = mpf("1e-10")
-
 
 class Reads(NamedTuple):
     """What one command reads besides out and workers: its fields, those it
@@ -442,11 +440,10 @@ def _run_verify(cfg: RunConfig, outdir: Path | None) -> int:
           f"{span}, largest root modulus certified > 1")
     with mp.workprec(64):
         min_re = min((r.min_real_part for r in checked), default=mpf("nan"))
-        max_dev = max((r.product_deviation for r in checked), default=mpf("nan"))
     check("re-gt-third", all(mp.fmul(3, r.min_real_part, exact=True) > 1 for r in checked),
           f"{span}, min certified Re(root) = {mpmath.nstr(min_re, 8)} > 1/3")
-    check("vieta-product", all(r.product_deviation < VIETA_TOL for r in checked),
-          f"{span}, max |prod moduli - (3n+1)/(n+1)| rel = {mpmath.nstr(max_dev, 4)} < 1e-10")
+    check("vieta-product", all(r.vieta_enclosed for r in checked),
+          f"{span}, (3n+1)/(n+1) lies in the certified enclosure of prod |z_j|")
     if errors:
         ok = False
         for r in errors:

@@ -141,11 +141,7 @@ def gamma_ratio_exact(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("gamma_ratio_exact: n must be >= 1")
-    denom = Fraction(1)
-    start = Fraction(n + 1, 2)
-    for k in range(n + 1):
-        denom *= start + k
-    return Fraction(factorial(n)) / denom
+    return Fraction(factorial(n)) / pochhammer(Fraction(n + 1, 2), n + 1)
 
 
 @dataclass(frozen=True)

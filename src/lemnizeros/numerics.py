@@ -96,12 +96,7 @@ def principal_sqrt(z: mpc, bits: int) -> mpc:
     sqrt(-1) = +i, so Re(result) >= 0 always and > 0 off the cut.
     """
     with mp.workprec(bits):
-        z = mpc(z)
-        if z == 0:
-            return mpc(0)
-        if z.imag == 0 and z.real < 0:
-            return mpc(0, mpmath.sqrt(-z.real))
-        return mpmath.sqrt(z)
+        return mpmath.sqrt(mpc(z))
 
 
 def f_eval(z: mpc, t: mpc) -> mpc:

@@ -150,8 +150,9 @@ def trace_path(
     """Trace t(r) for r from 1 down to 0 and return the sampled path.
 
     Preconditions: z is not 1 (the parametrization degenerates: f_z(1) = 0),
-    z is not on the basin boundary (the path would run along a divide),
-    steps is at least 1, and path_tol, when given, is positive.  The
+    z is not a negative real (the branch cut of sqrt(z) and of the basin
+    test), z is not on the basin boundary (the path would run along a
+    divide), steps is at least 1, and path_tol, when given, is positive.  The
     endpoint t(0) must land on the basin prediction: 1/sqrt(z) in the
     inv-sqrt-z basin, 0 in the zero basin; z = 0 is allowed and gives the
     trivial path t = r.
@@ -170,6 +171,8 @@ def trace_path(
         z = to_mpc(z, bits)
         if z == 1:
             raise ValueError("trace_path: z = 1 degenerates (f_z(1) = 0)")
+        if z.imag == 0 and z.real < 0:
+            raise ValueError("trace_path: z on the branch cut (a negative real)")
         if steps < 1:
             raise ValueError(f"trace_path: steps must be >= 1, got {steps}")
         if path_tol is None:

@@ -1,7 +1,12 @@
 """Campaign reports, convergence statistics, figure emission."""
 
+import ast
+import inspect
+from dataclasses import replace
 from fractions import Fraction
+from hashlib import sha256
 
+import pytest
 from mpmath import mp, mpc, mpf
 
 from lemnizeros import analysis, cli, geometry, rootfinder
@@ -15,8 +20,13 @@ from lemnizeros.analysis import (
     roots_report_csv,
     summary_csv,
 )
+from lemnizeros.exact import build_polynomial
 from lemnizeros.geometry import branch_polyline
 from lemnizeros.numerics import PrecisionConfig, to_mpc
+
+# lemma_csv(lemma_reports(...)) for n = 2..60 at 160 bits: the lemmas.csv
+# that `verify --n-range 2..60` writes
+LEMMAS_SHA256 = "c3f9f79c1324cf6486658fd40cee4e6ccaa3aa3d07b060e9ffd27f68aced305c"
 
 
 class TestVerifyLemmas:
@@ -31,7 +41,7 @@ class TestVerifyLemmas:
         assert all(r.outside_unit_circle for r in reports)
         with mp.workprec(64):
             assert abs(by_n[2].min_real_part - mpf(7) / 5) < 1e-10
-            assert all(r.product_deviation < mpf("1e-10") for r in reports)
+        assert all(r.vieta_enclosed for r in reports)
 
     def test_error_isolation(self):
         # the CLI's solve task returns the failure of degree 240, and the
@@ -70,6 +80,73 @@ class TestVerifyLemmas:
                     mp.fsub(z.real, r, rounding="d") for z, r in zip(rs.roots, rs.inclusion_radii)
                 )
             assert rep.min_real_part._mpf_ == want._mpf_
+
+
+    @pytest.mark.parametrize("bits", [64, 160])
+    def test_vieta_enclosed_at_every_degree(self, bits, root_cache):
+        cfg = PrecisionConfig(bits=bits)
+        solved = root_cache(range(1, 121)) if bits == 160 else {
+            n: rootfinder.find_roots(build_polynomial(n), cfg) for n in range(1, 121)
+        }
+        assert all(r.vieta_enclosed for r in lemma_reports(solved))
+
+    def test_vieta_needs_disjoint_disks(self, root_cache):
+        # one root of a conjugate pair doubled keeps every modulus, so the
+        # product still encloses (3n+1)/(n+1), but two disks overlap and one
+        # zero is in none: the verdict is False
+        rs = root_cache([4])[4]
+        twin = next(z for z in rs.roots if z.imag < 0)
+        with mp.workprec(rs.precision_used):
+            roots = [mpc(twin.real, -twin.imag) if z == twin else z for z in rs.roots]
+        doubled = rootfinder.certify(build_polynomial(4), roots, rs.precision_used)
+        assert sum(doubled.overlaps) == 2
+        (rep,) = lemma_reports({4: doubled})
+        assert not rep.vieta_enclosed
+        (cleared,) = lemma_reports({4: replace(doubled, overlaps=(False,) * 4)})
+        assert cleared.vieta_enclosed
+
+    @pytest.mark.parametrize("n", [2, 12, 29])
+    def test_vieta_fails_on_a_moved_root(self, n, root_cache):
+        # 1e-30 relative is far outside a 160-bit radius, which is kept
+        rs = root_cache([n])[n]
+        with mp.workprec(rs.precision_used):
+            moved = (rs.roots[0] * (1 + mpf("1e-30")),) + rs.roots[1:]
+        (rep,) = lemma_reports({n: replace(rs, roots=moved)})
+        assert rep.error is None and rep.ek_disk == "inside" and not rep.vieta_enclosed
+
+    @pytest.mark.parametrize("n", [12, 29, 48])
+    def test_lemma_row_survives_a_one_ulp_move(self, n, root_cache):
+        # each conjugate pair in turn moved by 1 ulp in its real part and
+        # certified again: every column is a verdict or a 20-digit
+        # certified value, so the row keeps its bytes
+        rs = root_cache([n])[n]
+        bits, row = rs.precision_used, lemma_csv(lemma_reports({n: rs}))
+        with mp.workprec(bits):
+            pairs = [(z.real, z.imag) for z in rs.roots if z.imag > 0]
+        for x, y in pairs:
+            with mp.workprec(bits):
+                man, exp = x.man_exp
+                x2 = x + mpf(2) ** (exp + man.bit_length() - bits)
+                roots = [mpc(x2, z.imag) if z.real == x and abs(z.imag) == y else z for z in rs.roots]
+            again = rootfinder.certify(build_polynomial(n), roots, bits)
+            assert again.roots != rs.roots and again.disks_disjoint()
+            assert lemma_csv(lemma_reports({n: again})) == row
+
+    def test_lemmas_csv_bytes_pinned(self, root_cache):
+        text = lemma_csv(lemma_reports(root_cache(range(2, 61))))
+        assert sha256(text.encode()).hexdigest() == LEMMAS_SHA256
+
+    def test_lemma_report_has_one_arithmetic(self):
+        # the verdicts run on the roots' integers; mpmath only rounds the
+        # two reported values at the end
+        tree = ast.parse(inspect.getsource(analysis._lemma_report))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "mp"}
+        from_mpmath = {name for name in names
+                       if getattr(getattr(analysis, name, None), "__module__", "").startswith("mpmath")}
+        assert from_mpmath <= {"from_man_exp", "mpf_sqrt", "mp"}
+        assert attrs == {"make_mpf"}
 
 
 class TestConvergence:

@@ -220,6 +220,11 @@ class TestCommands:
         res = run_cli("trace", "--z", "1/3+1/1000000000000i", "--path-tol", "1e-6")
         assert res.returncode == 5
 
+    def test_trace_rejects_the_branch_cut(self):
+        res = run_cli("trace", "--z=-1/2")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: trace_path: z on the branch cut")
+
     def test_trace_rejects_z_equal_one(self):
         res = run_cli("trace", "--z", "1")
         assert res.returncode == 2

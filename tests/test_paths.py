@@ -91,6 +91,11 @@ class TestTracePath:
         with pytest.raises(ValueError):
             trace_path(to_mpc(0, BITS, 1), bits=BITS)  # on the basin divide
 
+    @pytest.mark.parametrize("z", [Fraction(-1, 2), -3])
+    def test_branch_cut_rejected_by_trace_path(self, z):
+        with pytest.raises(ValueError, match="^trace_path: z on the branch cut"):
+            trace_path(z, bits=BITS)
+
     @pytest.mark.parametrize(
         "re_q,im_q",
         [(Fraction(9, 50), Fraction(3, 5)), (Fraction(47, 150), Fraction(1, 5))],
