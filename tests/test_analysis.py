@@ -81,7 +81,6 @@ class TestVerifyLemmas:
                 )
             assert rep.min_real_part._mpf_ == want._mpf_
 
-
     @pytest.mark.parametrize("bits", [64, 160])
     def test_vieta_enclosed_at_every_degree(self, bits, root_cache):
         cfg = PrecisionConfig(bits=bits)
@@ -117,8 +116,8 @@ class TestVerifyLemmas:
     @pytest.mark.parametrize("n", [12, 29, 48])
     def test_lemma_row_survives_a_one_ulp_move(self, n, root_cache):
         # each conjugate pair in turn moved by 1 ulp in its real part and
-        # certified again: every column is a verdict or a 20-digit
-        # certified value, so the row keeps its bytes
+        # certified again: every column is a verdict or a value printed to
+        # 20 digits, so the row keeps its bytes
         rs = root_cache([n])[n]
         bits, row = rs.precision_used, lemma_csv(lemma_reports({n: rs}))
         with mp.workprec(bits):
