@@ -14,11 +14,12 @@ from mpmath import nstr
 from lemnizeros import (
     build_polynomial,
     convergence_report,
-    figure_level_curves,
+    divides_and_level_field,
     figure_zero_plot,
     find_roots,
 )
 from lemnizeros.analysis import residual_slope, summary_csv
+from lemnizeros.geometry import level_field_csv
 
 out = Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
@@ -42,7 +43,7 @@ svg, csv_text = figure_zero_plot(roots)
 (out / "summary.csv").write_text(summary_csv(reports), encoding="utf-8")
 
 (out / "level_field_z1.csv").write_text(
-    figure_level_curves(1, (-1.5, 1.5, -1.5, 1.5), 64), encoding="utf-8"
+    level_field_csv(divides_and_level_field(1, (-1.5, 1.5, -1.5, 1.5), 64)), encoding="utf-8"
 )
 
 print(f"\nwrote figure_zeros.svg / figure_zeros.csv / summary.csv / level_field_z1.csv to {out}/")

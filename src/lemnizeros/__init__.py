@@ -9,11 +9,8 @@ asymptotics, and measures how the zeros crowd onto the section of
 
 from .exact import (
     ExactPolynomial,
-    JacobiCorrespondence,
     build_polynomial,
-    ek_scaled_coefficients,
     gamma_ratio_exact,
-    jacobi_correspondence,
     pochhammer,
 )
 from .numerics import (
@@ -35,7 +32,6 @@ from .paths import (
     SteepestPath,
     halfplane_bound_check,
     integral_full,
-    saddle_asymptotic,
     segment_integral,
     tail_integral,
     trace_path,
@@ -45,7 +41,6 @@ from .analysis import (
     LemmaReport,
     LemniscateReport,
     convergence_report,
-    figure_level_curves,
     figure_zero_plot,
     lemma_reports,
 )
@@ -55,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificationError",
     "ExactPolynomial",
-    "JacobiCorrespondence",
     "LemmaReport",
     "LemniscateReport",
     "LevelField",
@@ -69,19 +63,15 @@ __all__ = [
     "certify",
     "convergence_report",
     "divides_and_level_field",
-    "ek_scaled_coefficients",
     "f_eval",
-    "figure_level_curves",
     "figure_zero_plot",
     "find_roots",
     "gamma_ratio_exact",
     "initial_points",
     "integral_full",
-    "jacobi_correspondence",
     "lemma_reports",
     "pochhammer",
     "principal_sqrt",
-    "saddle_asymptotic",
     "segment_integral",
     "tail_integral",
     "to_mpc",

@@ -19,10 +19,9 @@ from statistics import median
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpf_sqrt
+from mpmath.libmp import from_man_exp, mpf_pos, mpf_sqrt
 
-from .geometry import DEFAULT_BITS, branch_polyline, divides_and_level_field, level_field_csv
-from .numerics import to_mpc
+from .geometry import branch_polyline
 from .rootfinder import ROOT_COLUMNS, RootSet, root_row
 
 _PINCH_EXCLUSION = 0.05  # |z - 1/3| below this is too close to the pinch for theta stats
@@ -33,7 +32,7 @@ class LemmaReport:
     """Certified per-degree verdicts, each decided exactly on the disks of
     the certificate, so every True verdict is a proof.  min_real_part is
     the smallest Re z - r, a certified lower bound; max_modulus is the
-    largest |z| of the root estimates."""
+    largest |z| of the root estimates, correctly rounded."""
 
     n: int
     root_count: int
@@ -51,21 +50,34 @@ def _below(x: int, ex: int, y: int, ey: int) -> bool:
     return (x << (ex - ey)) < y if ex >= ey else x < (y << (ey - ex))
 
 
+def _max_modulus(rs: RootSet) -> mpf:
+    """The largest |z| of the root estimates, correctly rounded: the largest
+    exact |z|^2 = a^2 + b^2 of the roots' dyadic integers, rounded once by a
+    square root to nearest at the set's precision."""
+    top = None  # the largest |z|^2, as (mantissa, exponent)
+    for z in rs.roots:
+        (ma, ea), (mb, eb) = z.real.man_exp, z.imag.man_exp
+        e = min(ea, eb)
+        modulus2 = (ma << (ea - e)) ** 2 + (mb << (eb - e)) ** 2
+        if top is None or _below(*top, modulus2, 2 * e):
+            top = modulus2, 2 * e
+    return mp.make_mpf(mpf_sqrt(from_man_exp(*top), rs.precision_used, "n"))
+
+
 def _lemma_report(rs: RootSet) -> LemmaReport:
     """The verdicts of one certified RootSet, in one pass over its dyadic
     integers.  Each root and radius is an integer at one common exponent
     e, so |z| +- r is compared with n+1 and 1 exactly: |z|^2 against
-    (n+1 -+ r)^2 and (1+r)^2.  The smallest Re z - r and the largest |z|^2
-    are found exactly and rounded once, down and by a square root to
-    nearest.  With m = isqrt(|z|^2), the zero in the disk has modulus in
-    [max(m - r, 0), m + 1 + r] 2^e.  The products of these bounds, cut to
+    (n+1 -+ r)^2 and (1+r)^2.  The smallest Re z - r is found exactly and
+    rounded down once.  With m = isqrt(|z|^2), the zero in the disk has
+    modulus in [max(m - r, 0), m + 1 + r] 2^e.  The products of these bounds, cut to
     precision_used + 32 bits down and up after each factor, enclose
     prod |zeros| = |c_0/c_n| = (3n+1)/(n+1) when the n disks are disjoint:
     each holds at least one zero, so each holds exactly one."""
     n, bits = rs.degree, rs.precision_used
     inside = boundary = True
     outside = False
-    low = top = None  # the smallest Re z - r and the largest |z|^2, as (mantissa, exponent)
+    low = None  # the smallest Re z - r, as (mantissa, exponent)
     lower, upper, exp = 1, 1, 0  # the enclosure [lower, upper] 2^exp of prod |zeros|
     for z, r in zip(rs.roots, rs.inclusion_radii):
         (ma, ea), (mb, eb), (mr, er) = z.real.man_exp, z.imag.man_exp, r.man_exp
@@ -77,8 +89,6 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
         outside = outside or modulus2 > (one + rad) ** 2
         if low is None or _below(a - rad, e, *low):
             low = a - rad, e
-        if top is None or _below(*top, modulus2, 2 * e):
-            top = modulus2, 2 * e
         m = isqrt(modulus2)
         lower, upper, exp = lower * max(m - rad, 0), upper * (m + 1 + rad), exp + e
         cut = upper.bit_length() - bits - 32
@@ -89,8 +99,7 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
              and not _below(3 * n + 1, 0, lower * (n + 1), exp)
              and not _below(upper * (n + 1), exp, 3 * n + 1, 0))
     min_re = mp.make_mpf(from_man_exp(*low, bits, "d"))
-    max_modulus = mp.make_mpf(mpf_sqrt(from_man_exp(*top), bits, "n"))
-    return LemmaReport(n, len(rs.roots), ek, outside, min_re, max_modulus, vieta, bits)
+    return LemmaReport(n, len(rs.roots), ek, outside, min_re, _max_modulus(rs), vieta, bits)
 
 
 def lemma_reports(solved: dict[int, RootSet | Exception]) -> list[LemmaReport]:
@@ -199,7 +208,7 @@ def convergence_report(
                     max(residuals),
                     median(residuals),
                     min(z.real for z in rs.roots),
-                    max(abs(z) for z in rs.roots),
+                    _max_modulus(rs),
                     gap_min,
                     gap_max,
                     ratio,
@@ -335,11 +344,7 @@ def figure_zero_plot(roots: dict[int, RootSet], branch_samples: int = 1024) -> t
     return "\n".join(svg) + "\n", csv_text
 
 
-def figure_level_curves(z, window, res: int, bits: int = DEFAULT_BITS) -> str:
-    """Level-field CSV (with divide metadata) for external contouring."""
-    field = divides_and_level_field(to_mpc(z, bits), window, res, bits)
-    return level_field_csv(field)
-
-
-def _f(x) -> str:
-    return mpmath.nstr(mpf(x), 17)
+def _f(x: mpf) -> str:
+    """x rounded to nearest at 53 bits, whatever the caller's mp.prec, in
+    17 significant digits."""
+    return mpmath.nstr(mp.make_mpf(mpf_pos(x._mpf_, 53, "n")), 17)

@@ -395,8 +395,8 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
         return EXIT_OK
 
     if cfg.kind == "level":
-        text = analysis.figure_level_curves(z, cfg.window, cfg.res, cfg.bits())
-        _emit(cfg, outdir, "level_field.csv", text)
+        field = geometry.divides_and_level_field(z, cfg.window, cfg.res, cfg.bits())
+        _emit(cfg, outdir, "level_field.csv", geometry.level_field_csv(field))
         return EXIT_OK
 
     path = trace_path(  # trace

@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Iterable
 
 
@@ -54,10 +54,6 @@ class ExactPolynomial:
                 raise ValueError(f"ExactPolynomial: sign of c_{m} must be (-1)^{m}")
         if abs(self.coefficients[0] / self.coefficients[n]) != Fraction(3 * n + 1, n + 1):
             raise ValueError("ExactPolynomial: |c_0/c_n| != (3n+1)/(n+1)")
-
-    def end_ratio(self) -> Fraction:
-        """|c_0/c_n|, exactly (3n+1)/(n+1) for every member of the family."""
-        return abs(self.coefficients[0] / self.coefficients[self.degree])
 
 
 @lru_cache(maxsize=None)
@@ -109,25 +105,6 @@ def _integer_coefficients(degree: int) -> tuple[tuple[int, ...], int]:
     return tuple(-c if k % 2 else c for k, c in enumerate(a)), scale
 
 
-def ek_scaled_coefficients(p: ExactPolynomial) -> tuple[list[Fraction], bool]:
-    """Scaled magnitudes a_m = |c_m| (n+1)^m and their monotonicity verdict.
-
-    A strictly increasing chain 0 < a_0 < ... < a_n certifies (via the
-    classical increasing-coefficient zero bound) that every zero of the
-    original polynomial lies in |z| < n+1.  The verdict is False exactly in
-    the n = 1 boundary case, where a_0 = a_1 = 1.
-    """
-    n = p.degree
-    scale = n + 1
-    a = []
-    power = Fraction(1)
-    for m, c in enumerate(p.coefficients):
-        a.append(abs(c) * power)
-        power *= scale
-    increasing = a[0] > 0 and all(a[m] > a[m - 1] for m in range(1, n + 1))
-    return a, increasing
-
-
 def gamma_ratio_exact(n: int) -> Fraction:
     """Gamma((n+1)/2) * Gamma(n+1) / Gamma((3n+3)/2) as an exact rational.
 
@@ -142,71 +119,6 @@ def gamma_ratio_exact(n: int) -> Fraction:
     if n < 1:
         raise ValueError("gamma_ratio_exact: n must be >= 1")
     return Fraction(factorial(n)) / pochhammer(Fraction(n + 1, 2), n + 1)
-
-
-@dataclass(frozen=True)
-class JacobiCorrespondence:
-    """Parameters mapping the family to a classical Jacobi polynomial.
-
-    P_n^(alpha,beta)(w) with w = 1 - 2z equals leading_factor times the
-    degree-n family member, with alpha = (n+1)/2 and beta = -(n+1).
-    argument_map stores the affine map w = a0 + a1*z as (a0, a1).
-    """
-
-    n: int
-    alpha: Fraction
-    beta: Fraction
-    argument_map: tuple[Fraction, Fraction]
-    leading_factor: Fraction
-
-
-def jacobi_correspondence(n: int) -> JacobiCorrespondence:
-    """Jacobi parameters (alpha, beta) = ((n+1)/2, -(n+1)) for degree n.
-
-    The identity is established on every call by exact coefficient
-    comparison: the Jacobi polynomial is expanded through its generalized
-    binomial sum (an independent formula), composed with w = 1 - 2z, and
-    matched term by term against build_polynomial(n) times leading_factor.
-    """
-    if n < 1:
-        raise ValueError("jacobi_correspondence: n must be >= 1")
-    alpha = Fraction(n + 1, 2)
-    beta = Fraction(-(n + 1))
-    leading = pochhammer(1 + alpha, n) / factorial(n)
-    lhs = _jacobi_in_z(n, alpha, beta)
-    rhs = [leading * c for c in build_polynomial(n).coefficients]
-    if lhs != rhs:
-        raise AssertionError(f"jacobi correspondence failed coefficient check at n={n}")
-    return JacobiCorrespondence(n, alpha, beta, (Fraction(1), Fraction(-2)), leading)
-
-
-def _binom_frac(x: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient x(x-1)...(x-k+1)/k!."""
-    out = Fraction(1)
-    for j in range(k):
-        out *= x - j
-    return out / factorial(k)
-
-
-def _jacobi_in_z(n: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
-    """Coefficients in z of P_n^(alpha,beta)(1 - 2z), by the binomial sum
-
-        P_n^(a,b)(w) = 2^-n sum_s C(n+a, n-s) C(n+b, s) (w-1)^s (w+1)^(n-s)
-
-    expanded with exact polynomial arithmetic.  Independent of the series
-    route used elsewhere, which is the point of the cross-check.
-    """
-    # In terms of z: w - 1 = -2z and w + 1 = 2 - 2z, so
-    # P = sum_s C(n+a, n-s) C(n+b, s) (-z)^s (1-z)^(n-s).
-    acc = [Fraction(0)] * (n + 1)
-    for s in range(n + 1):
-        coef = _binom_frac(n + alpha, n - s) * _binom_frac(n + beta, s)
-        if coef == 0:
-            continue
-        # (-z)^s (1-z)^(n-s) expanded into monomials
-        for j in range(n - s + 1):
-            acc[s + j] += coef * (-1) ** (s + j) * comb(n - s, j)
-    return acc
 
 
 def coefficients_csv(ns: Iterable[int]) -> str:

@@ -105,21 +105,15 @@ class DivideLine:
 
 @dataclass(frozen=True)
 class LevelField:
-    """|f_z(t)| sampled on a rectangular t-grid, with divide metadata."""
+    """|f_z(t)| sampled on a rectangular t-grid, with divide metadata.
+    values[j][k] is |f_z| at t = re_axis[k] + i im_axis[j], the axes being
+    the grid coordinates at the precision |f_z| was sampled at."""
 
     z: mpc
-    window: tuple[mpf, mpf, mpf, mpf]  # re_min, re_max, im_min, im_max
-    resolution: int
+    re_axis: tuple[mpf, ...]
+    im_axis: tuple[mpf, ...]
     values: tuple[tuple[mpf, ...], ...]  # rows indexed by im, columns by re
     divides: tuple[DivideLine, DivideLine]
-
-    def grid_point(self, row: int, col: int) -> mpc:
-        re_min, re_max, im_min, im_max = self.window
-        r = self.resolution
-        return mpc(
-            re_min + (re_max - re_min) * col / (r - 1),
-            im_min + (im_max - im_min) * row / (r - 1),
-        )
 
 
 def divides_and_level_field(z, window, res: int, bits: int = DEFAULT_BITS) -> LevelField:
@@ -134,19 +128,14 @@ def divides_and_level_field(z, window, res: int, bits: int = DEFAULT_BITS) -> Le
         if z == 0:
             raise ValueError("divides_and_level_field: z must be nonzero")
         re_min, re_max, im_min, im_max = (to_mpf(w, bits) for w in window)
-        rows = []
-        for j in range(res):
-            im = im_min + (im_max - im_min) * j / (res - 1)
-            row = []
-            for k in range(res):
-                re = re_min + (re_max - re_min) * k / (res - 1)
-                row.append(abs(f_eval(z, mpc(re, im))))
-            rows.append(tuple(row))
+        re_axis = tuple(re_min + (re_max - re_min) * k / (res - 1) for k in range(res))
+        im_axis = tuple(im_min + (im_max - im_min) * j / (res - 1) for j in range(res))
+        rows = tuple(tuple(abs(f_eval(z, mpc(re, im))) for re in re_axis) for im in im_axis)
         saddle = 1 / principal_sqrt(3 * z, bits)
         segment_dir = principal_sqrt(z, bits) ** -1
         perp = mpc(0, 1) * segment_dir / abs(segment_dir)
         divides = (DivideLine(saddle, perp), DivideLine(-saddle, perp))
-        return LevelField(z, (re_min, re_max, im_min, im_max), res, tuple(rows), divides)
+        return LevelField(z, re_axis, im_axis, rows, divides)
 
 
 def level_field_csv(field: LevelField) -> str:
@@ -159,10 +148,9 @@ def level_field_csv(field: LevelField) -> str:
             f"direction=({_dec(d.direction.real)},{_dec(d.direction.imag)})"
         )
     lines.append("re_t,im_t,abs_f")
-    for j in range(field.resolution):
-        for k in range(field.resolution):
-            t = field.grid_point(j, k)
-            lines.append(f"{_dec(t.real)},{_dec(t.imag)},{_dec(field.values[j][k])}")
+    for im, row in zip(field.im_axis, field.values):
+        for re, value in zip(field.re_axis, row):
+            lines.append(f"{_dec(re)},{_dec(im)},{_dec(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -295,26 +295,6 @@ def segment_integral(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
         return ratio / (2 * principal_sqrt(z, bits) ** (n + 1))
 
 
-def saddle_asymptotic(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
-    """Leading Stirling term of the segment integral,
-
-        (2/sqrt(27))^n sqrt(2 pi) / (3 sqrt(n) (sqrt z)^(n+1)),
-
-    whose first omitted correction is of relative size O(1/n).  Its modulus
-    depends on z only through |sqrt(z)|.
-    """
-    if n < 1:
-        raise ValueError("saddle_asymptotic: n must be >= 1")
-    with mp.workprec(bits):
-        z = to_mpc(z, bits)
-        if z == 0:
-            raise ValueError("saddle_asymptotic: z must be nonzero")
-        if z.imag == 0 and z.real < 0:
-            raise ValueError("saddle_asymptotic: z on the branch cut")
-        sz = principal_sqrt(z, bits)
-        return (2 / mp.sqrt(27)) ** n * mp.sqrt(2 * mp.pi) / (3 * mp.sqrt(n) * sz ** (n + 1))
-
-
 def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
     """Sum of w g r^(n-1), g = (1-zt^2) t / (1-3zt^2), over the stored
     quadrature samples; the caller applies any outer factors.  The sum is

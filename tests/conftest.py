@@ -2,7 +2,7 @@ import pathlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 import mpmath
 import pytest
@@ -67,6 +67,48 @@ def exact_horner(p, z):
         dr, di = dr * x - di * y + vr, dr * y + di * x + vi
         vr, vi = vr * x - vi * y + (coeffs[m] << (k * (n - m))), vr * y + vi * x
     return (vr, vi), (-dr << k, -di << k), scale << (k * n)
+
+
+def _binom_frac(x: Fraction, k: int) -> Fraction:
+    """Generalized binomial coefficient x(x-1)...(x-k+1)/k!."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= x - j
+    return out / factorial(k)
+
+
+def _jacobi_in_z(n: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+    """Coefficients in z of P_n^(alpha,beta)(1 - 2z), by the binomial sum
+
+        P_n^(a,b)(w) = 2^-n sum_s C(n+a, n-s) C(n+b, s) (w-1)^s (w+1)^(n-s)
+
+    expanded with exact polynomial arithmetic.  Independent of the series
+    route used elsewhere, which is the point of the cross-check.
+    """
+    # In terms of z: w - 1 = -2z and w + 1 = 2 - 2z, so
+    # P = sum_s C(n+a, n-s) C(n+b, s) (-z)^s (1-z)^(n-s).
+    acc = [Fraction(0)] * (n + 1)
+    for s in range(n + 1):
+        coef = _binom_frac(n + alpha, n - s) * _binom_frac(n + beta, s)
+        if coef == 0:
+            continue
+        # (-z)^s (1-z)^(n-s) expanded into monomials
+        for j in range(n - s + 1):
+            acc[s + j] += coef * (-1) ** (s + j) * comb(n - s, j)
+    return acc
+
+
+def scaled_chain(p) -> list[Fraction]:
+    """a_m = |c_m| (n+1)^m: strictly increasing, it puts every zero in |z| < n+1."""
+    return [abs(c) * (p.degree + 1) ** m for m, c in enumerate(p.coefficients)]
+
+
+def stirling_term(n, z, bits):
+    """(2/sqrt(27))^n sqrt(2 pi) / (3 sqrt(n) (sqrt z)^(n+1)), the leading
+    Stirling term of the segment integral, with relative error O(1/n)."""
+    with mp.workprec(bits):
+        sz = principal_sqrt(to_mpc(z, bits), bits)
+        return (2 / mp.sqrt(27)) ** n * mp.sqrt(2 * mp.pi) / (3 * mp.sqrt(n) * sz ** (n + 1))
 
 
 def power_p_wide(xr: int, xi: int, n: int, P: int) -> tuple[int, int, int]:

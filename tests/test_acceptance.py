@@ -15,19 +15,24 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from lemnizeros.analysis import convergence_report, figure_zero_plot
-from lemnizeros.exact import build_polynomial, ek_scaled_coefficients
+from lemnizeros.exact import build_polynomial
 from lemnizeros.geometry import ZERO_BASIN, basin_classify
 from lemnizeros.numerics import to_mpc
 from lemnizeros.paths import (
     halfplane_bound_check,
     integral_full,
-    saddle_asymptotic,
     segment_integral,
     tail_integral,
     trace_path,
 )
 
-from conftest import exact_horner, saddle_comparison, segment_by_quadrature
+from conftest import (
+    exact_horner,
+    saddle_comparison,
+    scaled_chain,
+    segment_by_quadrature,
+    stirling_term,
+)
 
 BITS = 128
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -46,7 +51,8 @@ def test_criterion_01_end_coefficient_ratio_exact():
     bad = [
         n
         for n in range(2, 201)
-        if build_polynomial(n).end_ratio() != Fraction(3 * n + 1, n + 1)
+        for c in [build_polynomial(n).coefficients]
+        if abs(c[0] / c[n]) != Fraction(3 * n + 1, n + 1)
     ]
     _conclude(
         "01 exact end-coefficient ratio",
@@ -59,12 +65,10 @@ def test_criterion_01_end_coefficient_ratio_exact():
 
 def test_criterion_02_scaled_chain_monotone():
     t0 = time.perf_counter()
-    bad = []
-    for n in range(2, 201):
-        _, increasing = ek_scaled_coefficients(build_polynomial(n))
-        if not increasing:
-            bad.append(n)
-    _, boundary_case = ek_scaled_coefficients(build_polynomial(1))
+    chains = {n: scaled_chain(build_polynomial(n)) for n in range(1, 201)}
+    strict = {n: all(x < y for x, y in zip(a, a[1:])) for n, a in chains.items()}
+    bad = [n for n in range(2, 201) if not strict[n]]
+    boundary_case = strict[1]
     _conclude(
         "02 scaled-coefficient chain",
         t0,
@@ -195,7 +199,7 @@ def test_criterion_07_stirling_error_decreases():
     t0 = time.perf_counter()
     with mp.workprec(BITS):
         err = {
-            n: abs(segment_integral(n, 1, BITS) / saddle_asymptotic(n, 1, BITS) - 1)
+            n: abs(segment_integral(n, 1, BITS) / stirling_term(n, 1, BITS) - 1)
             for n in (20, 50, 200)
         }
     ok = err[200] < err[50] < err[20] and err[200] < mpf("0.02")

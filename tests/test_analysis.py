@@ -8,11 +8,11 @@ from hashlib import sha256
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from lemnizeros import analysis, cli, geometry, rootfinder
 from lemnizeros.analysis import (
     convergence_report,
-    figure_level_curves,
     figure_zero_plot,
     lemma_csv,
     lemma_reports,
@@ -21,7 +21,7 @@ from lemnizeros.analysis import (
     summary_csv,
 )
 from lemnizeros.exact import build_polynomial
-from lemnizeros.geometry import branch_polyline
+from lemnizeros.geometry import branch_polyline, divides_and_level_field, level_field_csv
 from lemnizeros.numerics import PrecisionConfig, to_mpc
 
 # lemma_csv(lemma_reports(...)) for n = 2..60 at 160 bits: the lemmas.csv
@@ -160,6 +160,16 @@ class TestConvergence:
             with mp.workprec(64):
                 assert rep.min_real_part > mpf(1) / 3
 
+    def test_max_modulus_is_correctly_rounded(self, root_cache):
+        # the square root of the largest exact |z|^2, rounded to nearest once,
+        # in summary.csv as in lemmas.csv; mpmath's abs rounds |z|^2 first
+        # and is one ulp off here
+        want = mp.make_mpf(from_man_exp(500080953234530077675562037808928913266794148933, -158))
+        (rep,) = convergence_report(root_cache([30]), branch_samples=64)
+        (lemma,) = lemma_reports(root_cache([30]))
+        assert rep.precision_used == 160
+        assert rep.max_modulus.man_exp == lemma.max_modulus.man_exp == want.man_exp
+
     def test_theta_statistics(self, root_cache):
         (rep,) = convergence_report(root_cache([12]), branch_samples=256)
         thetas = [d.theta for d in rep.per_zero if d.theta is not None]
@@ -228,9 +238,12 @@ class TestFigures:
         assert sum(1 for r in rows if r.startswith("10,root,")) == 10
 
     def test_zero_plot_deterministic(self, root_cache):
-        ns = [5]
+        # the same bytes whatever the caller's working precision: the CSV
+        # rounds each coordinate to 53 bits itself
+        ns = [5, 10]
         a = figure_zero_plot(root_cache(ns), branch_samples=64)
-        b = figure_zero_plot(root_cache(ns), branch_samples=64)
+        with mp.workprec(200):
+            b = figure_zero_plot(root_cache(ns), branch_samples=64)
         assert a == b
 
     def test_zero_plot_branch_at_geometry_precision(self, root_cache):
@@ -246,9 +259,14 @@ class TestFigures:
         assert got == want
 
     def test_level_curail_csv(self):
-        text = figure_level_curves(1, (-1.5, 1.5, -1.5, 1.5), 16)
+        # the coordinates are the points where |f| was sampled, at the
+        # field's precision, whatever the caller's working precision
+        text = level_field_csv(divides_and_level_field(1, (-1.5, 1.5, -1.5, 1.5), 16))
         lines = text.strip().split("\n")
         assert len(lines) == 3 + 256
+        assert lines[4].startswith("-1.3,-1.5,")  # t = -3/2 + 3/15
+        with mp.workprec(200):
+            assert level_field_csv(divides_and_level_field(1, (-1.5, 1.5, -1.5, 1.5), 16)) == text
 
     def test_lemma_csv_shape(self, root_cache):
         reports = lemma_reports(root_cache([2, 3]))

@@ -1,14 +1,16 @@
-"""The public surface: every exported name has a caller outside the tests,
-in the library itself, a demo or the benchmark."""
+"""The public surface: every exported name, and every public method of an
+exported class, has a caller in the library itself or in the benchmark.
+The demos show the library; they do not keep code in it."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import lemnizeros
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = [p for p in sorted((ROOT / "src" / "lemnizeros").glob("*.py")) if p.name != "__init__.py"]
-CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+CALLERS = sorted((ROOT / "bench").glob("*.py"))
 
 
 def _names_read(path: Path, skip: str = "") -> set[str]:
@@ -26,11 +28,28 @@ def _names_read(path: Path, skip: str = "") -> set[str]:
     return out
 
 
+def _public_methods(cls: type) -> list[str]:
+    """The public methods and properties a class defines in its own body."""
+    return [
+        name
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(member) or isinstance(member, property))
+    ]
+
+
 def test_every_export_is_used_outside_the_tests():
     called = set().union(*(_names_read(p) for p in CALLERS))
     unused = [
         name
         for name in lemnizeros.__all__
         if name not in called and not any(name in _names_read(p, skip=name) for p in LIBRARY)
+    ]
+    read = called.union(*(_names_read(p) for p in LIBRARY))
+    unused += [
+        f"{name}.{method}"
+        for name in lemnizeros.__all__
+        if inspect.isclass(cls := getattr(lemnizeros, name))
+        for method in _public_methods(cls)
+        if method not in read
     ]
     assert unused == []

