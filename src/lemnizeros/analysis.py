@@ -22,7 +22,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, mpf_pos, mpf_sqrt
 
 from .geometry import branch_polyline
-from .rootfinder import ROOT_COLUMNS, RootSet, root_row
+from .rootfinder import ROOT_COLUMNS, RootSet, _disks, root_row
 
 _PINCH_EXCLUSION = 0.05  # |z - 1/3| below this is too close to the pinch for theta stats
 
@@ -52,45 +52,36 @@ def _below(x: int, ex: int, y: int, ey: int) -> bool:
 
 def _max_modulus(rs: RootSet) -> mpf:
     """The largest |z| of the root estimates, correctly rounded: the largest
-    exact |z|^2 = a^2 + b^2 of the roots' dyadic integers, rounded once by a
-    square root to nearest at the set's precision."""
-    top = None  # the largest |z|^2, as (mantissa, exponent)
-    for z in rs.roots:
-        (ma, ea), (mb, eb) = z.real.man_exp, z.imag.man_exp
-        e = min(ea, eb)
-        modulus2 = (ma << (ea - e)) ** 2 + (mb << (eb - e)) ** 2
-        if top is None or _below(*top, modulus2, 2 * e):
-            top = modulus2, 2 * e
-    return mp.make_mpf(mpf_sqrt(from_man_exp(*top), rs.precision_used, "n"))
+    exact x^2 + y^2 of the integers of _disks, rounded once by a square root
+    to nearest at the set's precision."""
+    disks, e = _disks(rs.roots, rs.inclusion_radii)
+    top = max(x * x + y * y for x, y, _ in disks)
+    return mp.make_mpf(mpf_sqrt(from_man_exp(top, 2 * e), rs.precision_used, "n"))
 
 
 def _lemma_report(rs: RootSet) -> LemmaReport:
-    """The verdicts of one certified RootSet, in one pass over its dyadic
-    integers.  Each root and radius is an integer at one common exponent
-    e, so |z| +- r is compared with n+1 and 1 exactly: |z|^2 against
-    (n+1 -+ r)^2 and (1+r)^2.  The smallest Re z - r is found exactly and
-    rounded down once.  With m = isqrt(|z|^2), the zero in the disk has
-    modulus in [max(m - r, 0), m + 1 + r] 2^e.  The products of these bounds, cut to
+    """The verdicts of one certified RootSet, in one pass over the integers
+    of _disks: each centre (x, y) and radius r at one exponent e, so |z| +- r
+    is compared with n+1 and 1 exactly, |z|^2 against (n+1 -+ r)^2 and
+    (1+r)^2, and the smallest Re z - r is min(x - r), sign included, rounded
+    down once.  With m = isqrt(|z|^2), the zero in the disk has modulus in
+    [max(m - r, 0), m + 1 + r] 2^e.  The products of these bounds, cut to
     precision_used + 32 bits down and up after each factor, enclose
     prod |zeros| = |c_0/c_n| = (3n+1)/(n+1) when the n disks are disjoint:
     each holds at least one zero, so each holds exactly one."""
     n, bits = rs.degree, rs.precision_used
+    disks, e = _disks(rs.roots, rs.inclusion_radii)
+    one = 1 << -e
     inside = boundary = True
     outside = False
-    low = None  # the smallest Re z - r, as (mantissa, exponent)
     lower, upper, exp = 1, 1, 0  # the enclosure [lower, upper] 2^exp of prod |zeros|
-    for z, r in zip(rs.roots, rs.inclusion_radii):
-        (ma, ea), (mb, eb), (mr, er) = z.real.man_exp, z.imag.man_exp, r.man_exp
-        e = min(ea, eb, er, 0)
-        a, b, rad, one = ma << (ea - e), mb << (eb - e), mr << (er - e), 1 << -e
-        modulus2 = a * a + b * b
-        inside = inside and (n + 1) * one > rad and modulus2 < ((n + 1) * one - rad) ** 2
-        boundary = boundary and modulus2 <= ((n + 1) * one + rad) ** 2
-        outside = outside or modulus2 > (one + rad) ** 2
-        if low is None or _below(a - rad, e, *low):
-            low = a - rad, e
+    for x, y, r in disks:
+        modulus2 = x * x + y * y
+        inside = inside and (n + 1) * one > r and modulus2 < ((n + 1) * one - r) ** 2
+        boundary = boundary and modulus2 <= ((n + 1) * one + r) ** 2
+        outside = outside or modulus2 > (one + r) ** 2
         m = isqrt(modulus2)
-        lower, upper, exp = lower * max(m - rad, 0), upper * (m + 1 + rad), exp + e
+        lower, upper, exp = lower * max(m - r, 0), upper * (m + 1 + r), exp + e
         cut = upper.bit_length() - bits - 32
         if cut > 0:
             lower, upper, exp = lower >> cut, -(-upper >> cut), exp + cut
@@ -98,7 +89,7 @@ def _lemma_report(rs: RootSet) -> LemmaReport:
     vieta = (len(rs.roots) == n and rs.disks_disjoint()
              and not _below(3 * n + 1, 0, lower * (n + 1), exp)
              and not _below(upper * (n + 1), exp, 3 * n + 1, 0))
-    min_re = mp.make_mpf(from_man_exp(*low, bits, "d"))
+    min_re = mp.make_mpf(from_man_exp(min(x - r for x, _, r in disks), e, bits, "d"))
     return LemmaReport(n, len(rs.roots), ek, outside, min_re, _max_modulus(rs), vieta, bits)
 
 
@@ -138,8 +129,6 @@ class LemniscateReport:
     median_value_residual: mpf
     min_real_part: mpf
     max_modulus: mpf
-    theta_gap_min: mpf | None
-    theta_gap_max: mpf | None
     theta_gap_ratio: mpf | None
     excluded_near_pinch: int
     precision_used: int
@@ -193,13 +182,12 @@ def convergence_report(
                     theta = mp.arg(mp.sqrt(z) * (1 - z))
                     thetas.append(theta)
                 data.append(ZeroDatum(z, residual, distance, theta))
-            gap_min = gap_max = ratio = None
+            ratio = None
             if len(thetas) >= 2:
                 ts = sorted(thetas)
                 gaps = [b - a for a, b in zip(ts[:-1], ts[1:])]
                 gaps.append(ts[0] + 2 * mp.pi - ts[-1])  # wrap-around gap
-                gap_min, gap_max = min(gaps), max(gaps)
-                ratio = gap_max / gap_min
+                ratio = max(gaps) / min(gaps)
             residuals = [d.value_residual for d in data]
             reports.append(
                 LemniscateReport(
@@ -209,8 +197,6 @@ def convergence_report(
                     median(residuals),
                     min(z.real for z in rs.roots),
                     _max_modulus(rs),
-                    gap_min,
-                    gap_max,
                     ratio,
                     excluded,
                     rs.precision_used,

@@ -155,9 +155,9 @@ def _degrees(key: str, text: str) -> tuple[int, ...]:
 def parse_run_config_text(text: str, flags: dict | None = None) -> RunConfig:
     """The checked RunConfig of the plain `key = value` config format, with
     the given flag values over it.  A field the command does not read, or a
-    missing one it needs, is a usage error; so is a bad degree set, window
-    or precision.  All of it is checked here, before any directory is made
-    or any degree is solved."""
+    missing one it needs, is a usage error; so is a bad degree set, window,
+    precision or worker count.  All of it is checked here, before any
+    directory is made or any degree is solved."""
     values: dict[str, object] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -209,6 +209,8 @@ def parse_run_config_text(text: str, flags: dict | None = None) -> RunConfig:
         cfg.precision()  # bits below 64 are a usage error
     if "theta_grid" in reads.fields and cfg.theta_grid < 1:  # the branch needs a phase
         raise ValueError(f"{command}: empty theta grid (--theta-grid {cfg.theta_grid})")
+    if cfg.workers < 0:
+        raise ValueError(f"{command}: --workers must be >= 0 (0 = all cores), not {cfg.workers}")
     return cfg
 
 

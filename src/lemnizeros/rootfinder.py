@@ -43,17 +43,19 @@ whose cut error is bounded too: the root is exact at that scale, so the
 bounds cover every rounding and the radius is a proof, a little above the
 exact ratio rounded up.  Where the bounds are too coarse for a root the
 scale doubles, at most up to the width at which everything is exact.  p is
-real, so one evaluation serves both members of a conjugate pair, and the
-bookkeeping around the evaluations (pairing, order, overlaps) runs on the
-roots' dyadic integers.  The solve is restarted at doubled precision
-whenever the certificate comes out too weak.
+real, so one evaluation serves both members of a conjugate pair.  Every
+other reading of a certified set, the order, the overlap test, the
+acceptance of a rung and the lemma verdicts of analysis, takes its disks
+from _disks, as integers at one exponent, so each is decided exactly.  The
+solve is restarted at doubled precision whenever the certificate comes out
+too weak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log2, sqrt
+from math import isqrt, log2
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -64,10 +66,9 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_man_exp,
+    mpf_abs,
     mpf_neg,
     mpf_sub,
-    round_nearest,
-    to_float,
 )
 
 from .exact import ExactPolynomial, _integer_coefficients, build_polynomial
@@ -84,7 +85,9 @@ from .seeds import _double_repulsion, _to_double, polished_half
 
 # Certified-radius acceptance target, relative to 1 + |root|.  At low working
 # precision the rounding floor itself is coarser than this, so the effective
-# target is max(RADIUS_REL_TOL, 2^(32-bits)).
+# target is t = max(RADIUS_REL_TOL, 2^(32-bits)).  Both are dyadic (this one
+# is 1e-20 rounded to 53 bits), so find_roots decides r <= t (1 + |z|)
+# exactly, in integers.
 RADIUS_REL_TOL = mpf("1e-20")
 
 _GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
@@ -102,8 +105,8 @@ class RootSet:
     residuals[j] is an upper bound on |p(root_j)|, less than 2^(2-bits)
     relative above it; inclusion_radii[j] is the radius of a disk
     guaranteed to contain a true zero.  overlaps flags disks that meet or
-    touch another disk, decided exactly, in which case the set does not
-    isolate all zeros.
+    touch another disk, decided exactly on the integers of _disks, in which
+    case the set does not isolate all zeros.
     """
 
     degree: int
@@ -115,25 +118,6 @@ class RootSet:
 
     def disks_disjoint(self) -> bool:
         return not any(self.overlaps)
-
-    def max_relative_radius(self) -> float:
-        """max_j r_j / (1 + |z_j|), find_roots' acceptance statistic, in IEEE
-        doubles: r_j and the parts of z_j are rounded to the nearest double
-        once, and every later step is one correctly rounded + - * / or
-        math.sqrt, so the value is the same on every IEEE-754 platform
-        (hypot and cmath are avoided, as in seeds._double_repulsion).  |z| is taken
-        as a sqrt(1 + (b/a)^2), a >= b the moduli of the parts, so nothing
-        overflows short of the double range.  The value is within a few
-        units of 2^-53 relative of the exact statistic."""
-        worst = 0.0
-        for r, z in zip(self.inclusion_radii, self.roots):
-            xs, ys = z._mpc_
-            a, b = abs(to_float(xs, rnd=round_nearest)), abs(to_float(ys, rnd=round_nearest))
-            if a < b:
-                a, b = b, a
-            m = a * sqrt(1 + (b / a) * (b / a)) if a else 0.0
-            worst = max(worst, to_float(r._mpf_, rnd=round_nearest) / (1 + m))
-        return worst
 
 
 def initial_points(n: int) -> list[mpc]:
@@ -151,8 +135,10 @@ def initial_points(n: int) -> list[mpc]:
 
 def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> RootSet:
     """All n zeros of p, certified; starts at cfg.bits and doubles the
-    precision until the certificate is strong (disjoint disks, radii below
-    RADIUS_REL_TOL relative) or the precision ceiling is hit.
+    precision until the certificate is strong or the precision ceiling is
+    hit.  A rung is strong when its disks are disjoint and every radius has
+    r <= t (1 + |z|), t = max(RADIUS_REL_TOL, 2^(32-bits)), both decided
+    exactly on the integers of _disks (see _accepted).
 
     The iteration starts from the seeds of initial_points, so the result is
     a function of p and cfg alone, and the root set is exactly closed under
@@ -176,8 +162,7 @@ def find_roots(p: ExactPolynomial, cfg: PrecisionConfig = PrecisionConfig()) -> 
             rs = certify(p, raw, bits)
         except CertificationError:
             pass
-        target = max(RADIUS_REL_TOL, mpf(2) ** (32 - bits))
-        if rs is not None and rs.disks_disjoint() and rs.max_relative_radius() <= target:
+        if rs is not None and _accepted(rs):
             return rs
         if bits >= cfg.max_bits:
             raise PrecisionExhaustedError(
@@ -201,14 +186,12 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
     upward rounding and a little more.
 
     A root that is an mpc of at most `bits` bits is taken as it is; any
-    other is rounded to `bits` once.  The bookkeeping then runs on the
-    dyadic integers of the roots: every centre is a Gaussian integer at the
-    finest exponent among them, exactly.  p is real, so |p(conj z)| = |p(z)|:
-    roots are keyed by (Re, |Im|) there, every key is evaluated once, at
-    its member with Im z >= 0, and a conjugate-closed set costs one
-    evaluation per pair.  The order is that of the integer pairs, and two
-    disks overlap when they meet, touching included, decided exactly on the
-    centres and the radii as integers at one common exponent.  Raises
+    other is rounded to `bits` once.  p is real, so |p(conj z)| = |p(z)|:
+    roots are keyed by the libmp tuples of (Re, |Im|), every key is
+    evaluated once, at its member with Im z >= 0, and a conjugate-closed set
+    costs one evaluation per pair.  The order is that of the disks of
+    _disks, whose centres are the roots exactly, and two disks overlap when
+    they meet, touching included, decided on those integers.  Raises
     CertificationError when some p'(z_j) is exactly zero or some root
     estimate is not finite, and ValueError when p is not the family member
     of its degree.
@@ -223,33 +206,25 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
         ]
     if len(zs) != n:
         raise CertificationError(f"certification failed: expected {n} roots, got {len(zs)}")
-    parts = [z._mpc_ for z in zs]
-    for z, (xs, ys) in zip(zs, parts):
-        if xs in _NOT_FINITE or ys in _NOT_FINITE:
+    for z in zs:
+        if z._mpc_[0] in _NOT_FINITE or z._mpc_[1] in _NOT_FINITE:
             raise CertificationError(f"certification failed: root {z} is not finite")
-    e0 = min((v[2] for xy in parts for v in xy if v[1]), default=0)
-    centres = [(_mpf_to_fixed(xs, -e0), _mpf_to_fixed(ys, -e0)) for xs, ys in parts]
-    done: dict[tuple[int, int], tuple[mpf, mpf]] = {}  # (residual, radius) by (Re, |Im|)
+    done: dict[tuple, tuple[mpf, mpf]] = {}  # (residual, radius) by (Re, |Im|)
     values = []
-    for z, (x, y), (_, ys) in zip(zs, centres, parts):
-        key = (x, abs(y))
+    for z in zs:
+        xs, ys = z._mpc_
+        key = xs, mpf_abs(ys)
         if key not in done:
-            im = z.imag if y >= 0 else mp.make_mpf(mpf_neg(ys))  # the member with Im z >= 0
-            hi, lo, e = _bounded_horner(n, z.real, im, bits)
+            hi, lo, e = _bounded_horner(n, *map(mp.make_mpf, key), bits)
             if lo <= 0:
                 raise CertificationError(
                     f"certification failed: p' vanishes at root {mpmath.nstr(z, 17)}"
                 )
             done[key] = _div_up(hi * ints[0], scale << e, bits), _div_up(n * hi, lo, bits)
         values.append(done[key])
-    order = sorted(range(n), key=centres.__getitem__)
-    residuals = tuple(values[i][0] for i in order)
-    radii = tuple(values[i][1] for i in order)
-    rads = [r._mpf_ for r in radii]
-    e1 = min([e0, *(r[2] for r in rads if r[1])])  # a grid for the radii too
-    s = e0 - e1
-    centres = [centres[i] for i in order]
-    disks = [(x << s, y << s, _mpf_to_fixed(r, -e1)) for (x, y), r in zip(centres, rads)]
+    disks, _ = _disks(zs, [radius for _, radius in values])
+    order = sorted(range(n), key=disks.__getitem__)
+    disks = [disks[i] for i in order]
     overlaps = [False] * n
     rmax = max((r for _, _, r in disks), default=0)
     for i, (xi, yi, ri) in enumerate(disks):
@@ -262,7 +237,37 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
                 break
             if (xj - xi) ** 2 + (yj - yi) ** 2 <= (ri + rj) ** 2:
                 overlaps[i] = overlaps[j] = True
+    residuals, radii = zip(*(values[i] for i in order))
     return RootSet(n, tuple(zs[i] for i in order), residuals, radii, bits, tuple(overlaps))
+
+
+def _disks(roots, radii) -> tuple[list[tuple[int, int, int]], int]:
+    """The disks of a certified set as integers at one exponent, read
+    exactly: ([(x_j, y_j, r_j), ...], e) with root_j = (x_j + i y_j) 2^e and
+    radius_j = r_j 2^e, e <= 0 the finest exponent among all the parts and
+    radii.  The one place a certified set is decoded: certify's order and
+    overlaps, find_roots' acceptance and analysis's verdicts all read it, so
+    1 = 2^-e 2^e and every sum, square and comparison of them is exact."""
+    parts = [(*z._mpc_, r._mpf_) for z, r in zip(roots, radii)]
+    e = min([0, *(v[2] for disk in parts for v in disk if v[1])])
+    return [tuple(_mpf_to_fixed(v, -e) for v in disk) for disk in parts], e
+
+
+def _accepted(rs: RootSet) -> bool:
+    """find_roots' test of a certified rung: disjoint disks, each with
+    r <= t (1 + |z|), t = max(RADIUS_REL_TOL, 2^(32-bits)) at the set's
+    precision.  t is dyadic, so on one grid 2^e with the disks, t = T 2^e,
+    the test is R - T <= 0 or (R - T)^2 4^-e <= T^2 (X^2 + Y^2), decided in
+    integers."""
+    if not rs.disks_disjoint():
+        return False
+    disks, e = _disks(rs.roots, rs.inclusion_radii)
+    _, tm, te, _ = max(RADIUS_REL_TOL, mpf(2) ** (32 - rs.precision_used))._mpf_
+    if te < e:  # t is finer than every disk: move the disks to its grid
+        disks, e = [(x << (e - te), y << (e - te), r << (e - te)) for x, y, r in disks], te
+    t = tm << (te - e)
+    t2 = t * t
+    return all(r <= t or (r - t) ** 2 << -2 * e <= t2 * (x * x + y * y) for x, y, r in disks)
 
 
 def _require_family(p: ExactPolynomial) -> None:

@@ -195,6 +195,14 @@ def bounded_horner_p_wide(n: int, x: mpf, y: mpf, bits: int) -> tuple[int, int, 
     return hi, isqrt((q << 2 * e) // (4 * z2)) - r - (r * r < c), e
 
 
+def max_relative_radius(rs) -> mpf:
+    """max_j r_j / (1 + |z_j|) of a RootSet at its precision, in mpmath:
+    the oracle for the bound that find_roots' acceptance decides exactly on
+    the integers of rootfinder._disks."""
+    with mp.workprec(rs.precision_used):
+        return max(r / (1 + abs(z)) for z, r in zip(rs.roots, rs.inclusion_radii))
+
+
 def fraction_recurrence(n: int) -> tuple[Fraction, ...]:
     """c_0..c_n by the multiplicative recurrence
     c_m = c_(m-1) (m-1-n) ((n+1)/2 + m-1) / (((n+3)/2 + m-1) m) in

@@ -81,6 +81,17 @@ class TestVerifyLemmas:
                 )
             assert rep.min_real_part._mpf_ == want._mpf_
 
+    def test_min_real_part_keeps_its_sign(self, root_cache, monkeypatch, capsys):
+        # the certified roots of n = 2 moved to -1.4 +- 0.611i: the bound is
+        # Re z - r, sign included, so verify's re-gt-third check fails
+        rs = root_cache([2])[2]
+        moved = replace(rs, roots=tuple(mpc(-z.real, z.imag) for z in rs.roots))
+        (rep,) = lemma_reports({2: moved})
+        assert rep.min_real_part < mpf("-1.39")
+        monkeypatch.setattr(cli, "find_roots", lambda p, cfg: moved)
+        assert cli.main(["verify", "--n", "2", "--workers", "1"]) == 1
+        assert any(line.startswith("FAIL re-gt-third: ") for line in capsys.readouterr().out.splitlines())
+
     @pytest.mark.parametrize("bits", [64, 160])
     def test_vieta_enclosed_at_every_degree(self, bits, root_cache):
         cfg = PrecisionConfig(bits=bits)

@@ -426,6 +426,22 @@ class TestCommands:
         assert len(passes) == 5
         assert all("n=2..2," in line for line in passes)
 
+    def test_negative_workers_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a degree was solved before --workers was checked")
+
+        monkeypatch.setattr(cli, "find_roots", no_solve)
+        assert cli.main(["roots", "--n", "3", "--workers", "-2", "--out", str(tmp_path)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # the same count read from --config
+        out = tmp_path / "out"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"command = verify\nn_list = 3\nworkers = -1\nout = {out}\n")
+        assert cli.main(["--config", str(conf)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [("report",), ("figure", "--kind", "zeros")])
     def test_theta_grid_zero_is_a_usage_error(self, command):
         res = run_cli(*command, "--n", "2", "--theta-grid", "0", "--workers", "1")

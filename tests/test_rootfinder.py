@@ -28,7 +28,13 @@ from lemnizeros.rootfinder import (
     solve_complex_poly,
 )
 
-from conftest import bounded_horner_p_wide, exact_horner, family_quotient_p_wide, sqrt_up
+from conftest import (
+    bounded_horner_p_wide,
+    exact_horner,
+    family_quotient_p_wide,
+    max_relative_radius,
+    sqrt_up,
+)
 
 BITS = 128
 BRANCH_64_SHA256 = "b98a1fb9a729986a75ce31388d5710d1d842407c298755d5f7192e66ad057cb4"
@@ -187,7 +193,7 @@ class TestFindRoots:
         rs = find_roots(build_polynomial(12), PrecisionConfig(bits=2048, max_bits=2048))
         assert rs.precision_used == 2048
         assert rs.disks_disjoint() and _exactly_closed(rs.roots)
-        assert rs.max_relative_radius() <= RADIUS_REL_TOL
+        assert max_relative_radius(rs) <= RADIUS_REL_TOL
 
     def test_precision_exhausted(self):
         # At 64 bits the target is 2^-32 relative.  In the w basis the
@@ -216,7 +222,37 @@ class TestFindRoots:
         assert rungs[1][0] is rungs[0][2]
         assert rs.precision_used == 128
         assert rs.disks_disjoint() and _exactly_closed(rs.roots)
-        assert rs.max_relative_radius() <= RADIUS_REL_TOL
+        assert max_relative_radius(rs) <= RADIUS_REL_TOL
+
+    @pytest.mark.parametrize("bits", [64, 160])
+    def test_acceptance_at_its_exact_boundary(self, bits, monkeypatch):
+        # one disk at 3/4 + i, where |z| = 5/4 exactly, with radius
+        # t (1 + |z|) = 9t/4, t = max(RADIUS_REL_TOL, 2^(32-bits)), is
+        # accepted, and the next radius up at `bits` is not: the rung's
+        # test is decided exactly (in doubles, at 64 bits, that radius
+        # rounds back onto the boundary)
+        t = max(RADIUS_REL_TOL, mpf(2) ** (32 - bits))
+        with mp.workprec(bits):
+            edge = t * 9 / 4
+        _, man, exp, bc = edge._mpf_
+        up = mp.make_mpf(from_man_exp((man << (bits - bc)) + 1, exp - (bits - bc)))
+
+        def accepted(radius):
+            rs = rootfinder.RootSet(1, (mpc("0.75", 1),), (mpf(0),), (radius,), bits, (False,))
+            monkeypatch.setattr(rootfinder, "certify", lambda p, roots, b: rs)
+            try:
+                return find_roots(build_polynomial(1), PrecisionConfig(bits, bits)) is rs
+            except PrecisionExhaustedError:
+                return False
+
+        assert accepted(edge) and not accepted(up)
+
+    @pytest.mark.parametrize("n", [206, 260])
+    def test_retry_from_64_bits_certifies_at_128(self, n):
+        # past n = 203 the 64-bit certificate misses its 2^-32 target, and
+        # one doubling reaches it
+        rs = find_roots(build_polynomial(n), PrecisionConfig(bits=64))
+        assert rs.precision_used == 128
 
     def test_rejects_a_polynomial_outside_the_family(self):
         # 1 - z + 3/7 z^2 passes ExactPolynomial's checks (c_0 = 1, alternating
@@ -269,7 +305,7 @@ class TestWBasis:
         assert status == "converged"
         rs = root_cache([n])[n]
         assert rs.precision_used == bits
-        assert rs.max_relative_radius() <= mpf(2) ** -150
+        assert max_relative_radius(rs) <= mpf(2) ** -150
 
     @pytest.mark.parametrize("n", [*range(1, 13), 45, 60, 100, 120])
     def test_at_most_five_sweeps_from_the_seeds(self, n):
@@ -410,7 +446,7 @@ class TestCertify:
         # of that point it is tiny, so two copies get huge, overlapping disks
         rs = certify(build_polynomial(2), [to_mpc(Fraction(7, 5), BITS)] * 2, BITS)
         assert not rs.disks_disjoint()
-        assert rs.max_relative_radius() > 1e10 * RADIUS_REL_TOL
+        assert max_relative_radius(rs) > 1e10 * RADIUS_REL_TOL
 
     def test_vanishing_derivative_fails(self, monkeypatch):
         monkeypatch.setattr(rootfinder, "_bounded_horner", lambda n, x, y, bits: (1, 0, 0))
