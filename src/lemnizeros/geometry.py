@@ -24,6 +24,7 @@ from mpmath import mp, mpc, mpf
 
 from .numerics import f_eval, principal_sqrt, to_mpc, to_mpf
 from .rootfinder import solve_complex_poly
+from .seeds import branch_half
 
 DEFAULT_BITS = 128
 
@@ -31,45 +32,37 @@ ZERO_BASIN = "zero-basin"
 INV_SQRT_BASIN = "inv-sqrt-z-basin"
 BOUNDARY = "boundary"
 
-_PINCH_TOL = 1e-8  # a cubic root this close to 1/3 is the pinch, added once
 
+def branch_polyline(samples: int = 2048) -> list[mpc]:
+    """The closed right branch at DEFAULT_BITS, ordered around its loop.
 
-def branch_polyline(samples: int = 2048, bits: int = DEFAULT_BITS) -> list[mpc]:
-    """The closed right branch as a polyline ordered around its loop.
-
-    At each phase theta_k = 2 pi k / samples (a double grid, whatever the
-    caller's working precision) solves the cubic z^3 - 2z^2 + z =
-    (4/27) e^(i theta_k), warm-started from the previous phase's roots, and
-    keeps the roots with Re(z) > 1/3.  At theta = 0 two roots collide at the
-    pinch z = 1/3; roots within _PINCH_TOL of it are dropped and the pinch is
-    added once as the closure point.  Everything is ordered by the angle
-    around z = 1 (the loop is star-shaped about 1, so that ordering
-    traverses it once).
-
-    The roots stay at `bits`, but both decisions are made on each root
-    rounded to a double, where they cannot differ from the same tests at
-    `bits`: rounding moves a value by about 1e-16, and the margins are far
-    wider.  For samples <= 4096 every root off theta = 0 lies 0.0149 or
-    more from 1/3, with its real part 0.0106 or more from 1/3; the pair
-    colliding at theta = 0 lies within 5.1e-11 of 1/3 at 64 bits (1.6e-20
-    at 128); adjacent angles differ by 6.8e-4 rad or more.
+    With s = sqrt(z) the branch is s - s^3 = (2/sqrt 27) e^(i phi): point j
+    is z(phi_j), phi_j = pi j / samples, for j = 1 .. 2 samples - 1, then
+    the pinch 1/3 (j = 0), their order by angle around z = 1.  z(phi_k) and
+    z(phi_k + pi) are roots of z^3 - 2z^2 + z = (4/27) e^(i theta_k),
+    theta_k = 2 pi k / samples in doubles.  For k = 1 .. samples // 2
+    solve_complex_poly refines them from seeds.branch_half (phi in
+    [pi, 2 pi), the rest by conjugation), and the third root from
+    2 - z(phi_k) - z(phi_k + pi) (Vieta).  Their exact conjugates are the
+    points of theta_(samples - k), whose cubic is the conjugate one.  At
+    theta = pi the cubic is taken real, at -4/27, and its points are set as
+    conjugates; at theta = 0 it is (z - 4/3)(z - 1/3)^2, not solved.  So
+    the polyline is exactly closed under conjugation.
     """
     if samples < 1:
         raise ValueError("branch_polyline: empty theta grid")
-    third = 1 / 3
-    keyed = []  # (angle around 1 as a double, root)
-    with mp.workprec(bits):
-        roots = None
-        for k in range(samples):
-            w = mpf(4) / 27 * mp.exp(mpc(0, 2 * math.pi * k / samples))
-            roots = solve_complex_poly([-w, mpf(1), mpf(-2), mpf(1)], bits, start=roots)
-            for z in roots:
-                c = complex(z)
-                if c.real > third and abs(c - third) > _PINCH_TOL:
-                    keyed.append((math.atan2(c.imag, c.real - 1), z))
-        keyed.append((math.pi, mpc(mpf(1) / 3)))
-    keyed.sort(key=lambda p: p[0])
-    return [z for _, z in keyed]
+    half = [complex(x, y) for x, y in branch_half(samples)]  # j = samples .. 2 samples - 1
+    pts = [None] * (2 * samples)
+    with mp.workprec(DEFAULT_BITS):
+        pts[0], pts[samples] = mpc(mpf(1) / 3), mpc(mpf(4) / 3)
+        for k in range(1, samples // 2 + 1):
+            a, b = half[samples - k].conjugate(), half[k]
+            real = 2 * k == samples  # theta = pi: the cubic is taken real
+            w = mpf(-4) / 27 if real else mpf(4) / 27 * mp.exp(mpc(0, 2 * math.pi * k / samples))
+            za, zb, _ = solve_complex_poly([-w, mpf(1), mpf(-2), mpf(1)], DEFAULT_BITS, [a, b, 2 - a - b])
+            pts[samples + k], pts[samples - k] = zb, zb.conjugate()
+            pts[k], pts[2 * samples - k] = za, za.conjugate()  # at theta = pi, in zb's places
+    return pts[1:] + pts[:1]
 
 
 def basin_classify(z, bits: int = DEFAULT_BITS) -> str:

@@ -30,8 +30,8 @@ scale once and leave it, rounded to the working precision, once.  Only
 the repulsion sums, which merely steer each correction, run in IEEE
 doubles, one correctly rounded operation at a time, so the roots are the
 same bits on every platform.  The same loop, with the same arithmetic
-and stop rule, solves the cubic of geometry.branch_polyline, only without
-conjugate mirrors.
+and stop rule, refines the cubics of geometry.branch_polyline from starts
+next to their roots, only without conjugate mirrors.
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -515,36 +515,21 @@ def _cut(re: int, im: int, e: int, width: int) -> tuple[int, int, int]:
     return (re >> cut, im >> cut, e + cut) if cut > 0 else (re, im, e)
 
 
-def solve_complex_poly(coeffs, bits: int, start=None) -> list[mpc]:
-    """Zeros of a general small polynomial with complex coefficients
-    (ascending order).  Exists for the cubic of geometry.branch_polyline;
-    this is not a general-purpose solver surface.  The sweeps are the
-    family's (_aberth_core without conjugate mirrors: repulsion sums in
-    doubles, the predicted-convergence freeze), on the quotient of
-    _horner_quotient; a solve that stalls is run once more at twice the
-    precision."""
+def solve_complex_poly(coeffs, bits: int, start) -> list[mpc]:
+    """Zeros of a small polynomial with complex coefficients (ascending
+    order), one from each point of `start`, in its order: the cubics of
+    geometry.branch_polyline, started next to their roots.  The sweeps are
+    the family's (_aberth_core without conjugate mirrors); a stall raises
+    PrecisionExhaustedError."""
     with mp.workprec(bits):
         cs = [to_mpc(c, bits) for c in coeffs]
         if len(cs) < 2 or cs[-1] == 0:
             raise ValueError("solve_complex_poly: need degree >= 1 and nonzero leading coefficient")
-        d = len(cs) - 1
-        if start is None:
-            centroid = -cs[-2] / (d * cs[-1])
-            bound = 1 + max(abs(c / cs[-1]) for c in cs[:-1])
-            offset = mp.pi * (mp.sqrt(5) - 1)
-            start = [
-                centroid + bound * mp.exp(mpc(0, 2 * mp.pi * k / d + offset)) for k in range(d)
-            ]
         scale = bits + _GUARD
-        fixed = [_to_fixed(c, scale) for c in cs]
-        roots = [_to_fixed(mpc(z), scale) for z in start]
-        roots, status, _ = _aberth_core(_horner_quotient(fixed, scale), roots, bits)
+        quotient = _horner_quotient([_to_fixed(c, scale) for c in cs], scale)
+        roots, status, sweeps = _aberth_core(quotient, [_to_fixed(mpc(z), scale) for z in start], bits)
         if status != "converged":
-            # fall back to one escalation; the cubic is benign except at the pinch
-            fixed = [(x << bits, y << bits) for x, y in fixed]
-            roots = [(x << bits, y << bits) for x, y in roots]
-            scale += bits
-            roots, status, _ = _aberth_core(_horner_quotient(fixed, scale), roots, 2 * bits)
+            raise PrecisionExhaustedError(f"solve_complex_poly: stalled at {bits} bits, {sweeps} sweeps")
         return [_from_fixed(z, scale, bits) for z in roots]
 
 
@@ -600,10 +585,10 @@ def _aberth_core(quotient, roots, prec, axis=None):
     Aberth converges at least quadratically at simple zeros, so its next
     correction would fall below 2^-(prec+8), the fixed scale, where it
     would only dither.  Stops 'converged' after a sweep that leaves no root
-    moving, and 'stall' after max_sweeps otherwise; the caller certifies
-    the returned configuration either way.  Relative corrections are
-    compared as log2 values: math.log2 reads the top bits of an integer of
-    any size, where a float conversion would overflow beyond 2^1024.
+    moving, and 'stall' after max_sweeps otherwise, which find_roots
+    certifies anyway and solve_complex_poly raises.  Relative corrections
+    are compared as log2 values: math.log2 reads the top bits of an integer
+    of any size, where a float conversion would overflow beyond 2^1024.
     """
     P = prec + _GUARD
     one = 1 << P

@@ -15,7 +15,9 @@ one everywhere, where z0 misses by up to 12/n.  No phi_k is 0, so no z0
 sits on the pinch; phi_(n-1-k) = 2 pi - phi_k, so the set is closed under
 conjugation, and for odd n the middle seed (phi = pi, z0 = 4/3, B real) is
 exactly real.  Only seeds n//2 .. n-1, phi_k in [pi, 2 pi), are computed,
-by continuation in k from s0 = 2/sqrt 3 and the v of phi = pi.
+by continuation in k from s0 = 2/sqrt 3 and the v of phi = pi.  The same
+continuation of branch_point, without v, seeds geometry.branch_polyline
+(branch_half).
 
 _polish_in_doubles then runs Aberth sweeps in doubles on them while doubles
 resolve the section, as MPSolve moves from floating point to
@@ -103,21 +105,13 @@ def _seed_constants(n: int) -> tuple[float, float, float, float, float, float]:
     With c = sqrt(2 pi n)/3 and r = 2/sqrt 27, kr = 9/4 sqrt(2 pi n) and
     3c/r = sqrt(54 pi n)/2, each from pi in two roundings and a square root.
 
-    e^(i pi / n) comes from the Taylor polynomials of cos t and sin t / t of
-    degree 30 at t = pi / n, in Horner form, whose first omitted term is
-    below 2^-64 at t <= pi; rot is its square.  v comes from
+    e^(i pi / n) comes from _half_turn, and rot is its square.  v comes from
     (3c/r)^(2^-j), 2^j > n + 1, by j square roots, taken to the power
     2^j / (n + 1) in (1, 2] to first order, which by Bernoulli's inequality
     lies below v, and then by Newton steps on v^(n+1) = 3c/r, which rise
     above v once and then fall, until a step no longer falls.
     """
-    t = pi / n
-    tt = t * t
-    cr = sr = 1.0
-    for j in range(15, 0, -1):
-        cr = 1.0 - tt * cr / ((2 * j) * (2 * j - 1))
-        sr = 1.0 - tt * sr / ((2 * j + 1) * (2 * j))
-    sr *= t  # e^(i pi / n) = cr + i sr
+    cr, sr = _half_turn(n)
     wr, wi = (-_R, 0.0) if n % 2 else (-_R * cr, -_R * sr)
     a = 0.5 * sqrt(54.0 * pi * n)  # 3c/r
     j = (n + 1).bit_length()
@@ -131,6 +125,33 @@ def _seed_constants(n: int) -> tuple[float, float, float, float, float, float]:
             break
         last = v
     return cr * cr - sr * sr, 2.0 * (cr * sr), wr, wi, 2.25 * sqrt(2.0 * pi * n), v
+
+
+def _half_turn(n: int) -> tuple[float, float]:
+    """e^(i pi / n) as two doubles, from the Taylor polynomials of cos t and
+    sin t / t of degree 30 at t = pi / n in Horner form, whose first omitted
+    term is below 2^-64 at t <= pi."""
+    t = pi / n
+    tt = t * t
+    cr = sr = 1.0
+    for j in range(15, 0, -1):
+        cr = 1.0 - tt * cr / ((2 * j) * (2 * j - 1))
+        sr = 1.0 - tt * sr / ((2 * j + 1) * (2 * j))
+    return cr, sr * t
+
+
+def branch_half(samples: int) -> list[tuple[float, float]]:
+    """z = s^2, s - s^3 = r e^(i phi_j), at phi_j = pi j / samples for
+    j = samples .. 2 samples - 1, as pairs of doubles: branch_point from
+    s0 = 2/sqrt 3 (z = 4/3), each target turned by _half_turn(samples)."""
+    cr, ci = _half_turn(samples)
+    sr, si, wr, wi = _S0, 0.0, -_R, 0.0
+    points = []
+    for _ in range(samples):
+        sr, si = branch_point(sr, si, wr, wi)
+        points.append((sr * sr - si * si, 2.0 * (sr * si)))
+        wr, wi = wr * cr - wi * ci, wr * ci + wi * cr
+    return points
 
 
 def branch_point(sr: float, si: float, wr: float, wi: float) -> tuple[float, float]:

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
-from lemnizeros import analysis, cli, geometry, rootfinder
+from lemnizeros import analysis, cli, rootfinder
 from lemnizeros.analysis import (
     convergence_report,
     figure_zero_plot,
@@ -258,15 +258,12 @@ class TestFigures:
         assert a == b
 
     def test_zero_plot_branch_at_geometry_precision(self, root_cache):
-        # the branch is a plotting aid: it is drawn at geometry's 128-bit
-        # default, not at the root solver's working precision
+        # the branch is a plotting aid: it is drawn at geometry's 128 bits,
+        # not at the root solver's working precision
         ns = [5]
         _, csv_text = figure_zero_plot(root_cache(ns), 1024)
         got = [r.split(",")[2:] for r in csv_text.strip().split("\n") if r.startswith("5,branch,")]
-        want = [
-            [analysis._f(v.real), analysis._f(v.imag)]
-            for v in branch_polyline(1024, geometry.DEFAULT_BITS)
-        ]
+        want = [[analysis._f(v.real), analysis._f(v.imag)] for v in branch_polyline(1024)]
         assert got == want
 
     def test_level_curail_csv(self):

@@ -4,9 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, mpf_neg
 
 from lemnizeros.geometry import (
     BOUNDARY,
@@ -31,15 +31,17 @@ class TestLemniscateBranch:
     per phase off theta = 0, 4/3 and the pinch at theta = 0."""
 
     def test_theta_zero_factorization(self):
-        # z(1-z)^2 - 4/27 = (z - 4/3)(z - 1/3)^2: 4/3 and the pinch, once
-        pts = branch_polyline(64, BITS)
+        # z(1-z)^2 - 4/27 = (z - 4/3)(z - 1/3)^2: 4/3 and the pinch, once,
+        # set rather than solved, so the 4/3 vertex is exactly real
+        pts = branch_polyline(64)
         with mp.workprec(BITS):
             third = to_mpc(Fraction(1, 3), BITS)
             assert sum(1 for z in pts if z == third) == 1
-            assert min(abs(z - mpf(4) / 3) for z in pts) < 1e-30
+            (vertex,) = [z for z in pts if abs(z - mpf(4) / 3) < 1e-30]
+            assert vertex.imag == 0
 
     def test_residuals_below_solver_tolerance(self):
-        pts = branch_polyline(64, BITS)
+        pts = branch_polyline(64)
         with mp.workprec(BITS):
             level = mpf(4) / 27
             assert all(abs(abs(z * (1 - z) ** 2) - level) / level < mpf("1e-20") for z in pts)
@@ -50,18 +52,20 @@ class TestLemniscateBranch:
     def test_two_right_points_per_interior_theta(self):
         # 2 points at each of the S - 1 phases off 0, plus 4/3 and the pinch
         for samples in (1, 2, 7, 64):
-            assert len(branch_polyline(samples, BITS)) == 2 * samples
+            assert len(branch_polyline(samples)) == 2 * samples
 
     def test_conjugation_symmetry(self):
-        # the phase grid is symmetric only up to double rounding
-        pts = branch_polyline(64, BITS)
-        with mp.workprec(BITS):
-            worst = max(min(abs(mpc(a.real, -a.imag) - b) for b in pts) for a in pts)
-            assert worst < 1e-15
+        # point j is the exact conjugate of point 2S - j, and the pinch is real
+        for samples in (1, 2, 7, 8, 64):
+            parts = [z._mpc_ for z in branch_polyline(samples)]
+            assert [(x, mpf_neg(y)) for x, y in parts[:-1]] == parts[-2::-1]
+            assert parts[-1][1] == fzero
 
     def test_theta_pi_against_numpy(self):
+        import numpy as np  # here, so that the module collects without numpy
+
         # phase pi is sample 1 of 2; with the sample at phase 0 (4/3, 1/3) excluded
-        pts = [complex(z) for z in branch_polyline(2, BITS)]
+        pts = [complex(z) for z in branch_polyline(2)]
         right = [z for z in pts if abs(z - 4 / 3) > 1e-6 and abs(z - 1 / 3) > 1e-6]
         oracle = np.roots([1, -2, 1, 4 / 27])  # z^3 - 2z^2 + z + 4/27 at theta = pi
         expected = [z for z in oracle if z.real > 1 / 3]
@@ -69,17 +73,26 @@ class TestLemniscateBranch:
         worst = max(min(abs(r - e) for e in expected) for r in right)
         assert worst < 1e-10
 
-    @pytest.mark.parametrize("bits", [64, 128])
+    @pytest.mark.parametrize("bits", [geometry.DEFAULT_BITS])
     @pytest.mark.parametrize("samples", [1, 7, 64, 256])
     def test_closed_form(self, samples, bits):
         # with s = sqrt(z) the branch is s - s^3 = (2/sqrt(27)) e^(i phi), so
         # z(phi) = (4/3) cos^2(arccos(e^(i phi)) / 3); the cubic at phase
-        # theta has the points phi = theta/2 and theta/2 - pi
-        pts = branch_polyline(samples, bits)
+        # theta has the points phi = theta/2 and theta/2 - pi.  The phases
+        # are the doubles theta_k = 2 pi k / S for k < S/2, pi itself at
+        # k = S/2 and -theta_(S-k) beyond, whose cubics are the conjugates
+        # of those of theta_(S-k)
+        pts = branch_polyline(samples)
         with mp.workprec(bits + 64):
             oracle = [mpc(1) / 3]  # phi = -pi, where arccos is ill-conditioned
             for k in range(samples):
-                half = mpf(2 * math.pi * k / samples) / 2
+                if 2 * k == samples:
+                    theta = mp.pi
+                elif 2 * k < samples:
+                    theta = 2 * math.pi * k / samples
+                else:
+                    theta = -2 * math.pi * (samples - k) / samples
+                half = mpf(theta) / 2
                 phis = (half, half - mp.pi) if k else (half,)
                 oracle += [mpf(4) / 3 * mp.cos(mp.acos(mp.expj(phi)) / 3) ** 2 for phi in phis]
             oracle.sort(key=lambda z: mp.atan2(z.imag, z.real - 1))
@@ -89,12 +102,12 @@ class TestLemniscateBranch:
     def test_empty_grid_rejected(self):
         for samples in (0, -3):
             with pytest.raises(ValueError, match="empty theta grid"):
-                branch_polyline(samples, BITS)
+                branch_polyline(samples)
 
 
 class TestBranchPolyline:
     def test_closed_loop_geometry(self):
-        pts = branch_polyline(128, BITS)
+        pts = branch_polyline(128)
         xs = [float(z.real) for z in pts]
         assert min(xs) >= 1 / 3 - 1e-6
         assert max(xs) == pytest.approx(4 / 3, abs=1e-6)
@@ -103,63 +116,28 @@ class TestBranchPolyline:
         assert max(gaps) < 0.2
 
     def test_independent_of_caller_precision(self):
-        pts = branch_polyline(64, BITS)
+        pts = branch_polyline(64)
         with mp.workprec(200):
-            assert branch_polyline(64, BITS) == pts
-
-
-def _branch_by_mpmath(samples, bits):
-    """branch_polyline's cubic chain with both decisions in mpmath at
-    `bits`: the pinch filter by abs and the order by mp.atan2.  Returns the
-    kept points in order, their angles around 1, and every root solved."""
-    with mp.workprec(bits):
-        third = mpf(1) / 3
-        roots, solved, kept = None, [], []
-        for k in range(samples):
-            w = mpf(4) / 27 * mp.exp(mpc(0, 2 * math.pi * k / samples))
-            roots = solve_complex_poly([-w, mpf(1), mpf(-2), mpf(1)], bits, start=roots)
-            solved.extend(roots)
-            kept.extend(z for z in roots if z.real > third and abs(z - third) > 1e-8)
-        kept.append(mpc(third))
-        kept.sort(key=lambda z: mp.atan2(z.imag, z.real - 1))
-        angles = [mp.atan2(z.imag, z.real - 1) for z in kept]
-    return kept, angles, solved
-
-
-class TestBranchDecisionsInDoubles:
-    """branch_polyline filters and orders its points in doubles; the same
-    decisions at full precision must give the same list, with room to spare."""
-
-    @pytest.mark.parametrize("samples", [1, 2, 7, 64, 256])
-    def test_equals_mpmath_filter_and_order(self, samples):
-        got = branch_polyline(samples, BITS)
-        kept, angles, solved = _branch_by_mpmath(samples, BITS)
-        assert [z._mpc_ for z in got] == [z._mpc_ for z in kept]
-        with mp.workprec(BITS):
-            third = mpf(1) / 3
-            # every root is either one of the colliding pair at the pinch or
-            # clearly on one side of both tests
-            for z in solved:
-                if abs(z - third) < mpf("1e-15"):
-                    continue
-                assert abs(z - third) >= 1e-3
-                assert abs(z.real - third) >= 1e-3
-            assert all(abs(z - third) >= 1e-3 for z in kept if z != third)
-            assert all(b - a >= 1e-6 for a, b in zip(angles, angles[1:]))
+            assert branch_polyline(64) == pts
 
     def test_one_warm_started_solve_per_phase(self, monkeypatch):
+        # one solve per conjugate pair of phases theta_k, k = 1 .. S//2, each
+        # started at the continuation's z(phi_k), z(phi_k + pi) and the third
+        # root by Vieta, converging on its one run
         calls = []
 
-        def spy(coeffs, bits, start=None):
-            roots = solve_complex_poly(coeffs, bits, start=start)
-            calls.append((start, roots))
-            return roots
+        def spy(coeffs, bits, start):
+            calls.append(list(start))
+            return solve_complex_poly(coeffs, bits, start)
 
         monkeypatch.setattr(geometry, "solve_complex_poly", spy)
-        branch_polyline(7, BITS)
-        assert len(calls) == 7
-        assert calls[0][0] is None
-        assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
+        for samples in (7, 8):
+            calls.clear()
+            branch_polyline(samples)
+            assert len(calls) == samples // 2
+            for start in calls:
+                assert len(start) == 3 and all(type(z) is complex for z in start)
+                assert start[2] == 2 - start[0] - start[1]
 
 
 class TestBasins:
