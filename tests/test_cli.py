@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, artifacts, config round-trip, caching."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,26 @@ from lemnizeros.rootfinder import CertificationError
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
+# `python -c POOL_PROBE args` runs the CLI on args and says on stderr each
+# process pool it starts, with its worker count
+POOL_PROBE = """\
+import concurrent.futures, sys
 
-def run_cli(*args, cwd=None):
+class Probe(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        print(f"pool of {max_workers}", file=sys.stderr)
+        super().__init__(max_workers)
+
+concurrent.futures.ProcessPoolExecutor = Probe
+from lemnizeros import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_cli(*args, cwd=None, code=None):
+    """The CLI on args in a fresh interpreter, or the script code on them."""
     return subprocess.run(
-        [sys.executable, "-m", "lemnizeros", *args],
+        [sys.executable, *(("-m", "lemnizeros") if code is None else ("-c", code)), *args],
         capture_output=True,
         text=True,
         cwd=cwd or PKG_ROOT,
@@ -73,6 +90,12 @@ class TestParsing:
         cfg = RunConfig(command="verify", n_list=tuple(range(2, 10)), precision_bits=128, workers=2)
         back = parse_run_config_text(cfg.to_text())
         assert back == cfg
+
+    def test_workers_zero_is_the_cores_this_process_may_run_on(self, monkeypatch):
+        # under taskset or a cgroup cpuset, not the machine's core count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        args = cli.build_parser().parse_args(["roots", "--n", "5"])
+        assert cli.config_from_args(args).workers == 1
 
     def test_config_with_two_degree_sets_is_rejected(self):
         with pytest.raises(ValueError, match="more than one degree set"):
@@ -395,9 +418,11 @@ class TestCommands:
             out = tmp_path / f"w{workers}"
             res = run_cli(
                 "verify", "--n-list", "2,240", "--precision-bits", "64", "--max-bits", "64",
-                "--workers", workers, "--out", str(out),
+                "--workers", workers, "--out", str(out), code=POOL_PROBE,
             )
             assert res.returncode == 1, res.stderr
+            pools = [line for line in res.stderr.splitlines() if line.startswith("pool of ")]
+            assert pools == (["pool of 2"] if workers == "2" else [])
             assert any(line.startswith("FAIL n=240: ") for line in res.stdout.splitlines())
             (sub,) = out.iterdir()
             assert sorted(p.name for p in sub.iterdir()) == ["lemmas.csv", "runconfig.txt", "verify.txt"]
@@ -539,6 +564,49 @@ class TestCommands:
         assert written[0][0] == written[1][0]
         assert written[0][1] == written[1][1]
         assert len(written[0][1].splitlines()) == 1 + sum(range(10, 21))
+
+    def test_a_run_without_a_pool_imports_no_multiprocessing(self, tmp_path):
+        # the pool's modules are a large share of the CLI's start-up
+        code = (
+            "import sys\n"
+            "from lemnizeros import cli\n"
+            f"assert cli.main(['roots', '--n', '3', '--workers', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
+        )
+        res = run_cli(code=code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+        assert list(tmp_path.glob("roots-*/roots.csv"))
+
+    @pytest.mark.parametrize(
+        "argv,artifacts,pools",
+        [
+            # one degree solves in this process, whatever --workers says
+            (("roots", "--n", "5"), ("roots.csv",), []),
+            # where the pool cannot start for want of semaphores, the degrees run serially
+            (("verify", "--n-list", "2,3"), ("lemmas.csv", "verify.txt"), [2]),
+        ],
+        ids=["one-degree", "no-semaphores"],
+    )
+    def test_serial_runs_write_the_bytes_of_one_worker(self, argv, artifacts, pools, monkeypatch, tmp_path, capsys):
+        import concurrent.futures
+
+        started = []
+
+        def no_semaphores(max_workers):
+            # what ProcessPoolExecutor raises without multiprocessing.synchronize
+            started.append(max_workers)
+            raise NotImplementedError("no working semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_semaphores)
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert cli.main([*argv, "--workers", workers, "--out", str(out)]) == 0
+            (sub,) = out.iterdir()
+            written.append((sub.name, *((sub / name).read_bytes() for name in artifacts)))
+        assert started == pools
+        assert written[0] == written[1]
 
     def test_usage_without_command(self):
         res = run_cli()
