@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_float, from_int, from_man_exp, from_rational, fzero, mpf_pos
 
 DEFAULT_BITS = 160
 DEFAULT_MAX_BITS = 4096
@@ -62,10 +62,11 @@ class PrecisionConfig:
 
 
 def to_mpf(x, bits: int) -> mpf:
-    """Round a Fraction/int/float/str to an mpf at the given precision."""
+    """Round a Fraction/int/float/str to an mpf at the given precision, to
+    nearest and once: a Fraction is divided exactly before its one rounding."""
+    if isinstance(x, Fraction):
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, bits, "n"))
     with mp.workprec(bits):
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / mpf(x.denominator)
         return mpf(x)
 
 
@@ -102,6 +103,26 @@ def principal_sqrt(z: mpc, bits: int) -> mpc:
 def f_eval(z: mpc, t: mpc) -> mpc:
     """t(1 - z t^2), at the caller's working precision."""
     return t * (1 - z * t * t)
+
+
+def _mpc_parts(x, bits: int) -> tuple[tuple, tuple]:
+    """to_mpc(x, bits)._mpc_ for an mpc, mpf, complex, float, int or
+    Fraction x, from libmp alone: each part rounded to nearest at `bits`
+    once, with no mpc made and mp.prec untouched."""
+    if isinstance(x, mpc):
+        re, im = x._mpc_
+        return mpf_pos(re, bits, "n"), mpf_pos(im, bits, "n")
+    if isinstance(x, complex):
+        return from_float(x.real, bits, "n"), from_float(x.imag, bits, "n")
+    if isinstance(x, mpf):
+        return mpf_pos(x._mpf_, bits, "n"), fzero
+    if isinstance(x, float):
+        return from_float(x, bits, "n"), fzero
+    if isinstance(x, Fraction):
+        return from_rational(x.numerator, x.denominator, bits, "n"), fzero
+    if isinstance(x, int):
+        return from_int(x, bits, "n"), fzero
+    raise TypeError(f"_mpc_parts: cannot round a {type(x).__name__}")
 
 
 def _to_fixed(z: mpc, scale: int) -> tuple[int, int]:

@@ -8,19 +8,23 @@ piece along the curve of constant arg f_z, parametrized implicitly by
 
     t (1 - z t^2) = r (1 - z),    0 <= r <= 1,  t(1) = 1.
 
-The path is traced by Newton continuation in r from 1 downward: each sample
-is the Newton solution of the implicit equation at its r, started from the
-previous sample, whose first step is the Euler predictor on
-dt/dr = (1-z)/(1-3zt^2).  The Newton steps run in fixed point on Gaussian
-integers at one shared scale 2^-(bits+16), like the Aberth sweeps of
-rootfinder: z, r(1 - z) and the tolerances enter the scale once, a step is
-integer multiplies, shifts and one floor division, and the 16 guard bits
-keep the floor rounding far below the noise floor 2^(16-bits) of the
-convergence test.  Only the final samples are rounded to `bits`.  Sample
-placement doubles as quadrature: the r-nodes are composite Gauss-Legendre
-panels refined geometrically toward r = 1, where the factor r^(n-1)
-concentrates; the tail integral is then a weighted sum over the stored
-samples at spectral accuracy.
+The path is traced by predictor-corrector continuation in r from 1
+downward (Allgower and Georg, Numerical Continuation Methods, 1990): each
+sample is the Newton solution of the implicit equation at its r, started
+at the quadratic through the last three samples extrapolated to that r,
+and takes at least one Newton step before its convergence test.  The
+extrapolation weights depend only on the r-nodes, so they are built once
+per (steps, bits), beside the nodes (_path_predictor).  The Newton steps
+run in fixed point on Gaussian integers at one shared scale 2^-(bits+16),
+like the Aberth sweeps of rootfinder: z, r(1 - z) and the tolerances
+enter the scale once, a step is integer multiplies, shifts and one floor
+division, and the 16 guard bits keep the floor rounding far below the
+noise floor 2^(16-bits) of the convergence test.  Only the final samples
+are rounded to `bits`.  Sample placement doubles as quadrature: the
+r-nodes are composite Gauss-Legendre panels refined geometrically toward
+r = 1, where the factor r^(n-1) concentrates; the tail integral is then a
+weighted sum over the stored samples at spectral accuracy, taken on
+integers and rounded once (_bare_tail_sum).
 """
 
 from __future__ import annotations
@@ -141,6 +145,39 @@ def _path_nodes(steps: int, bits: int) -> tuple[tuple[mpf, mpf, int], ...]:
     return tuple(nodes)
 
 
+@lru_cache(maxsize=None)
+def _path_predictor(steps: int, bits: int) -> tuple[tuple[int, int, int], ...]:
+    """trace_path's predictor weights at scale 2^-(bits+_GUARD), one triple
+    per Newton solve in the order of the trace: the r-nodes of
+    _path_nodes(steps, bits) descending, then r = 0.  Triple k holds the
+    Lagrange weights that extrapolate the last three converged samples (the
+    newest first) to the k-th r; the trace starts from t(1) = 1, so the
+    first solve takes that value and the second the line through it and the
+    first sample.  The weights are exact ratios of the fixed-point r-nodes,
+    floored to the scale."""
+    P = bits + _GUARD
+    xs = [1 << P] + [rf for _, _, rf in reversed(_path_nodes(steps, bits))]
+    weights = []
+    for k, x in enumerate(xs[1:] + [0], 1):
+        prev = xs[max(0, k - 3):k][::-1]
+        triple = []
+        for i, xi in enumerate(prev):
+            num = den = 1
+            for j, xj in enumerate(prev):
+                if j != i:
+                    num, den = num * (x - xj), den * (xi - xj)
+            triple.append((num << P) // den)
+        weights.append(tuple(triple + [0] * (3 - len(triple))))
+    return tuple(weights)
+
+
+def _extrapolate(weights, last, P: int) -> tuple[int, int]:
+    """The predictor of trace_path: sum of weight times sample over the
+    last three samples, Gaussian integers at scale 2^-P."""
+    (a, b, c), ((xr, xi), (yr, yi), (ur, ui)) = weights, last
+    return (a * xr + b * yr + c * ur) >> P, (a * xi + b * yi + c * ui) >> P
+
+
 def trace_path(
     z,
     steps: int = DEFAULT_STEPS,
@@ -157,15 +194,21 @@ def trace_path(
     inv-sqrt-z basin, 0 in the zero basin; z = 0 is allowed and gives the
     trivial path t = r.
 
-    Newton stops at each r once |t(1-zt^2) - r(1-z)| is at most
-    max(path_tol |1-z| r, 2^(16-bits) (1+|z|)), and raises
-    SaddleProximityError when |1-3zt^2| falls below 10 path_tol or 80 steps
-    do not converge; both tests compare squared moduli.  The steps run on
-    Gaussian integers at the scale 2^-(bits+_GUARD), and each sample t and
-    its tail integrand g are rounded to `bits` once, so the samples do not
-    depend on the caller's mp.prec.  The r-nodes and weights depend only on
-    (steps, bits): _path_nodes builds them once, and every path with those
-    arguments reads the same tuple.
+    Newton at each r starts at the quadratic through the last three
+    samples (the first two solves, which follow t(1) = 1, take the constant
+    and the line), always takes one step, and then stops once
+    |t(1-zt^2) - r(1-z)| is at most max(path_tol |1-z| r, 2^(16-bits) (1+|z|)).
+    It raises SaddleProximityError when |1-3zt^2| falls below 10 path_tol
+    or 80 steps do not converge; both tests compare squared moduli.  The
+    forced step keeps a start that already passes the test from being
+    returned unrefined: the next extrapolation would carry its error on,
+    and at z = 0 the samples would drift 3.8e-31 off t = r.  The steps run
+    on Gaussian integers at the scale 2^-(bits+_GUARD), and each sample t
+    and its tail integrand g are rounded to `bits` once, so the samples do
+    not depend on the caller's mp.prec.  The r-nodes, their quadrature
+    weights and the extrapolation weights depend only on (steps, bits):
+    _path_nodes and _path_predictor build them once, and every path with
+    those arguments reads the same tuples.
     """
     with mp.workprec(bits):
         z = to_mpc(z, bits)
@@ -210,7 +253,7 @@ def trace_path(
             tol = max((slope * rf) >> P, noise)
             tol2 = tol * tol
             tr, ti = t
-            for _ in range(80):
+            for step in range(80):
                 ar, ai = (tr * tr - ti * ti) >> P, (2 * tr * ti) >> P
                 br, bi = (zr * ar - zi * ai) >> P, (zr * ai + zi * ar) >> P  # z t^2
                 dr, di = one - 3 * br, -3 * bi
@@ -221,7 +264,7 @@ def trace_path(
                     )
                 fr, fi = (tr * (one - br) + ti * bi) >> P, (ti * (one - br) - tr * bi) >> P
                 er, ei = fr - gr, fi - gi
-                if er * er + ei * ei <= tol2:
+                if step and er * er + ei * ei <= tol2:
                     return (tr, ti), (fr, fi), (dr, di)
                 qr, qi = _fixed_div(er, ei, dr, di, P)
                 tr, ti = tr - qr, ti - qi
@@ -230,15 +273,17 @@ def trace_path(
             )
 
         quad: list[tuple[mpf, mpc, mpf, mpc]] = []
-        t = (one, 0)
-        for r, w, rf in reversed(_path_nodes(steps, bits)):
-            t, f, d = correct(r, rf, t)
+        last = ((one, 0),) * 3  # the last three samples, the newest first
+        predictor = _path_predictor(steps, bits)
+        for (r, w, rf), weights in zip(reversed(_path_nodes(steps, bits)), predictor):
+            t, f, d = correct(r, rf, _extrapolate(weights, last, P))
+            last = (t, last[0], last[1])
             g = _fixed_div(*f, *d, P)
             quad.append((r, _from_fixed(t, P, bits), w, _from_fixed(g, P, bits)))
         quad.reverse()
 
         # land on r = 0: Newton on f_z(t) = 0 itself
-        t_end = _from_fixed(correct(mpf(0), 0, t)[0], P, bits)
+        t_end = _from_fixed(correct(mpf(0), 0, _extrapolate(predictor[-1], last, P))[0], P, bits)
         if abs(t_end - predicted) > 100 * path_tol:
             raise EndpointMismatchError(
                 f"endpoint mismatch: t(0) = {mpmath.nstr(t_end, 12)}, "
@@ -300,7 +345,17 @@ def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
     quadrature samples; the caller applies any outer factors.  The sum is
     a function of n and the path alone, at path.bits, so it is computed
     once per degree and kept on the path: tail_integral and
-    zero_equation_residual on one path share it."""
+    zero_equation_residual on one path share it.
+
+    The sum runs on integers.  r^(n-1) is a binary power at the path's
+    scale 2^-S, S = path.bits + _GUARD, each product floored there (see
+    _fixed_power); each term multiplies it by the mantissas of w and g
+    exactly and floors the product at 2^-2S; the total is rounded to
+    path.bits once.  So a term loses less than 2n 2^-S |w| |g| to the power
+    and 2^(1-2S) to its floor, and against the exact sum of the stored
+    (r, w, g) the result is off by at most 2^-bits |exact| plus
+    (1 + 2^-bits) (2n 2^-S sum |w| |g| + 2^(1-2S) len(quad)).
+    """
     if n in path._tail_sums:
         return path._tail_sums[n]
     if not path.quad:
@@ -312,11 +367,36 @@ def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
                 f"path too coarse: resolution {mpmath.nstr(gap, 6)} near r = 1 "
                 f"exceeds 1/(4n) = {mpmath.nstr(mpf(1) / (4 * n), 6)}"
             )
-        total = mpc(0)
-        for r, _, w, g in path.quad:
-            total += g * (w * r ** (n - 1))
+    S = path.bits + _GUARD
+    total_r = total_i = 0
+    for r, _, w, g in path.quad:
+        p = _fixed_power(_mpf_to_fixed(r._mpf_, S), n - 1, S)
+        if not p:
+            continue
+        # w g r^(n-1) = w_man g_man p 2^(w_exp + g_exp - S), floored at 2^-2S
+        ws, wm, we, _ = w._mpf_
+        (rs, rm, re_, _), (is_, im, ie, _) = g._mpc_
+        total_r += _mpf_to_fixed((ws ^ rs, wm * rm * p, we + re_ - S, 0), 2 * S)
+        total_i += _mpf_to_fixed((ws ^ is_, wm * im * p, we + ie - S, 0), 2 * S)
+    total = _from_fixed((total_r, total_i), 2 * S, path.bits)
     path._tail_sums[n] = total
     return total
+
+
+def _fixed_power(x: int, k: int, S: int) -> int:
+    """x^k for 0 <= x <= 2^S at scale 2^-S, by binary powering with each
+    product floored at the scale.  Over an addition chain the errors add,
+    plus one floor per product, so the result is at most (k - 1) 2^-S below
+    the exact power of x, and less than (2k - 1) 2^-S below that of a value
+    whose floor x is."""
+    p = 1 << S
+    while k:
+        if k & 1:
+            p = (p * x) >> S
+        k >>= 1
+        if k:
+            x = (x * x) >> S
+    return p
 
 
 def tail_integral(n: int, path: SteepestPath) -> mpc:

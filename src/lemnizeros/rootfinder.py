@@ -31,7 +31,9 @@ the repulsion sums, which merely steer each correction, run in IEEE
 doubles, one correctly rounded operation at a time, so the roots are the
 same bits on every platform.  The same loop, with the same arithmetic
 and stop rule, refines the cubics of geometry.branch_polyline from starts
-next to their roots, only without conjugate mirrors.
+next to their roots, only without conjugate mirrors; their coefficients
+and starts enter the scale once too, rounded to the working precision by
+libmp and floored (solve_complex_poly).
 
 Certification is a posteriori: around each computed root the disk of radius
 n |p(z)| / |p'(z)| contains at least one true zero, so n pairwise disjoint
@@ -66,6 +68,7 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_man_exp,
+    fzero,
     mpf_abs,
     mpf_neg,
     mpf_sub,
@@ -77,6 +80,7 @@ from .numerics import (
     PrecisionExhaustedError,
     _fixed_div,
     _from_fixed,
+    _mpc_parts,
     _mpf_to_fixed,
     _to_fixed,
     to_mpc,
@@ -518,19 +522,25 @@ def _cut(re: int, im: int, e: int, width: int) -> tuple[int, int, int]:
 def solve_complex_poly(coeffs, bits: int, start) -> list[mpc]:
     """Zeros of a small polynomial with complex coefficients (ascending
     order), one from each point of `start`, in its order: the cubics of
-    geometry.branch_polyline, started next to their roots.  The sweeps are
-    the family's (_aberth_core without conjugate mirrors); a stall raises
-    PrecisionExhaustedError."""
-    with mp.workprec(bits):
-        cs = [to_mpc(c, bits) for c in coeffs]
-        if len(cs) < 2 or cs[-1] == 0:
-            raise ValueError("solve_complex_poly: need degree >= 1 and nonzero leading coefficient")
-        scale = bits + _GUARD
-        quotient = _horner_quotient([_to_fixed(c, scale) for c in cs], scale)
-        roots, status, sweeps = _aberth_core(quotient, [_to_fixed(mpc(z), scale) for z in start], bits)
-        if status != "converged":
-            raise PrecisionExhaustedError(f"solve_complex_poly: stalled at {bits} bits, {sweeps} sweeps")
-        return [_from_fixed(z, scale, bits) for z in roots]
+    geometry.branch_polyline, started next to their roots.  Coefficients
+    and starts may be mpc, mpf, complex, float, int or Fraction; each part
+    enters the scale once, rounded to nearest at `bits` by libmp as to_mpc
+    rounds it and then floored to the fixed scale, with no mpc made and
+    mp.prec untouched.  The sweeps are the family's (_aberth_core without
+    conjugate mirrors); a stall raises PrecisionExhaustedError."""
+    cs = [_mpc_parts(c, bits) for c in coeffs]
+    if len(cs) < 2 or cs[-1] == (fzero, fzero):
+        raise ValueError("solve_complex_poly: need degree >= 1 and nonzero leading coefficient")
+    scale = bits + _GUARD
+
+    def fixed(parts):
+        return _mpf_to_fixed(parts[0], scale), _mpf_to_fixed(parts[1], scale)
+
+    quotient = _horner_quotient([fixed(c) for c in cs], scale)
+    roots, status, sweeps = _aberth_core(quotient, [fixed(_mpc_parts(z, bits)) for z in start], bits)
+    if status != "converged":
+        raise PrecisionExhaustedError(f"solve_complex_poly: stalled at {bits} bits, {sweeps} sweeps")
+    return [_from_fixed(z, scale, bits) for z in roots]
 
 
 def _horner_quotient(coeffs, P: int):

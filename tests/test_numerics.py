@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf, polyval
+from mpmath.libmp import from_man_exp, from_rational
 
-from lemnizeros.exact import build_polynomial
+from lemnizeros.exact import build_polynomial, gamma_ratio_exact
 from lemnizeros.numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
@@ -125,6 +126,55 @@ class TestToMpc:
     def test_complex_x_with_imag_rejected(self, x, imag):
         with pytest.raises(ValueError, match="imag must not be given"):
             to_mpc(x, BITS, imag)
+
+
+def _nearest(p: int, q: int, bits: int):
+    """p/q (q > 0) rounded to nearest at `bits`, ties to even, as a libmp
+    tuple: the oracle of to_mpf on a Fraction, on integers alone."""
+    if p == 0:
+        return from_man_exp(0, 0)
+    e = abs(p).bit_length() - q.bit_length() - bits
+    while True:  # the quotient p / (q 2^e) in [2^(bits-1), 2^bits)
+        num, den = (abs(p) << -e, q) if e < 0 else (abs(p), q << e)
+        m, rem = divmod(num, den)
+        if m < 1 << bits:
+            break
+        e += 1
+    if 2 * rem > den or (2 * rem == den and m & 1):
+        m += 1
+    return from_man_exp(-m if p < 0 else m, e)
+
+
+class TestToMpf:
+    """to_mpf rounds a Fraction to nearest once, as libmp's from_rational,
+    though numerator and denominator are wider than `bits`."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 160])
+    def test_to_mpf_rounds_gamma_ratios_once(self, bits):
+        for n in range(1, 200):  # parts up to 278 bits wide
+            q = gamma_ratio_exact(n)
+            want = from_rational(q.numerator, q.denominator, bits, "n")
+            assert want == _nearest(q.numerator, q.denominator, bits)
+            assert to_mpf(q, bits)._mpf_ == want
+
+    @pytest.mark.parametrize("bits", [64, 128, 160])
+    def test_to_mpf_rounds_wide_fractions_once(self, bits):
+        rng = random.Random(bits)
+        for _ in range(100):
+            p = rng.getrandbits(rng.randint(200, 400)) * rng.choice((1, -1))
+            x = Fraction(p, rng.getrandbits(rng.randint(200, 400)) | 1)
+            want = from_rational(x.numerator, x.denominator, bits, "n")
+            assert want == _nearest(x.numerator, x.denominator, bits)
+            assert to_mpf(x, bits)._mpf_ == want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_to_mpf_tie_rounds_half_to_even(self, sign):
+        # (2 m + 1) / 2^65 lies halfway between m / 2^64 and (m + 1) / 2^64
+        for m in ((1 << 63) + 1, (1 << 63) + 2):
+            x = Fraction(sign * (2 * m + 1), 1 << 65)
+            even = m + (m & 1)
+            want = from_man_exp(sign * even, -64)
+            assert to_mpf(x, 64)._mpf_ == want == _nearest(x.numerator, x.denominator, 64)
 
 
 class TestPrincipalSqrt:

@@ -156,6 +156,24 @@ class TestTracePath:
         assert lines[0] == "r,re_t,im_t,implicit_residual"
         assert len(lines) == 1 + len(path.samples)
 
+    @pytest.mark.parametrize(
+        "re_q,im_q", [(Fraction(4, 3), 0), (-1, Fraction(1, 2)), (1, 1)], ids=["4/3", "-1+i/2", "1+i"]
+    )
+    def test_predictor_leaves_about_one_newton_step(self, re_q, im_q, monkeypatch):
+        # from the quadratic predictor a sample takes the forced Newton step
+        # and rarely another; from the previous sample it took 3.7 to 3.9
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fixed_div(*args)
+
+        fixed_div = paths._fixed_div
+        monkeypatch.setattr(paths, "_fixed_div", counted)
+        path = trace_path(to_mpc(re_q, BITS, im_q), bits=BITS)
+        newton = len(calls) - len(path.quad)  # one more division a sample gives g
+        assert newton / (len(path.quad) + 1) <= 2.5  # the samples and t(0)
+
 
 class TestPathNodes:
     """trace_path's (r, weight) nodes are built once per (steps, bits)."""
@@ -185,6 +203,28 @@ class TestPathNodes:
         scale = bits + paths._GUARD
         with mp.workprec(4 * bits):  # r 2^scale is exact here
             assert [rf for _, _, rf in got] == [int(mp.floor(r * mpf(2) ** scale)) for r, _ in want]
+
+    @pytest.mark.parametrize("steps", [8, 64, 512])
+    def test_predictor_weights_extrapolate_quadratics(self, steps):
+        # solve k extrapolates the last min(k, 3) r-values of the trace,
+        # newest first, to its own r: exact for polynomials of one degree
+        # less, up to the floor of each weight
+        P = BITS + paths._GUARD
+        xs = [Fraction(1)] + [Fraction(rf, 1 << P) for _, _, rf in reversed(paths._path_nodes(steps, BITS))]
+        xs.append(Fraction(0))
+        weights = paths._path_predictor(steps, BITS)
+        assert len(weights) == len(xs) - 1
+        poly = (Fraction(3, 7), Fraction(-5, 3), Fraction(11, 5))
+        for k, triple in enumerate(weights, 1):
+            used = min(k, 3)
+            assert triple[used:] == (0,) * (3 - used)
+
+            def q(x):
+                return sum(c * x**j for j, c in enumerate(poly[:used]))
+
+            prev = xs[k - used:k][::-1]
+            got = sum(Fraction(w, 1 << P) * q(x) for w, x in zip(triple, prev))
+            assert abs(got - q(xs[k])) <= sum(abs(q(x)) for x in prev) / (1 << P)
 
     def test_cold_nodes_under_a_wider_caller_precision(self):
         for z in (Fraction(4, 3), to_mpc(Fraction(-1), BITS, Fraction(1, 2))):
@@ -332,6 +372,34 @@ class TestDeformation:
             tail_integral(60, path)
 
 
+def _exact(x) -> Fraction:
+    """The libmp tuple x as a Fraction."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+class TestBareTailSum:
+    """The tail sum on integers, rounded once, against the exact rational sum
+    of the stored (r, w, g): within 2^(1-bits) of the sum of the moduli."""
+
+    @pytest.mark.parametrize("n", [1, 10, 40, 60])
+    @pytest.mark.parametrize("re_q,im_q", [(Fraction(4, 3), 0), (2, 0), (1, 1)], ids=["4/3", "2", "1+i"])
+    def test_tail_sum_within_one_rounding_of_the_exact_sum(self, re_q, im_q, n):
+        path = trace_path(to_mpc(re_q, BITS, im_q), bits=BITS)
+        exact_r = exact_i = Fraction(0)
+        with mp.workprec(4 * BITS):
+            moduli = mpf(0)
+            for r, _, w, g in path.quad:
+                rw = _exact(w._mpf_) * _exact(r._mpf_) ** (n - 1)
+                gr, gi = (_exact(v) for v in g._mpc_)
+                exact_r, exact_i = exact_r + rw * gr, exact_i + rw * gi
+                moduli += abs(mpf(rw.numerator) / rw.denominator) * abs(g)
+            got = paths._bare_tail_sum(n, path)
+            dr, di = (_exact(v) - e for v, e in zip(got._mpc_, (exact_r, exact_i)))
+            err = mp.hypot(mpf(dr.numerator) / dr.denominator, mpf(di.numerator) / di.denominator)
+            assert err <= mpf(2) ** (1 - BITS) * moduli
+
+
 class TestZeroEquation:
     def test_away_from_roots_ratio_is_off(self):
         lhs, rhs = zero_equation_residual(10, 2, BITS)
@@ -359,7 +427,8 @@ class TestZeroEquation:
 
     def test_tail_and_zero_equation_share_one_sum(self):
         # tail_integral and zero_equation_residual on one path and degree
-        # sum the stored quadrature samples once, with the direct sum's value
+        # sum the stored quadrature samples once, with the value of the bare
+        # sum on the unwrapped path (its accuracy: TestBareTailSum)
         class CountedQuad(tuple):
             sums = 0
 
@@ -369,10 +438,8 @@ class TestZeroEquation:
 
         n, traced = 40, trace_path(Fraction(4, 3), bits=BITS)
         path = dataclasses.replace(traced, quad=CountedQuad(traced.quad))
+        bare = paths._bare_tail_sum(n, traced)
         with mp.workprec(BITS):
-            bare = mpc(0)
-            for r, _, w, g in traced.quad:
-                bare += g * (w * r ** (n - 1))
             tail = tail_integral(n, path)
             lhs, _ = zero_equation_residual(n, path.z, BITS, path=path)
             assert CountedQuad.sums == 1

@@ -12,7 +12,7 @@ from math import factorial, isqrt
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf, polyval
-from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sqrt
+from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_pos, mpf_sqrt
 
 from lemnizeros import exact, numerics, rootfinder, seeds
 from lemnizeros.exact import ExactPolynomial, build_polynomial, pochhammer
@@ -38,6 +38,7 @@ from conftest import (
 
 BITS = 128
 BRANCH_64_SHA256 = "0bf3065f06f32a7d6341ee89cd1924a1c4053a75e51a2ff3ee6c8ecf0d1b3bb0"
+BRANCH_1024_SHA256 = "2dd00a39fc412159116c571dc6ca3ffee92c846f8585b89dfb33b652598b042e"
 
 
 def _match_greedily(found, expected):
@@ -790,12 +791,60 @@ class TestCsvAndCubic:
         # arithmetic (double repulsion sums, predicted-convergence freeze),
         # so the branch samples are pinned to the bit; test_geometry holds
         # them to the closed form
-        text = "\n".join(
-            f"{v._mpf_[0]},{int(v._mpf_[1])},{v._mpf_[2]}"
-            for z in branch_polyline(64)
-            for v in (z.real, z.imag)
-        )
-        assert sha256(text.encode()).hexdigest() == BRANCH_64_SHA256
+        assert _branch_digest(64) == BRANCH_64_SHA256
+
+    def test_branch_polyline_1024_bit_identical(self):
+        # the polyline of the paths benchmark workload
+        assert _branch_digest(1024) == BRANCH_1024_SHA256
+
+    def test_cubic_input_forms_enter_the_scale_once(self, monkeypatch):
+        # every coefficient and start is rounded to nearest at BITS once, as
+        # to_mpc rounds it, and then floored to the scale: the fixed-point
+        # inputs and the roots are those of the to_mpc forms
+        wide = to_mpc(Fraction(25, 18), 300, Fraction(-1, 9))  # 300-bit parts
+        for part in wide._mpc_:  # nearest is not truncation here
+            assert mpf_pos(part, BITS, "n") != mpf_pos(part, BITS, "d")
+        cases = [
+            # z^3 - 5/2 z^2 + (25/18 - i/9) z - 1/3 from a Fraction, the
+            # wide mpc, an mpf and an int, started from a complex, an mpc
+            # and a Fraction
+            ([Fraction(-1, 3), wide, mpf(-2.5), 1], [complex(0.3, 0.2), mpc(0.4, -0.3), Fraction(9, 5)]),
+            # (z - 1)(z - i)(z + 2 - i/2) from complex, mpc and mpf
+            ([complex(0.5, 2), mpc(-2.5, -0.5), complex(1, -1.5), mpf(1)], [1.1 + 0.1j, mpc(0.1, 0.9), -1.9 + 0.4j]),
+        ]
+        fixed = []
+
+        def horner_spy(coeffs, P):
+            fixed.append(coeffs)
+            return horner(coeffs, P)
+
+        def aberth_spy(quotient, roots, prec, axis=None):
+            fixed.append(list(roots))
+            return aberth_core(quotient, roots, prec, axis)
+
+        horner, aberth_core = rootfinder._horner_quotient, rootfinder._aberth_core
+        monkeypatch.setattr(rootfinder, "_horner_quotient", horner_spy)
+        monkeypatch.setattr(rootfinder, "_aberth_core", aberth_spy)
+        scale = BITS + rootfinder._GUARD
+        for coeffs, start in cases:
+            fixed.clear()
+            got = solve_complex_poly(coeffs, BITS, start)
+            want = solve_complex_poly([to_mpc(c, BITS) for c in coeffs], BITS, [to_mpc(z, BITS) for z in start])
+            assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
+            assert fixed[:2] == fixed[2:]
+            assert fixed[0] == [numerics._to_fixed(to_mpc(c, BITS), scale) for c in coeffs]
+            assert fixed[1] == [numerics._to_fixed(to_mpc(z, BITS), scale) for z in start]
+        for lead in (0, Fraction(0), mpf(0), mpc(0), 0j):
+            with pytest.raises(ValueError, match="nonzero leading coefficient"):
+                solve_complex_poly([1, lead], BITS, start=[mpc(0)])
+
+
+def _branch_digest(samples: int) -> str:
+    """SHA-256 of the libmp tuples of branch_polyline(samples)."""
+    text = "\n".join(
+        f"{v._mpf_[0]},{int(v._mpf_[1])},{v._mpf_[2]}" for z in branch_polyline(samples) for v in (z.real, z.imag)
+    )
+    return sha256(text.encode()).hexdigest()
 
 
 class TestFixedPoint:
