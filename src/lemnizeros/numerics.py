@@ -62,12 +62,10 @@ class PrecisionConfig:
 
 
 def to_mpf(x, bits: int) -> mpf:
-    """Round a Fraction/int/float/str to an mpf at the given precision, to
-    nearest and once: a Fraction is divided exactly before its one rounding."""
-    if isinstance(x, Fraction):
-        return mp.make_mpf(from_rational(x.numerator, x.denominator, bits, "n"))
-    with mp.workprec(bits):
-        return mpf(x)
+    """Round a Fraction/int/float/mpf/str to an mpf at the given precision,
+    to nearest and once: a Fraction is divided exactly before its one
+    rounding."""
+    return mp.make_mpf(_mpf_part(x, bits))
 
 
 def to_mpc(x, bits: int, imag=None) -> mpc:
@@ -75,19 +73,43 @@ def to_mpc(x, bits: int, imag=None) -> mpc:
 
     Accepts Fractions, mpf/mpc, python numbers and strings for either part;
     imag defaults to zero.  Each part is rounded to nearest at `bits`
-    exactly once, as to_mpf rounds it; an mpc, mpf or complex x takes that
-    one rounding directly (+x, or mpc(x), under mp.workprec(bits)).  A
-    complex or mpc x carries its own imaginary part, so giving `imag` as
-    well raises ValueError.
+    exactly once, by _mpc_parts, as to_mpf rounds it.  A complex or mpc x
+    carries its own imaginary part, so giving `imag` as well raises
+    ValueError.
     """
-    if isinstance(x, (complex, mpc)) and imag is not None:
+    if imag is None:
+        return mp.make_mpc(_mpc_parts(x, bits))
+    if isinstance(x, (complex, mpc)):
         raise ValueError("to_mpc: x is complex, so imag must not be given")
+    return mp.make_mpc((_mpf_part(x, bits), _mpf_part(imag, bits)))
+
+
+def _mpf_part(x, bits: int) -> tuple:
+    """The libmp tuple of a real x rounded to nearest at `bits` once, with
+    mp.prec untouched: libmp for an mpf, float, int or Fraction (divided
+    exactly first), mpf() under mp.workprec(bits) for anything else."""
+    if isinstance(x, mpf):
+        return mpf_pos(x._mpf_, bits, "n")
+    if isinstance(x, Fraction):
+        return from_rational(x.numerator, x.denominator, bits, "n")
+    if isinstance(x, float):
+        return from_float(x, bits, "n")
+    if isinstance(x, int):
+        return from_int(x, bits, "n")
     with mp.workprec(bits):
-        if isinstance(x, mpc):
-            return +x
-        if isinstance(x, (mpf, complex)) and imag is None:
-            return mpc(x)
-        return mpc(to_mpf(x, bits), to_mpf(0 if imag is None else imag, bits))
+        return mpf(x)._mpf_
+
+
+def _mpc_parts(x, bits: int) -> tuple[tuple, tuple]:
+    """The libmp parts of to_mpc(x, bits), each rounded to nearest at `bits`
+    once by _mpf_part; a real x has the exact zero imaginary part.  The
+    fixed-point kernels read these tuples directly, with no mpc made."""
+    if isinstance(x, mpc):
+        re, im = x._mpc_
+        return mpf_pos(re, bits, "n"), mpf_pos(im, bits, "n")
+    if isinstance(x, complex):
+        return from_float(x.real, bits, "n"), from_float(x.imag, bits, "n")
+    return _mpf_part(x, bits), fzero
 
 
 def principal_sqrt(z: mpc, bits: int) -> mpc:
@@ -103,26 +125,6 @@ def principal_sqrt(z: mpc, bits: int) -> mpc:
 def f_eval(z: mpc, t: mpc) -> mpc:
     """t(1 - z t^2), at the caller's working precision."""
     return t * (1 - z * t * t)
-
-
-def _mpc_parts(x, bits: int) -> tuple[tuple, tuple]:
-    """to_mpc(x, bits)._mpc_ for an mpc, mpf, complex, float, int or
-    Fraction x, from libmp alone: each part rounded to nearest at `bits`
-    once, with no mpc made and mp.prec untouched."""
-    if isinstance(x, mpc):
-        re, im = x._mpc_
-        return mpf_pos(re, bits, "n"), mpf_pos(im, bits, "n")
-    if isinstance(x, complex):
-        return from_float(x.real, bits, "n"), from_float(x.imag, bits, "n")
-    if isinstance(x, mpf):
-        return mpf_pos(x._mpf_, bits, "n"), fzero
-    if isinstance(x, float):
-        return from_float(x, bits, "n"), fzero
-    if isinstance(x, Fraction):
-        return from_rational(x.numerator, x.denominator, bits, "n"), fzero
-    if isinstance(x, int):
-        return from_int(x, bits, "n"), fzero
-    raise TypeError(f"_mpc_parts: cannot round a {type(x).__name__}")
 
 
 def _to_fixed(z: mpc, scale: int) -> tuple[int, int]:

@@ -244,11 +244,12 @@ def trace_path(
         saddle2 = _mpf_to_fixed((10 * path_tol)._mpf_, P) ** 2
 
         def correct(r, rf, t):
-            # Newton from the previous sample onto t(1-zt^2) = r(1-z), with
-            # rf = r at scale 2^-P; the tolerance scales with r so the
-            # constant-argument property holds uniformly along the path,
-            # floored at the evaluation noise of the residual itself.
-            # Returns t with f_z(t) and 1-3zt^2 there.
+            # Newton from the predicted start t onto t(1-zt^2) = r(1-z),
+            # with rf = r at scale 2^-P; one step is always taken before
+            # the convergence test (see trace_path).  The tolerance scales
+            # with r so the constant-argument property holds uniformly along
+            # the path, floored at the evaluation noise of the residual
+            # itself.  Returns t with f_z(t) and 1-3zt^2 there.
             gr, gi = (rf * cr) >> P, (rf * ci) >> P
             tol = max((slope * rf) >> P, noise)
             tol2 = tol * tol

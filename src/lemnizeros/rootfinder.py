@@ -524,9 +524,9 @@ def solve_complex_poly(coeffs, bits: int, start) -> list[mpc]:
     order), one from each point of `start`, in its order: the cubics of
     geometry.branch_polyline, started next to their roots.  Coefficients
     and starts may be mpc, mpf, complex, float, int or Fraction; each part
-    enters the scale once, rounded to nearest at `bits` by libmp as to_mpc
-    rounds it and then floored to the fixed scale, with no mpc made and
-    mp.prec untouched.  The sweeps are the family's (_aberth_core without
+    enters the scale once, rounded to nearest at `bits` by _mpc_parts,
+    to_mpc's own libmp rounding, and then floored to the fixed scale, with
+    no mpc made and mp.prec untouched.  The sweeps are the family's (_aberth_core without
     conjugate mirrors); a stall raises PrecisionExhaustedError."""
     cs = [_mpc_parts(c, bits) for c in coeffs]
     if len(cs) < 2 or cs[-1] == (fzero, fzero):

@@ -121,6 +121,29 @@ class TestToMpc:
             assert to_mpc(Fraction(1, 3), BITS, Fraction(-2, 3)) == mpc(1, -2) / 3
             assert to_mpc(2, BITS) == 2
 
+    @pytest.mark.parametrize("bits", [64, 128, 160])
+    def test_libmp_rounding_equals_mpmath_constructors(self, bits):
+        # to_mpf and to_mpc round with libmp; the oracle is mpmath's own
+        # constructors under mp.workprec(bits), which round the same inputs
+        # to nearest once
+        rng = random.Random(bits)
+        wides = [self._wide(400, rng) for _ in range(4)]
+        reals = [0, -7, 3**300, -(5**200), 0.1, -2.5e-300, 1e300, "0.1", "-1.25e-40", *wides]
+        with mp.workprec(30):  # the caller's precision plays no part
+            for x in reals:
+                with mp.workprec(bits):
+                    want = mpf(x)._mpf_
+                assert to_mpf(x, bits)._mpf_ == want
+                assert to_mpc(x, bits)._mpc_ == (want, mpf(0)._mpf_)
+                for im in (reals[3], reals[4], reals[7], wides[0]):
+                    with mp.workprec(bits):
+                        want_c = mpc(mpf(x), mpf(im))._mpc_
+                    assert to_mpc(x, bits, im)._mpc_ == want_c
+            for z in (0.1 - 3e-5j, complex(1e300, -0.0), self._mpc(wides[1], self._wide(300, rng))):
+                with mp.workprec(bits):
+                    want = mpc(z)._mpc_
+                assert to_mpc(z, bits)._mpc_ == want
+
     @pytest.mark.parametrize("x", [mpc(1, 2), 1 + 2j])
     @pytest.mark.parametrize("imag", [3, 0])
     def test_complex_x_with_imag_rejected(self, x, imag):
