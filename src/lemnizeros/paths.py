@@ -19,22 +19,26 @@ run in fixed point on Gaussian integers at one shared scale 2^-(bits+16),
 like the Aberth sweeps of rootfinder: z, r(1 - z) and the tolerances
 enter the scale once, a step is integer multiplies, shifts and one floor
 division, and the 16 guard bits keep the floor rounding far below the
-noise floor 2^(16-bits) of the convergence test.  Only the final samples
-are rounded to `bits`.  Sample placement doubles as quadrature: the
-r-nodes are composite Gauss-Legendre panels refined geometrically toward
-r = 1, where the factor r^(n-1) concentrates; the tail integral is then a
-weighted sum over the stored samples at spectral accuracy, taken on
-integers and rounded once (_bare_tail_sum).
+noise floor 2^(16-bits) of the convergence test.  The samples stay on
+that scale: a path keeps t and the tail integrand g at each r-node as
+Gaussian integers, and rounds them to `bits` only where a caller reads its
+mpc views (SteepestPath.quad and .samples).  Sample placement doubles as
+quadrature: the r-nodes are composite Gauss-Legendre panels refined
+geometrically toward r = 1, where the factor r^(n-1) concentrates; the tail
+integral is then a weighted sum over the stored samples at spectral
+accuracy, taken on their integers and rounded once (_bare_tail_sum), and
+the half-plane check takes its minimum on them too (halfplane_bound_check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_float, from_man_exp
 
 from .exact import gamma_ratio_exact
 from .geometry import BOUNDARY, ZERO_BASIN, basin_classify
@@ -78,22 +82,42 @@ class PathResolutionError(PathError):
 class SteepestPath:
     """Sampled solution t(r) of the implicit path equation.
 
-    samples runs from (0, t(0)) to (1, 1) with r strictly increasing; quad
-    is the interior subset as (r, t, w, g): the Gauss-Legendre weight w for
-    integration in r and the tail integrand g = (1 - zt^2) t / (1 - 3zt^2)
-    at the sample.  start_label records which zero of f_z the path
-    emanates from ("inv-sqrt-z" or "zero").  _tail_sums memoises
-    _bare_tail_sum per degree; it takes no part in equality.
+    nodes is the shared _path_nodes(steps, bits) tuple of interior r-nodes
+    (r, w, r at the scale), ascending in r, with w the Gauss-Legendre weight
+    for integration in r.  fixed holds one pair (t, g) per node: the sample
+    t and the tail integrand g = (1 - zt^2) t / (1 - 3zt^2) there, both
+    Gaussian integers at the path's scale 2^-(bits+_GUARD), unrounded.
+    start_point is t(0) rounded to `bits`, and start_label records which
+    zero of f_z the path emanates from ("inv-sqrt-z" or "zero").
+
+    quad and samples are mpc views, rounded to `bits` when first read and
+    then kept: quad is (r, t, w, g) node by node, samples runs from
+    (0, t(0)) through the nodes to (1, 1) with r strictly increasing.
+    Equality compares the fields, so the unrounded integers, not the views;
+    _tail_sums memoises _bare_tail_sum per degree and takes no part in it.
     """
 
     z: mpc
-    samples: tuple[tuple[mpf, mpc], ...]
-    quad: tuple[tuple[mpf, mpc, mpf, mpc], ...]
+    nodes: tuple[tuple[mpf, mpf, int], ...]
+    fixed: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     start_point: mpc
     start_label: str
     path_tol: mpf
     bits: int
     _tail_sums: dict[int, mpc] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def quad(self) -> tuple[tuple[mpf, mpc, mpf, mpc], ...]:
+        S = self.bits + _GUARD
+        return tuple(
+            (r, _from_fixed(t, S, self.bits), w, _from_fixed(g, S, self.bits))
+            for (r, w, _), (t, g) in zip(self.nodes, self.fixed)
+        )
+
+    @cached_property
+    def samples(self) -> tuple[tuple[mpf, mpc], ...]:
+        interior = tuple((r, t) for r, t, _, _ in self.quad)
+        return ((mpf(0), self.start_point),) + interior + ((mpf(1), mpc(1)),)
 
     def implicit_residual(self, r: mpf, t: mpc) -> mpf:
         with mp.workprec(self.bits):
@@ -203,12 +227,12 @@ def trace_path(
     forced step keeps a start that already passes the test from being
     returned unrefined: the next extrapolation would carry its error on,
     and at z = 0 the samples would drift 3.8e-31 off t = r.  The steps run
-    on Gaussian integers at the scale 2^-(bits+_GUARD), and each sample t
-    and its tail integrand g are rounded to `bits` once, so the samples do
-    not depend on the caller's mp.prec.  The r-nodes, their quadrature
-    weights and the extrapolation weights depend only on (steps, bits):
-    _path_nodes and _path_predictor build them once, and every path with
-    those arguments reads the same tuples.
+    on Gaussian integers at the scale 2^-(bits+_GUARD), each sample t and
+    its tail integrand g stay there, and only t(0) is rounded to `bits`, for
+    the endpoint test; so the samples do not depend on the caller's mp.prec.
+    The r-nodes, their quadrature weights and the extrapolation weights
+    depend only on (steps, bits): _path_nodes and _path_predictor build them
+    once, and every path with those arguments reads the same tuples.
     """
     with mp.workprec(bits):
         z = to_mpc(z, bits)
@@ -273,15 +297,15 @@ def trace_path(
                 f"saddle proximity: correction failed to converge at r = {mpmath.nstr(r, 8)}"
             )
 
-        quad: list[tuple[mpf, mpc, mpf, mpc]] = []
+        fixed = []
         last = ((one, 0),) * 3  # the last three samples, the newest first
+        nodes = _path_nodes(steps, bits)
         predictor = _path_predictor(steps, bits)
-        for (r, w, rf), weights in zip(reversed(_path_nodes(steps, bits)), predictor):
+        for (r, _, rf), weights in zip(reversed(nodes), predictor):
             t, f, d = correct(r, rf, _extrapolate(weights, last, P))
             last = (t, last[0], last[1])
-            g = _fixed_div(*f, *d, P)
-            quad.append((r, _from_fixed(t, P, bits), w, _from_fixed(g, P, bits)))
-        quad.reverse()
+            fixed.append((t, _fixed_div(*f, *d, P)))
+        fixed.reverse()
 
         # land on r = 0: Newton on f_z(t) = 0 itself
         t_end = _from_fixed(correct(mpf(0), 0, _extrapolate(predictor[-1], last, P))[0], P, bits)
@@ -290,8 +314,7 @@ def trace_path(
                 f"endpoint mismatch: t(0) = {mpmath.nstr(t_end, 12)}, "
                 f"basin predicts {mpmath.nstr(predicted, 12)}"
             )
-        samples = ((mpf(0), t_end),) + tuple((r, t) for r, t, _, _ in quad) + ((mpf(1), mpc(1)),)
-        return SteepestPath(z, samples, tuple(quad), t_end, label, path_tol, bits)
+        return SteepestPath(z, nodes, tuple(fixed), t_end, label, path_tol, bits)
 
 
 def path_csv(path: SteepestPath) -> str:
@@ -348,21 +371,24 @@ def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
     once per degree and kept on the path: tail_integral and
     zero_equation_residual on one path share it.
 
-    The sum runs on integers.  r^(n-1) is a binary power at the path's
-    scale 2^-S, S = path.bits + _GUARD, each product floored there (see
-    _fixed_power); each term multiplies it by the mantissas of w and g
+    The sum runs on the path's integers and builds no view.  r^(n-1) is a
+    binary power of the node's r at the path's scale 2^-S, S = path.bits +
+    _GUARD, each product floored there (see _fixed_power); each term
+    multiplies it by the mantissa of w and by g, read unrounded at 2^-S,
     exactly and floors the product at 2^-2S; the total is rounded to
     path.bits once.  So a term loses less than 2n 2^-S |w| |g| to the power
     and 2^(1-2S) to its floor, and against the exact sum of the stored
-    (r, w, g) the result is off by at most 2^-bits |exact| plus
-    (1 + 2^-bits) (2n 2^-S sum |w| |g| + 2^(1-2S) len(quad)).
+    (r, w, g), g at 2^-S, the result is off by at most 2^-bits |exact| plus
+    (1 + 2^-bits) (2n 2^-S sum |w| |g| + 2^(1-2S) len(nodes)).  Against the
+    g of the quad view, each rounded to path.bits, add
+    2^-(bits+1) sum w r^(n-1) |g|.
     """
     if n in path._tail_sums:
         return path._tail_sums[n]
-    if not path.quad:
+    if not path.nodes:
         raise PathResolutionError("path too coarse: no quadrature samples stored")
     with mp.workprec(path.bits):
-        gap = 1 - path.quad[-1][0]
+        gap = 1 - path.nodes[-1][0]
         if gap > mpf(1) / (4 * n):
             raise PathResolutionError(
                 f"path too coarse: resolution {mpmath.nstr(gap, 6)} near r = 1 "
@@ -370,15 +396,16 @@ def _bare_tail_sum(n: int, path: SteepestPath) -> mpc:
             )
     S = path.bits + _GUARD
     total_r = total_i = 0
-    for r, _, w, g in path.quad:
-        p = _fixed_power(_mpf_to_fixed(r._mpf_, S), n - 1, S)
+    for (_, w, rf), (_, (gr, gi)) in zip(path.nodes, path.fixed):
+        p = _fixed_power(rf, n - 1, S)
         if not p:
             continue
-        # w g r^(n-1) = w_man g_man p 2^(w_exp + g_exp - S), floored at 2^-2S
-        ws, wm, we, _ = w._mpf_
-        (rs, rm, re_, _), (is_, im, ie, _) = g._mpc_
-        total_r += _mpf_to_fixed((ws ^ rs, wm * rm * p, we + re_ - S, 0), 2 * S)
-        total_i += _mpf_to_fixed((ws ^ is_, wm * im * p, we + ie - S, 0), 2 * S)
+        # w g r^(n-1) = w_man p g 2^(w_exp - 2S), floored at 2^-2S; the
+        # weight w is positive and below 1, so w_exp < 0
+        _, wm, we, _ = w._mpf_
+        wp = wm * p
+        total_r += (wp * gr) >> -we
+        total_i += (wp * gi) >> -we
     total = _from_fixed((total_r, total_i), 2 * S, path.bits)
     path._tail_sums[n] = total
     return total
@@ -469,23 +496,25 @@ def halfplane_bound_check(z, path: SteepestPath) -> HalfplaneVerdict:
     evidence sampled at those nodes only, where the path's quadrature
     already evaluated the integrand; it does not bound the integrand
     between them.
+
+    The check reads the path's integers and builds no view.  The window's
+    ends enter the scale 2^-(bits+_GUARD) exactly, every r-node in [1/2, 1]
+    is exact there and a node below the window stays below it when floored,
+    so the nodes it selects are those with r in the window.  The least Re g
+    is taken on the integers and rounded to path.bits alone; rounding is
+    monotone, so min_real is the least real part of the quad view's g over
+    the window.
     """
     if path.start_label != "zero":
         raise ValueError("halfplane_bound_check: path must start at t = 0")
-    lo, hi = _HALFPLANE_WINDOW
+    S = path.bits + _GUARD
+    lo, hi = (_mpf_to_fixed(from_float(x), S) for x in _HALFPLANE_WINDOW)
     with mp.workprec(path.bits):
         z = to_mpc(z, path.bits)
         if z != path.z:
             raise ValueError("halfplane_bound_check: path was traced for a different z")
-        sixth = mpf(1) / 6
-        min_real = None
-        checked = 0
-        for r, _, _, val in path.quad:
-            if r < lo or r > hi:
-                continue
-            checked += 1
-            if min_real is None or val.real < min_real:
-                min_real = val.real
-        if checked == 0:
+        window = [gr for (_, _, rf), (_, (gr, _)) in zip(path.nodes, path.fixed) if lo <= rf <= hi]
+        if not window:
             raise ValueError("halfplane_bound_check: no samples in window")
-        return HalfplaneVerdict(min_real > sixth, min_real, checked)
+        min_real = mp.make_mpf(from_man_exp(min(window), -S, path.bits, "n"))
+        return HalfplaneVerdict(min_real > mpf(1) / 6, min_real, len(window))

@@ -1,6 +1,7 @@
 """Path tracing and the integral toolkit: identities, asymptotics, bounds."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,42 @@ class TestTracePath:
         path = trace_path(to_mpc(re_q, BITS, im_q), bits=BITS)
         newton = len(calls) - len(path.quad)  # one more division a sample gives g
         assert newton / (len(path.quad) + 1) <= 2.5  # the samples and t(0)
+
+    def test_from_fixed_calls_do_not_grow_with_steps(self, monkeypatch):
+        # a trace rounds t(0) alone; the tail sum rounds its total once, the
+        # zero equation reuses it and the half-plane check rounds its minimum
+        # by itself, so no rounding out of the scale is made per sample
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return from_fixed(*args)
+
+        from_fixed = paths._from_fixed
+        monkeypatch.setattr(paths, "_from_fixed", counted)
+        outer_z, inner_z = to_mpc(Fraction(4, 3), BITS), to_mpc(-1, BITS, Fraction(1, 2))
+        counts, traced = {}, {}
+        for steps in (64, 512):
+            calls.clear()
+            outer = trace_path(outer_z, steps=steps, bits=BITS)
+            tail_integral(10, outer)
+            zero_equation_residual(10, outer_z, BITS, path=outer)
+            inner = trace_path(inner_z, steps=steps, bits=BITS)
+            halfplane_bound_check(inner_z, inner)
+            counts[steps] = len(calls)
+            traced[steps] = outer, inner
+        assert counts[64] == counts[512] == 3
+        monkeypatch.undo()
+
+        def key(view):
+            return [[(type(x), x._mpf_ if isinstance(x, mpf) else x._mpc_) for x in row] for row in view]
+
+        for steps, pair in traced.items():
+            for path in pair:
+                fresh = trace_path(path.z, steps=steps, bits=BITS)
+                assert key(path.samples) == key(fresh.samples)
+                assert key(path.quad) == key(fresh.quad)
+                assert path.quad is path.quad and path.samples is path.samples
 
 
 class TestPathNodes:
@@ -400,6 +437,50 @@ class TestBareTailSum:
             assert err <= mpf(2) ** (1 - BITS) * moduli
 
 
+def _libmp_digest(rows) -> str:
+    """SHA-256 of the libmp tuples of rows of mpf and mpc values, as plain
+    ints, so that it does not depend on mpmath's integer backend."""
+    def parts(x):
+        return [x._mpf_] if isinstance(x, mpf) else list(x._mpc_)
+
+    flat = [[tuple(int(v) for v in p) for x in row for p in parts(x)] for row in rows]
+    return hashlib.sha256(repr(flat).encode()).hexdigest()
+
+
+PIN_POINTS = {"4/3": (Fraction(4, 3), 0), "2": (2, 0), "1+i": (1, 1), "-1+i/2": (-1, Fraction(1, 2))}
+
+
+class TestPathPins:
+    """The mpc views of two default paths and twelve tail sums, pinned by
+    the SHA-256 of their libmp tuples.  Each value is rounded once, with
+    libmp, from integers of the fixed-point trace and tail sum."""
+
+    VIEWS = {
+        ("4/3", "quad"): "26ce770b292f38c8a6d75e6b008dc78fe59ed6cbd16fd8919a8e2711601cc859",
+        ("4/3", "samples"): "1bdc7e116ced4ff9b37fd5d37e4a7b2f33a25700f6242bf6d80f9554be87428e",
+        ("-1+i/2", "quad"): "f2b4f77f8a1c400655402ba347258f8d977a6de2a5181a1964f1cbeb85d77416",
+        ("-1+i/2", "samples"): "46956c9fa3bfd7c2743e46b064594a7c4fbf1a6729b104be8bcd5ae6cd63ec74",
+    }
+    TAIL_SUMS = {  # _bare_tail_sum at n = 1, 10, 40, 60
+        "4/3": "0a52d001bc89599baf8073c7689f80c8fb0ba0924a27b7df1ad26e9cd12786a8",
+        "2": "28a8fb993e15ba12b59825ac2aa998c45efddf677f68bfff5ff6cb930246f5c6",
+        "1+i": "edc9f489c1195cd9b658f2c98dcd86a2ce6fff8aa346d8f6c4a7496109a7edb4",
+    }
+
+    @pytest.mark.parametrize("name,view", sorted(VIEWS))
+    def test_path_views_pinned(self, name, view):
+        re_q, im_q = PIN_POINTS[name]
+        path = trace_path(to_mpc(re_q, BITS, im_q), bits=BITS)
+        assert _libmp_digest(getattr(path, view)) == self.VIEWS[name, view]
+
+    @pytest.mark.parametrize("name", sorted(TAIL_SUMS))
+    def test_tail_sums_pinned(self, name):
+        re_q, im_q = PIN_POINTS[name]
+        path = trace_path(to_mpc(re_q, BITS, im_q), bits=BITS)
+        sums = [[paths._bare_tail_sum(n, path)] for n in (1, 10, 40, 60)]
+        assert _libmp_digest(sums) == self.TAIL_SUMS[name]
+
+
 class TestZeroEquation:
     def test_away_from_roots_ratio_is_off(self):
         lhs, rhs = zero_equation_residual(10, 2, BITS)
@@ -427,27 +508,27 @@ class TestZeroEquation:
 
     def test_tail_and_zero_equation_share_one_sum(self):
         # tail_integral and zero_equation_residual on one path and degree
-        # sum the stored quadrature samples once, with the value of the bare
+        # sum the stored integer samples once, with the value of the bare
         # sum on the unwrapped path (its accuracy: TestBareTailSum)
-        class CountedQuad(tuple):
+        class CountedFixed(tuple):
             sums = 0
 
             def __iter__(self):
-                CountedQuad.sums += 1
+                CountedFixed.sums += 1
                 return super().__iter__()
 
         n, traced = 40, trace_path(Fraction(4, 3), bits=BITS)
-        path = dataclasses.replace(traced, quad=CountedQuad(traced.quad))
+        path = dataclasses.replace(traced, fixed=CountedFixed(traced.fixed))
         bare = paths._bare_tail_sum(n, traced)
         with mp.workprec(BITS):
             tail = tail_integral(n, path)
             lhs, _ = zero_equation_residual(n, path.z, BITS, path=path)
-            assert CountedQuad.sums == 1
+            assert CountedFixed.sums == 1
             assert tail == (1 - path.z) ** n * bare
             assert lhs == principal_sqrt(path.z, BITS) ** (n + 1) * (1 - path.z) ** n * bare
-            assert tail_integral(n, path) == tail and CountedQuad.sums == 1
+            assert tail_integral(n, path) == tail and CountedFixed.sums == 1
             tail_integral(n + 1, path)
-            assert CountedQuad.sums == 2
+            assert CountedFixed.sums == 2
         assert path == traced  # the memo takes no part in equality
 
     def test_path_of_another_precision(self):
@@ -469,6 +550,17 @@ class TestZeroEquation:
             zero_equation_residual(5, Fraction(1, 4), BITS)  # Re <= 1/3
         with pytest.raises(ValueError):
             zero_equation_residual(5, 1, BITS)
+
+
+# The four zero-basin points of the benchmark's paths workload at seed 1,
+# and -1+i/2.
+HALFPLANE_POINTS = [
+    (Fraction(-53501, 30000), Fraction(-33, 50)),
+    (Fraction(-24449, 30000), Fraction(31, 50)),
+    (Fraction(-314, 1875), Fraction(-3, 25)),
+    (Fraction(-75089, 120000), Fraction(-61, 100)),
+    (-1, Fraction(1, 2)),
+]
 
 
 class TestHalfplaneBound:
@@ -495,3 +587,23 @@ class TestHalfplaneBound:
         path = trace_path(2, bits=BITS)
         with pytest.raises(ValueError):
             halfplane_bound_check(2, path)
+
+    @pytest.mark.parametrize("steps", [8, 64, 512])
+    @pytest.mark.parametrize("re_q,im_q", HALFPLANE_POINTS, ids=[f"{a}+{b}i" for a, b in HALFPLANE_POINTS])
+    def test_integer_verdict_matches_mpf_loop(self, re_q, im_q, steps):
+        # the verdict on the path's integers against the minimum over the
+        # rounded quad view, selected by mpf comparisons with the window
+        z = to_mpc(re_q, BITS, im_q)
+        path = trace_path(z, steps=steps, bits=BITS)
+        got = halfplane_bound_check(z, path)
+        lo, hi = paths._HALFPLANE_WINDOW
+        with mp.workprec(BITS):
+            min_real, checked = None, 0
+            for r, _, _, g in path.quad:
+                if r < lo or r > hi:
+                    continue
+                checked += 1
+                if min_real is None or g.real < min_real:
+                    min_real = g.real
+            ok = min_real > mpf(1) / 6
+        assert (got.ok, got.min_real._mpf_, got.samples_checked) == (ok, min_real._mpf_, checked)
