@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_float, from_int, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg
 
 from .numerics import f_eval, principal_sqrt, to_mpc, to_mpf
 from .rootfinder import solve_complex_poly
@@ -31,6 +32,8 @@ DEFAULT_BITS = 128
 ZERO_BASIN = "zero-basin"
 INV_SQRT_BASIN = "inv-sqrt-z-basin"
 BOUNDARY = "boundary"
+
+_FOUR_27 = mpf_div(from_int(4), from_int(27), DEFAULT_BITS, "n")  # mpf(4) / 27 at DEFAULT_BITS
 
 
 def branch_polyline(samples: int = 2048) -> list[mpc]:
@@ -48,6 +51,12 @@ def branch_polyline(samples: int = 2048) -> list[mpc]:
     theta = pi the cubic is taken real, at -4/27, and its points are set as
     conjugates; at theta = 0 it is (z - 4/3)(z - 1/3)^2, not solved.  So
     the polyline is exactly closed under conjugation.
+
+    The phases w_k = (4/27) e^(i theta_k) are built on libmp tuples by
+    _branch_phase, with the operations that mpmath's exp and its product
+    of an mpf by an mpc take at DEFAULT_BITS, so they have the same bits
+    and no mpc arithmetic runs for them; the coefficients 1, -2 and 1 of
+    z, z^2 and z^3 are built once for all the cubics.
     """
     if samples < 1:
         raise ValueError("branch_polyline: empty theta grid")
@@ -55,14 +64,27 @@ def branch_polyline(samples: int = 2048) -> list[mpc]:
     pts = [None] * (2 * samples)
     with mp.workprec(DEFAULT_BITS):
         pts[0], pts[samples] = mpc(mpf(1) / 3), mpc(mpf(4) / 3)
+        others = [mpf(1), mpf(-2), mpf(1)]  # of z, z^2 and z^3
         for k in range(1, samples // 2 + 1):
             a, b = half[samples - k].conjugate(), half[k]
-            real = 2 * k == samples  # theta = pi: the cubic is taken real
-            w = mpf(-4) / 27 if real else mpf(4) / 27 * mp.exp(mpc(0, 2 * math.pi * k / samples))
-            za, zb, _ = solve_complex_poly([-w, mpf(1), mpf(-2), mpf(1)], DEFAULT_BITS, [a, b, 2 - a - b])
+            if 2 * k == samples:  # theta = pi: the cubic is taken real, w = -4/27
+                constant = mp.make_mpf(_FOUR_27)
+            else:
+                constant = mp.make_mpc(tuple(mpf_neg(part) for part in _branch_phase(k, samples)))
+            za, zb, _ = solve_complex_poly([constant, *others], DEFAULT_BITS, [a, b, 2 - a - b])
             pts[samples + k], pts[samples - k] = zb, zb.conjugate()
             pts[k], pts[2 * samples - k] = za, za.conjugate()  # at theta = pi, in zb's places
     return pts[1:] + pts[:1]
+
+
+def _branch_phase(k: int, samples: int) -> tuple[tuple, tuple]:
+    """The libmp parts of w_k = (4/27) e^(i theta_k), theta_k = 2 pi k /
+    samples in doubles, at DEFAULT_BITS: cos and sin of theta_k rounded to
+    nearest, each times 4/27 rounded to nearest once.  These are the bits
+    of mpf(4) / 27 * mp.exp(mpc(0, theta_k)) at DEFAULT_BITS, whose
+    exponential of a purely imaginary argument is mpf_cos_sin."""
+    cos, sin = mpf_cos_sin(from_float(2 * math.pi * k / samples), DEFAULT_BITS, "n")
+    return mpf_mul(cos, _FOUR_27, DEFAULT_BITS, "n"), mpf_mul(sin, _FOUR_27, DEFAULT_BITS, "n")
 
 
 def basin_classify(z, bits: int = DEFAULT_BITS) -> str:

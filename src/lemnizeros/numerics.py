@@ -16,6 +16,9 @@ continuation in paths, the Legendre nodes in quadrature) work on
 Gaussian integers (x, y) standing for (x + iy) 2^-scale, or on plain
 integers for real values; _to_fixed, _mpf_to_fixed, _from_fixed and
 _fixed_div move values into and out of that scale and divide within it.
+_power raises a Gaussian integer to the n-th power keeping a fixed number
+of leading bits, with _cut, for the rootfinder's w^n and the full-interval
+quadrature's f_z(t)^n.
 """
 
 from __future__ import annotations
@@ -153,3 +156,44 @@ def _fixed_div(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int
     by floor division of a conj(b) by |b|^2."""
     bb = br * br + bi * bi
     return ((ar * br + ai * bi) << scale) // bb, ((ai * br - ar * bi) << scale) // bb
+
+
+def _power(xr: int, xi: int, n: int, k: int, P: int) -> tuple[int, int, int]:
+    """(x 2^-k)^n for the Gaussian integer x, as (mr, mi, e) standing for
+    (mr + i mi) 2^e, by binary powering that cuts every product back to P
+    bits: a small power keeps its relative precision, where at the fixed
+    scale 2^-P it would lose it, down to zero.
+
+    The rootfinder passes a point of its scale 2^-P as its own Gaussian
+    integer x = w 2^k, k <= P its fractional bits, so the first products
+    are short.  A cut keeps the top P bits of a product whatever its
+    trailing zeros, and a product with no more than P bits is kept whole,
+    so every intermediate, and the result, has the same value as the power
+    of x 2^(P-k) at the scale 2^-P: only the first products are cheaper.
+    paths.integral_full passes the exact f_z(t) at a quadrature node, whose
+    k may exceed P; its first product is then cut like any other.
+
+    The cut error, which _bounded_horner's proof and integral_full's bound
+    rely on, holds for any x and k: a cut floors a product v whose larger
+    part has P + c bits, c > 0, by less than 2^c in each part, so it moves
+    v by less than 2^(1.5-P) |v|.  A cut squaring to x^(2^j) enters the
+    result floor(n / 2^j) times, and a cut in the accumulator once, one per
+    set bit of n: n times in all.  So the result
+    is x^n (1 + d) with |d| <= (1 + 2^(1.5-P))^n - 1 < n 2^(2-P) for
+    n <= 2^(P-4).  Every intermediate is a power x^j, j <= n, so the
+    result is exact when |x 2^-k| < 2^t and P >= n (k + t): each x^j then
+    fits in P bits above 2^(-jk)."""
+    mr, mi, e, be = 1, 0, 0, -k
+    while True:
+        if n & 1:
+            mr, mi, e = _cut(mr * xr - mi * xi, mr * xi + mi * xr, e + be, P)
+        n >>= 1
+        if not n:
+            return mr, mi, e
+        xr, xi, be = _cut(xr * xr - xi * xi, 2 * xr * xi, 2 * be, P)
+
+
+def _cut(re: int, im: int, e: int, width: int) -> tuple[int, int, int]:
+    """(re + i im) 2^e with re and im cut to `width` bits, rounding down."""
+    cut = (abs(re) | abs(im)).bit_length() - width
+    return (re >> cut, im >> cut, e + cut) if cut > 0 else (re, im, e)

@@ -28,6 +28,11 @@ geometrically toward r = 1, where the factor r^(n-1) concentrates; the tail
 integral is then a weighted sum over the stored samples at spectral
 accuracy, taken on their integers and rounded once (_bare_tail_sum), and
 the half-plane check takes its minimum on them too (halfplane_bound_check).
+The full-interval quadrature, the independent side of the deformation
+identity, runs on integers as well: z and f_z(t) at each Legendre node
+enter exactly as Gaussian integers, f_z(t)^n comes from the cut power
+numerics._power with guard bits, and the weighted sum is rounded to the
+working precision once (integral_full).
 """
 
 from __future__ import annotations
@@ -38,16 +43,29 @@ from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_float, from_man_exp
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fone,
+    from_float,
+    from_man_exp,
+    fzero,
+    mpc_abs,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_sub,
+)
 
 from .exact import gamma_ratio_exact
 from .geometry import BOUNDARY, ZERO_BASIN, basin_classify
 from .numerics import (
     _fixed_div,
     _from_fixed,
+    _mpc_parts,
     _mpf_to_fixed,
+    _power,
     _to_fixed,
-    f_eval,
     principal_sqrt,
     to_mpc,
     to_mpf,
@@ -60,6 +78,8 @@ _PANEL_NODES = 8
 _GEOMETRIC_DEPTH_CAP = 16
 _HALFPLANE_WINDOW = (0.9, 1.0)  # r-range of halfplane_bound_check
 _GUARD = 16  # fixed-point bits kept below 2^-bits by the path continuation
+_NOT_FINITE = (finf, fninf, fnan)
+_ONE = (fone, fzero)  # 1 as a libmp complex
 
 
 class PathError(RuntimeError):
@@ -119,9 +139,19 @@ class SteepestPath:
         interior = tuple((r, t) for r, t, _, _ in self.quad)
         return ((mpf(0), self.start_point),) + interior + ((mpf(1), mpc(1)),)
 
+    @cached_property
+    def _one_minus_z(self) -> tuple:
+        return mpc_sub(_ONE, self.z._mpc_, self.bits, "n")
+
     def implicit_residual(self, r: mpf, t: mpc) -> mpf:
-        with mp.workprec(self.bits):
-            return abs(f_eval(self.z, t) - r * (1 - self.z))
+        """|t(1 - zt^2) - r(1 - z)| at `bits`: the operations of
+        abs(f_eval(z, t) - r * (1 - z)) under mp.workprec(bits), in their
+        order and each rounded to nearest, on the libmp tuples, with 1 - z
+        computed once per path."""
+        p, z, t = self.bits, self.z._mpc_, t._mpc_
+        u = mpc_sub(_ONE, mpc_mul(mpc_mul(z, t, p, "n"), t, p, "n"), p, "n")
+        f = mpc_mul(t, u, p, "n")
+        return mp.make_mpf(mpc_abs(mpc_sub(f, mpc_mul_mpf(self._one_minus_z, r._mpf_, p, "n"), p, "n"), p, "n"))
 
 
 def _panel_breakpoints(steps: int):
@@ -334,18 +364,51 @@ def integral_full(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
     Node count max(64, 2n) exceeds the exactness threshold for the degree-3n
     integrand, so the value differs from the exact value of the polynomial
     only by rounding; that identity is a primary cross-check.
+
+    The sum runs on integers, like _bare_tail_sum.  z, rounded to `bits`
+    once, enters as its own Gaussian integer Z 2^-k, k its fractional bits,
+    as in rootfinder._bounded_horner.  A node x = X 2^(1-m) gives
+    t = (x + 1)/2 = T 2^-m, T = X + 2^(m-1), and f = t (1 - z t^2) exactly:
+    the Gaussian integer T 2^(k+2m) - Z T^3 with k + 3m fractional bits.
+    f^n comes from numerics._power cut to W = bits + 16 + bit_length(n)
+    bits, within n 2^(2-W) < 2^-(bits+14) relative.  Each w f^n is an exact
+    product, and the N terms are floored at one exponent,
+    bits + 17 + bit_length(N) bits below the leading bit of the largest,
+    so together by less than 2^-(bits+15.5) of it.  The total times
+    (n+1)/2 is rounded to `bits` once.  So with S the exact sum of w f^n
+    over the rule's nodes and weights at the rounded z, and A the sum of
+    w |f|^n, the result is within
+
+        2^-bits (n+1)/2 |S| + 2^-(bits+13) (n+1)/2 A
+
+    of (n+1)/2 S, and it does not depend on the caller's mp.prec.
     """
     if n < 1:
         raise ValueError("integral_full: n must be >= 1")
+    zr, zi = _mpc_parts(z, bits)
+    if zr in _NOT_FINITE or zi in _NOT_FINITE:
+        raise ValueError("integral_full: z must be finite")
     rule = legendre_rule(max(64, 2 * n), bits)
-    with mp.workprec(bits):
-        z = to_mpc(z, bits)
-        half = mpf(1) / 2
-        total = mpc(0)
-        for x, w in rule:
-            t = half * (x + 1)
-            total += w * f_eval(z, t) ** n
-        return (n + 1) * half * total
+    k = max(0, -zr[2], -zi[2])
+    Zr, Zi = _mpf_to_fixed(zr, k), _mpf_to_fixed(zi, k)
+    W = bits + 16 + n.bit_length()
+    terms = []
+    for x, w in rule:
+        sign, man, exp, _ = x._mpf_  # x = +-man 2^exp in (-1, 1), not 0: the count is even
+        m = 1 - exp
+        T = (1 << -exp) + (-man if sign else man)
+        T3 = T * T * T
+        fr, fi, e = _power((T << (k + 2 * m)) - Zr * T3, -Zi * T3, n, k + 3 * m, W)
+        _, wm, we, _ = w._mpf_
+        terms.append((wm * fr, wm * fi, we + e))
+    E = max((abs(a) | abs(b)).bit_length() + e for a, b, e in terms) - (bits + 17 + len(terms).bit_length())
+    total_r = total_i = 0
+    for a, b, e in terms:
+        if e >= E:
+            total_r, total_i = total_r + (a << (e - E)), total_i + (b << (e - E))
+        else:
+            total_r, total_i = total_r + (a >> (E - e)), total_i + (b >> (E - e))
+    return mp.make_mpc(tuple(from_man_exp((n + 1) * v, E - 1, bits, "n") for v in (total_r, total_i)))
 
 
 def segment_integral(n: int, z, bits: int = DEFAULT_BITS) -> mpc:

@@ -78,10 +78,12 @@ from .exact import ExactPolynomial, _integer_coefficients, build_polynomial
 from .numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
+    _cut,  # noqa: F401 (kept importable as rootfinder._cut)
     _fixed_div,
     _from_fixed,
     _mpc_parts,
     _mpf_to_fixed,
+    _power,
     _to_fixed,
     to_mpc,
 )
@@ -479,44 +481,6 @@ def _family_quotient(n: int, P: int):
         )
 
     return quotient
-
-
-def _power(xr: int, xi: int, n: int, k: int, P: int) -> tuple[int, int, int]:
-    """(x 2^-k)^n for the Gaussian integer x, as (mr, mi, e) standing for
-    (mr + i mi) 2^e, by binary powering that cuts every product back to P
-    bits: a small power keeps its relative precision, where at the fixed
-    scale 2^-P it would lose it, down to zero.
-
-    The callers pass a point of the scale 2^-P as its own Gaussian integer
-    x = w 2^k, k <= P its fractional bits, so the first products are short.
-    A cut keeps the top P bits of a product whatever its trailing zeros,
-    and a product with no more than P bits is kept whole, so every
-    intermediate, and the result, has the same value as the power of
-    x 2^(P-k) at the scale 2^-P: only the first products are cheaper.
-
-    The cut error, which _bounded_horner's proof relies on: a cut floors a
-    product v whose larger part has P + c bits, c > 0, by less than 2^c in
-    each part, so it moves v by less than 2^(1.5-P) |v|.  A cut squaring
-    to x^(2^j) enters the result floor(n / 2^j) times, and a cut in the
-    accumulator once, one per set bit of n: n times in all.  So the result
-    is x^n (1 + d) with |d| <= (1 + 2^(1.5-P))^n - 1 < n 2^(2-P) for
-    n <= 2^(P-4).  Every intermediate is a power x^j, j <= n, so the
-    result is exact when |x 2^-k| < 2^t and P >= n (k + t): each x^j then
-    fits in P bits above 2^(-jk)."""
-    mr, mi, e, be = 1, 0, 0, -k
-    while True:
-        if n & 1:
-            mr, mi, e = _cut(mr * xr - mi * xi, mr * xi + mi * xr, e + be, P)
-        n >>= 1
-        if not n:
-            return mr, mi, e
-        xr, xi, be = _cut(xr * xr - xi * xi, 2 * xr * xi, 2 * be, P)
-
-
-def _cut(re: int, im: int, e: int, width: int) -> tuple[int, int, int]:
-    """(re + i im) 2^e with re and im cut to `width` bits, rounding down."""
-    cut = (abs(re) | abs(im)).bit_length() - width
-    return (re >> cut, im >> cut, e + cut) if cut > 0 else (re, im, e)
 
 
 def solve_complex_poly(coeffs, bits: int, start) -> list[mpc]:

@@ -120,6 +120,15 @@ class TestBranchPolyline:
         with mp.workprec(200):
             assert branch_polyline(64) == pts
 
+    @pytest.mark.parametrize("samples", [64, 1024, 2048])
+    def test_phases_are_the_bits_of_mpmath_exp(self, samples):
+        # the cubics' constants come from libmp, as mpmath's exp of a purely
+        # imaginary argument and its product by an mpf compute them
+        with mp.workprec(geometry.DEFAULT_BITS):
+            for k in range(1, samples // 2 + 1):
+                w = mpf(4) / 27 * mp.exp(mpc(0, 2 * math.pi * k / samples))
+                assert geometry._branch_phase(k, samples) == w._mpc_
+
     def test_one_warm_started_solve_per_phase(self, monkeypatch):
         # one solve per conjugate pair of phases theta_k, k = 1 .. S//2, each
         # started at the continuation's z(phi_k), z(phi_k + pi) and the third

@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from lemnizeros import paths
 from lemnizeros.exact import build_polynomial
@@ -339,6 +342,100 @@ class TestIntegralFull:
                 (vr, vi), _, scale = exact_horner(p, z)
                 horner = mpc(mpf(vr) / scale, mpf(vi) / scale)
                 assert abs(quad - horner) <= mpf("1e-10") * abs(horner)
+
+    def test_non_finite_z_rejected(self):
+        for z in (mpc(mp.inf, 0), mpc(0, mp.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                integral_full(3, z, BITS)
+
+    FULL_POINTS = {
+        "0": (0, 0),
+        "1": (1, 0),
+        "2": (2, 0),
+        "4/3": (Fraction(4, 3), 0),
+        "-1+i/2": (-1, Fraction(1, 2)),
+        "2^-40+i": (Fraction(1, 2**40), 1),  # parts 40 binary orders apart
+        "seed-1": (Fraction(903, 1000), Fraction(101, 250)),  # a paths workload point at seed 1
+    }
+
+    @pytest.mark.parametrize("name", sorted(FULL_POINTS))
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 100, 200])
+    def test_within_stated_bound_of_exact_quadrature_sum(self, n, name):
+        # S = sum_j w_j f(t_j)^n over the rule's mpf nodes and weights at z
+        # rounded to BITS, exactly: f = t (1 - z t^2) makes it
+        # sum_k C(n, k) (-z)^k mu_(n+2k), mu_m = sum_j w_j t_j^m the exact
+        # moments of _rule_moments, and z enters as a Fraction
+        re_q, im_q = self.FULL_POINTS[name]
+        z = to_mpc(re_q, BITS, im_q)
+        zr, zi = (_exact(part) for part in z._mpc_)
+        d = max(zr.denominator, zi.denominator)  # -z = (nr + i ni) 2^-kz
+        nr, ni = -zr.numerator * (d // zr.denominator), -zi.numerator * (d // zi.denominator)
+        kz = d.bit_length() - 1
+        moments, q, v = _rule_moments(n)
+        e0 = -(n * kz + v + 3 * n * q)  # S = (sr + i si) 2^e0
+        sr = si = 0
+        cr, ci = 1, 0  # (nr + i ni)^k
+        for k, mu in enumerate(moments):
+            c, shift = comb(n, k) * mu, (n - k) * (kz + 2 * q)
+            sr, si = sr + (c * cr << shift), si + (c * ci << shift)
+            cr, ci = cr * nr - ci * ni, cr * ni + ci * nr
+        # (n+1)/2 S = (n+1) (sr + i si) 2^(e0-1); the error is taken exactly
+        # on integers and rounded once
+        got = [_dyadic(part) for part in integral_full(n, z, BITS)._mpc_]
+        e1 = min(e0 - 1, *(e for _, e in got))
+        (gr, er), (gi, ei) = got
+        with mp.workprec(4 * BITS):
+            def at(m, e):
+                return mp.make_mpf(from_man_exp(m, e, 4 * BITS, "n"))
+
+            err = mp.hypot(
+                at((gr << (er - e1)) - ((n + 1) * sr << (e0 - 1 - e1)), e1),
+                at((gi << (ei - e1)) - ((n + 1) * si << (e0 - 1 - e1)), e1),
+            )
+            exact = mp.hypot(at((n + 1) * sr, e0 - 1), at((n + 1) * si, e0 - 1))
+            moduli = mpf(0)  # sum w |f|^n, at 4 BITS
+            for x, w in legendre_rule(max(64, 2 * n), BITS):
+                t = (x + 1) / 2
+                moduli += w * abs(t * (1 - z * t * t)) ** n
+            assert err <= mpf(2) ** -BITS * exact + mpf(2) ** -(BITS + 13) * (n + 1) * moduli / 2
+
+    @pytest.mark.parametrize("n", [7, 33])
+    def test_independent_of_caller_precision(self, n):
+        for re_q, im_q in (self.FULL_POINTS[name] for name in ("4/3", "-1+i/2", "2^-40+i", "seed-1")):
+            z = to_mpc(re_q, BITS, im_q)
+            with mp.workprec(53):
+                low = integral_full(n, z, BITS)
+            with mp.workprec(400):
+                high = integral_full(n, z, BITS)
+            assert low._mpc_ == high._mpc_
+
+
+@lru_cache(maxsize=None)
+def _rule_moments(n: int) -> tuple[tuple[int, ...], int, int]:
+    """The moments mu_m = sum_j w_j t_j^m, m = n, n + 2, ..., 3n, of
+    integral_full's rule at BITS, t = (x + 1)/2, exactly: (M, q, v) with
+    mu_(n+2k) = M[k] 2^-(v + (n+2k) q), from the nodes and weights as
+    Fractions over their largest denominators, 2^q and 2^v.  One n's
+    moments serve every z."""
+    rule = legendre_rule(max(64, 2 * n), BITS)
+    ts = [(_exact(x._mpf_) + 1) / 2 for x, _ in rule]
+    ws = [_exact(w._mpf_) for _, w in rule]
+    q = max(t.denominator for t in ts).bit_length() - 1
+    v = max(w.denominator for w in ws).bit_length() - 1
+    T = [t.numerator * (2**q // t.denominator) for t in ts]
+    P = [w.numerator * (2**v // w.denominator) * t**n for w, t in zip(ws, T)]
+    T2 = [t * t for t in T]
+    M = [sum(P)]
+    for _ in range(n):
+        P = [p * s for p, s in zip(P, T2)]
+        M.append(sum(P))
+    return tuple(M), q, v
+
+
+def _dyadic(x) -> tuple[int, int]:
+    """The libmp tuple x as (m, e) with x = m 2^e."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
 
 
 class TestSegmentIntegral:
