@@ -2,7 +2,9 @@
 
 Solves and certifies the degrees 5, 10, 16, 23, 40, 60 once and hands the
 root sets to the report and the figure: the per-root residual
-| |z(1-z)^2| - 4/27 |, the Euclidean distance to the sampled right branch,
+| |z(1-z)^2| - 4/27 |, each zero read in u = sqrt(z)(1-z) sqrt(27)/2, where
+the right branch is |u| = 1 (n log|u| > 0 puts every zero outside the
+loop, and a phase offset below pi puts it in its own sector of the circle),
 and the six-panel SVG (branch + root markers) with its CSV data, written
 into demos/output/.
 """
@@ -29,11 +31,12 @@ roots = {n: find_roots(build_polynomial(n)) for n in ns}
 reports = convergence_report(roots)
 
 print("per-degree lemniscate statistics:")
-print(f"{'n':>4} {'median residual':>18} {'max residual':>16} {'min Re':>10} {'gap ratio':>10}")
+print(f"{'n':>4} {'median residual':>18} {'max residual':>16} {'min Re':>10} {'min n log|u|':>13} "
+      f"{'max |phase offset|':>19}")
 for rep in reports:
     print(f"{rep.n:>4} {nstr(rep.median_value_residual, 5):>18} "
           f"{nstr(rep.max_value_residual, 5):>16} {nstr(rep.min_real_part, 5):>10} "
-          f"{nstr(rep.theta_gap_ratio, 4):>10}")
+          f"{nstr(rep.min_n_log_u, 4):>13} {nstr(rep.max_abs_phase_offset, 4):>19}")
 print("log-median slope vs log n:", nstr(residual_slope(reports), 5),
       "(the residuals shrink roughly like a power of 1/n)")
 

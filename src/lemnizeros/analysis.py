@@ -5,10 +5,12 @@ as the CLI's one solve task per degree returns them.  lemma_reports turns
 them into per-degree verdicts (containment disk, unit-circle escape,
 half-plane location, Vieta product) and records a degree whose solve failed
 on its own report.  convergence_report measures how fast the zeros approach
-the lemniscate: per-root value residuals | |z(1-z)^2| - 4/27 |, Euclidean
-distances to the sampled right branch, and the angular spreading of the
-roots along the branch.  The figure emitters write deterministic CSV/SVG
-artifacts; contouring and styling are left to the consumer.
+the lemniscate in the curve's own coordinate u = sqrt(z)(1-z) sqrt(27)/2,
+where the right branch is |u| = 1: per-root value residuals
+| |z(1-z)^2| - 4/27 |, log|u|, and the offset of arg u from the middle of
+the root's own sector of the circle.  The figure emitters write
+deterministic CSV/SVG artifacts; contouring and styling are left to the
+consumer.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from mpmath.libmp import from_man_exp, mpf_pos, mpf_sqrt
 
 from .geometry import branch_polyline
 from .rootfinder import ROOT_COLUMNS, RootSet, _disks, root_row
-
-_PINCH_EXCLUSION = 0.05  # |z - 1/3| below this is too close to the pinch for theta stats
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,15 @@ def lemma_reports(solved: dict[int, RootSet | Exception]) -> list[LemmaReport]:
 
 @dataclass(frozen=True)
 class ZeroDatum:
-    """Lemniscate diagnostics for one root."""
+    """Lemniscate diagnostics for one root, read in u = sqrt(z)(1-z) sqrt(27)/2,
+    in which the right branch is the unit circle |u| = 1."""
 
     root: mpc
-    value_residual: mpf
-    branch_distance: mpf
-    # phase of sqrt(z)(1-z), principal root, which winds once around the right
-    # branch (z(1-z)^2 winds twice); None too close to the pinch
-    theta: mpf | None
+    value_residual: mpf  # | |z(1-z)^2| - 4/27 | = (4/27) | |u|^2 - 1 |
+    log_u: mpf  # log|u|, signed: positive outside the loop
+    # n (theta_k - (2k+1) pi/n), theta = arg u in (0, 2 pi] and k the root's
+    # rank by theta: inside (-pi, pi) when the zero lies in its own sector
+    phase_offset: mpf
 
 
 @dataclass(frozen=True)
@@ -129,76 +130,45 @@ class LemniscateReport:
     median_value_residual: mpf
     min_real_part: mpf
     max_modulus: mpf
-    theta_gap_ratio: mpf | None
-    excluded_near_pinch: int
+    min_n_log_u: mpf
+    max_n_log_u_over_log_n: mpf | None  # None at n = 1, where log n = 0
+    max_abs_phase_offset: mpf
     precision_used: int
 
 
-def _branch_distance(z, polyline, bits: int) -> mpf:
-    """Euclidean distance from z to the right branch: nearest polyline
-    vertex, sharpened by one Newton projection onto the level set where the
-    gradient is healthy (it degenerates at the pinch, where the vertex
-    distance stands)."""
-    zf = complex(z)
-    d_poly_f, _ = min(
-        ((abs(zf - v), i) for i, v in enumerate(polyline)), key=lambda q: q[0]
-    )
-    with mp.workprec(bits):
-        g = z * (1 - z) ** 2
-        dg = (1 - z) * (1 - 3 * z)
-        if abs(dg) > mpf(1) / 10:
-            phi = abs(g) - mpf(4) / 27
-            step = abs(phi) / abs(dg)
-            if step <= 2 * d_poly_f + mpf(1) / 512:
-                return step
-        return mpf(d_poly_f)
-
-
-def convergence_report(
-    roots: dict[int, RootSet], branch_samples: int = 2048
-) -> list[LemniscateReport]:
+def convergence_report(roots: dict[int, RootSet]) -> list[LemniscateReport]:
     """LemniscateReport for each certified RootSet in roots, in ascending
-    degree order, computed at that set's working precision.  The reference
-    branch is sampled at geometry's default precision; it needs no
-    certificate."""
-    polyline = [complex(v) for v in branch_polyline(branch_samples)]
+    degree order, computed at that set's working precision.  Each root is
+    read in u = sqrt(z)(1-z) sqrt(27)/2 alone: log|u| is half the log of
+    (27/4)|z(1-z)^2|, and theta = arg u, the phase of the principal
+    sqrt(z)(1-z), is taken in (0, 2 pi] (the real zero has theta = pi
+    exactly).  theta runs once around the loop and no zero sits on the
+    pinch, so every zero has a phase and a rank k by it."""
     reports = []
     for n in sorted(roots):
         rs = roots[n]
-        bits = rs.precision_used
-        with mp.workprec(bits):
-            third = mpf(1) / 3
-            data = []
-            thetas = []
-            excluded = 0
+        with mp.workprec(rs.precision_used):
+            residuals, log_us, thetas = [], [], []
             for z in rs.roots:
-                g = z * (1 - z) ** 2
-                residual = abs(abs(g) - mpf(4) / 27)
-                distance = _branch_distance(z, polyline, bits)
-                theta = None
-                if abs(z - third) < mpf(_PINCH_EXCLUSION):
-                    excluded += 1
-                elif z.real > third:
-                    theta = mp.arg(mp.sqrt(z) * (1 - z))
-                    thetas.append(theta)
-                data.append(ZeroDatum(z, residual, distance, theta))
-            ratio = None
-            if len(thetas) >= 2:
-                ts = sorted(thetas)
-                gaps = [b - a for a, b in zip(ts[:-1], ts[1:])]
-                gaps.append(ts[0] + 2 * mp.pi - ts[-1])  # wrap-around gap
-                ratio = max(gaps) / min(gaps)
-            residuals = [d.value_residual for d in data]
+                g = abs(z * (1 - z) ** 2)
+                residuals.append(abs(g - mpf(4) / 27))
+                log_us.append(mp.log(27 * g / 4) / 2)
+                theta = mp.arg(mp.sqrt(z) * (1 - z))
+                thetas.append(theta if theta > 0 else theta + 2 * mp.pi)
+            offsets = [None] * len(thetas)
+            for k, j in enumerate(sorted(range(len(thetas)), key=thetas.__getitem__)):
+                offsets[j] = n * thetas[j] - (2 * k + 1) * mp.pi
             reports.append(
                 LemniscateReport(
                     n,
-                    tuple(data),
+                    tuple(map(ZeroDatum, rs.roots, residuals, log_us, offsets)),
                     max(residuals),
                     median(residuals),
                     min(z.real for z in rs.roots),
                     _max_modulus(rs),
-                    ratio,
-                    excluded,
+                    n * min(log_us),
+                    n * max(log_us) / mp.log(n) if n > 1 else None,
+                    max(abs(o) for o in offsets),
                     rs.precision_used,
                 )
             )
@@ -227,29 +197,31 @@ def residual_slope(reports: list[LemniscateReport]) -> mpf | None:
 
 def roots_report_csv(reports: list[LemniscateReport], roots: dict[int, RootSet]) -> str:
     """Per-root CSV (n, j, re, im, residual, inclusion_radius,
-    value_residual, branch_distance, theta)."""
-    lines = [ROOT_COLUMNS + ",value_residual,branch_distance,theta"]
+    value_residual, log_u, phase_offset)."""
+    lines = [ROOT_COLUMNS + ",value_residual,log_u,phase_offset"]
     for rep in reports:
         for j, datum in enumerate(rep.per_zero):
-            theta = "" if datum.theta is None else mpmath.nstr(datum.theta, 20)
             lines.append(
                 f"{root_row(roots[rep.n], j)},{mpmath.nstr(datum.value_residual, 20)},"
-                f"{mpmath.nstr(datum.branch_distance, 20)},{theta}"
+                f"{mpmath.nstr(datum.log_u, 20)},{mpmath.nstr(datum.phase_offset, 20)}"
             )
     return "\n".join(lines) + "\n"
 
 
 def summary_csv(reports: list[LemniscateReport]) -> str:
     """Per-degree CSV (n, max_value_residual, median_value_residual, min_re,
-    max_modulus, theta_gap_ratio).  min_re and max_modulus describe the
-    root estimates; lemmas.csv's min_real_part is the certified bound."""
-    lines = ["n,max_value_residual,median_value_residual,min_re,max_modulus,theta_gap_ratio"]
+    max_modulus, min_n_log_u, max_n_log_u_over_log_n, max_abs_phase_offset),
+    the ratio empty at n = 1.  min_re and max_modulus describe the root
+    estimates; lemmas.csv's min_real_part is the certified bound."""
+    lines = ["n,max_value_residual,median_value_residual,min_re,max_modulus,"
+             "min_n_log_u,max_n_log_u_over_log_n,max_abs_phase_offset"]
     for rep in reports:
-        ratio = "" if rep.theta_gap_ratio is None else mpmath.nstr(rep.theta_gap_ratio, 20)
+        ratio = rep.max_n_log_u_over_log_n
         lines.append(
             f"{rep.n},{mpmath.nstr(rep.max_value_residual, 20)},"
             f"{mpmath.nstr(rep.median_value_residual, 20)},{mpmath.nstr(rep.min_real_part, 20)},"
-            f"{mpmath.nstr(rep.max_modulus, 20)},{ratio}"
+            f"{mpmath.nstr(rep.max_modulus, 20)},{mpmath.nstr(rep.min_n_log_u, 20)},"
+            f"{'' if ratio is None else mpmath.nstr(ratio, 20)},{mpmath.nstr(rep.max_abs_phase_offset, 20)}"
         )
     return "\n".join(lines) + "\n"
 

@@ -67,7 +67,7 @@ READS = {
     ("coeffs", None): Reads(("n_list",), ("n_list",)),
     ("roots", None): Reads(_SOLVE, ("n_list",), PrecisionConfig().bits),
     ("verify", None): Reads(_SOLVE, ("n_list",), PrecisionConfig().bits),
-    ("report", None): Reads(_SOLVE + ("theta_grid",), ("n_list",), PrecisionConfig().bits),
+    ("report", None): Reads(_SOLVE, ("n_list",), PrecisionConfig().bits),
     ("figure", "zeros"): Reads(("kind",) + _SOLVE + ("theta_grid",), (), PrecisionConfig().bits,
                                (("n_list", (5, 10, 16, 23, 40, 60)),)),
     ("figure", "level"): Reads(("kind", "precision_bits", "z", "window", "res"), ("z",), geometry.DEFAULT_BITS,
@@ -404,7 +404,7 @@ def _dispatch(cfg: RunConfig, outdir: Path | None) -> int:
 
     if cfg.command == "report":
         solved = _certified(cfg)
-        reports = analysis.convergence_report(solved, cfg.theta_grid)
+        reports = analysis.convergence_report(solved)
         _emit(cfg, outdir, "roots_report.csv", analysis.roots_report_csv(reports, solved), quiet=True)
         _emit(cfg, outdir, "summary.csv", analysis.summary_csv(reports))
         slope = analysis.residual_slope(reports)

@@ -3,7 +3,7 @@
 The central curve is the level set |z(1-z)^2| = 4/27.  It is a figure-eight
 pinched at z = 1/3: the loop with Re(z) > 1/3 (the "right branch", crossing
 the real axis again at z = 4/3) is the attractor of the polynomial zeros,
-and branch_polyline samples it for drawing and for distances.
+and branch_polyline samples it for drawing.
 The t-plane side of the story is the basin geometry of |f_z(t)|: the plane
 splits along "continental divides" through the saddles +-1/sqrt(3z), and
 whether the point t = 1 drains to 1/sqrt(z) or to 0 is decided by the side
@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_float, from_int, mpf_cos_sin, mpf_div, mpf_mul, mpf_neg
 
-from .numerics import f_eval, principal_sqrt, to_mpc, to_mpf
+from .numerics import _finite, f_eval, principal_sqrt, to_mpc, to_mpf
 from .rootfinder import solve_complex_poly
 from .seeds import branch_half
 
@@ -94,10 +94,12 @@ def basin_classify(z, bits: int = DEFAULT_BITS) -> str:
     x = (2 - sqrt(1 + 3y^2))/3 (vertex 1/3, intercepts +-i), returns
     "inv-sqrt-z-basin" when gap > tau, "zero-basin" when gap < -tau, and
     "boundary" within the band, where tau = 2^(4-bits).  The cut (z <= 0
-    real) is outside the domain.
+    real) and a non-finite z are outside the domain.
     """
     with mp.workprec(bits):
         z = to_mpc(z, bits)
+        if not _finite(z._mpc_):
+            raise ValueError("basin_classify: z must be finite")
         if z == 0 or (z.imag == 0 and z.real < 0):
             raise ValueError("basin_classify: z on the branch cut or zero")
         tau = mpf(2) ** (4 - bits)

@@ -18,7 +18,8 @@ integers for real values; _to_fixed, _mpf_to_fixed, _from_fixed and
 _fixed_div move values into and out of that scale and divide within it.
 _power raises a Gaussian integer to the n-th power keeping a fixed number
 of leading bits, with _cut, for the rootfinder's w^n and the full-interval
-quadrature's f_z(t)^n.
+quadrature's f_z(t)^n.  libmp's infinities and nan have mantissa 0, so
+they would enter that scale as 0: callers reject them first with _finite.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_float, from_int, from_man_exp, from_rational, fzero, mpf_pos
+from mpmath.libmp import finf, fnan, fninf, from_float, from_int, from_man_exp, from_rational, fzero, mpf_pos
 
 DEFAULT_BITS = 160
 DEFAULT_MAX_BITS = 4096
+_NOT_FINITE = (finf, fninf, fnan)
 
 
 class PrecisionExhaustedError(RuntimeError):
@@ -113,6 +115,11 @@ def _mpc_parts(x, bits: int) -> tuple[tuple, tuple]:
     if isinstance(x, complex):
         return from_float(x.real, bits, "n"), from_float(x.imag, bits, "n")
     return _mpf_part(x, bits), fzero
+
+
+def _finite(parts: tuple[tuple, tuple]) -> bool:
+    """Neither libmp part of a complex number is an infinity or a nan."""
+    return parts[0] not in _NOT_FINITE and parts[1] not in _NOT_FINITE
 
 
 def principal_sqrt(z: mpc, bits: int) -> mpc:

@@ -44,9 +44,6 @@ from functools import cached_property, lru_cache
 import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
     fone,
     from_float,
     from_man_exp,
@@ -60,6 +57,7 @@ from mpmath.libmp import (
 from .exact import gamma_ratio_exact
 from .geometry import BOUNDARY, ZERO_BASIN, basin_classify
 from .numerics import (
+    _finite,
     _fixed_div,
     _from_fixed,
     _mpc_parts,
@@ -78,7 +76,6 @@ _PANEL_NODES = 8
 _GEOMETRIC_DEPTH_CAP = 16
 _HALFPLANE_WINDOW = (0.9, 1.0)  # r-range of halfplane_bound_check
 _GUARD = 16  # fixed-point bits kept below 2^-bits by the path continuation
-_NOT_FINITE = (finf, fninf, fnan)
 _ONE = (fone, fzero)  # 1 as a libmp complex
 
 
@@ -240,13 +237,13 @@ def trace_path(
 ) -> SteepestPath:
     """Trace t(r) for r from 1 down to 0 and return the sampled path.
 
-    Preconditions: z is not 1 (the parametrization degenerates: f_z(1) = 0),
-    z is not a negative real (the branch cut of sqrt(z) and of the basin
-    test), z is not on the basin boundary (the path would run along a
-    divide), steps is at least 1, and path_tol, when given, is positive.  The
-    endpoint t(0) must land on the basin prediction: 1/sqrt(z) in the
-    inv-sqrt-z basin, 0 in the zero basin; z = 0 is allowed and gives the
-    trivial path t = r.
+    Preconditions: z is finite and not 1 (the parametrization degenerates:
+    f_z(1) = 0), z is not a negative real (the branch cut of sqrt(z) and of
+    the basin test), z is not on the basin boundary (the path would run
+    along a divide), steps is at least 1, and path_tol, when given, is
+    positive.  The endpoint t(0) must land on the basin prediction:
+    1/sqrt(z) in the inv-sqrt-z basin, 0 in the zero basin; z = 0 is allowed
+    and gives the trivial path t = r.
 
     Newton at each r starts at the quadratic through the last three
     samples (the first two solves, which follow t(1) = 1, take the constant
@@ -266,6 +263,8 @@ def trace_path(
     """
     with mp.workprec(bits):
         z = to_mpc(z, bits)
+        if not _finite(z._mpc_):
+            raise ValueError("trace_path: z must be finite")
         if z == 1:
             raise ValueError("trace_path: z = 1 degenerates (f_z(1) = 0)")
         if z.imag == 0 and z.real < 0:
@@ -386,7 +385,7 @@ def integral_full(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
     if n < 1:
         raise ValueError("integral_full: n must be >= 1")
     zr, zi = _mpc_parts(z, bits)
-    if zr in _NOT_FINITE or zi in _NOT_FINITE:
+    if not _finite((zr, zi)):
         raise ValueError("integral_full: z must be finite")
     rule = legendre_rule(max(64, 2 * n), bits)
     k = max(0, -zr[2], -zi[2])
@@ -419,6 +418,8 @@ def segment_integral(n: int, z, bits: int = DEFAULT_BITS) -> mpc:
         raise ValueError("segment_integral: n must be >= 1")
     with mp.workprec(bits):
         z = to_mpc(z, bits)
+        if not _finite(z._mpc_):
+            raise ValueError("segment_integral: z must be finite")
         if z == 0:
             raise ValueError("segment_integral: z must be nonzero")
         if z.imag == 0 and z.real < 0:

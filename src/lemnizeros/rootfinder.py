@@ -62,9 +62,6 @@ from math import isqrt, log2
 import mpmath
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
     fone,
     from_float,
     from_man_exp,
@@ -79,6 +76,7 @@ from .numerics import (
     PrecisionConfig,
     PrecisionExhaustedError,
     _cut,  # noqa: F401 (kept importable as rootfinder._cut)
+    _finite,
     _fixed_div,
     _from_fixed,
     _mpc_parts,
@@ -97,7 +95,6 @@ from .seeds import _double_repulsion, _to_double, polished_half
 RADIUS_REL_TOL = mpf("1e-20")
 
 _GUARD = 8  # bits kept below 2^-prec by the fixed-point Aberth kernel
-_NOT_FINITE = (finf, fninf, fnan)
 
 
 class CertificationError(RuntimeError):
@@ -213,7 +210,7 @@ def certify(p: ExactPolynomial, roots, bits: int) -> RootSet:
     if len(zs) != n:
         raise CertificationError(f"certification failed: expected {n} roots, got {len(zs)}")
     for z in zs:
-        if z._mpc_[0] in _NOT_FINITE or z._mpc_[1] in _NOT_FINITE:
+        if not _finite(z._mpc_):
             raise CertificationError(f"certification failed: root {z} is not finite")
     done: dict[tuple, tuple[mpf, mpf]] = {}  # (residual, radius) by (Re, |Im|)
     values = []

@@ -3,7 +3,6 @@
 import ast
 import inspect
 from dataclasses import replace
-from fractions import Fraction
 from hashlib import sha256
 
 import pytest
@@ -22,11 +21,14 @@ from lemnizeros.analysis import (
 )
 from lemnizeros.exact import build_polynomial
 from lemnizeros.geometry import branch_polyline, divides_and_level_field, level_field_csv
-from lemnizeros.numerics import PrecisionConfig, to_mpc
+from lemnizeros.numerics import PrecisionConfig
 
 # lemma_csv(lemma_reports(...)) for n = 2..60 at 160 bits: the lemmas.csv
 # that `verify --n-range 2..60` writes
 LEMMAS_SHA256 = "c3f9f79c1324cf6486658fd40cee4e6ccaa3aa3d07b060e9ffd27f68aced305c"
+# summary_csv(convergence_report(...)) for n = 10, 20, 40, 60 at 160 bits: the
+# summary.csv that `report --n-list 10,20,40,60` writes
+SUMMARY_SHA256 = "6c863dd650e8fe7398608317a0b5d2bc4338215e9dbbe80b1b404fcb00fbe395"
 
 
 class TestVerifyLemmas:
@@ -161,12 +163,11 @@ class TestVerifyLemmas:
 
 class TestConvergence:
     def test_reports_shrink_with_n(self, root_cache):
-        reports = convergence_report(root_cache([6, 12]), branch_samples=256)
+        reports = convergence_report(root_cache([6, 12]))
         assert [r.n for r in reports] == [6, 12]
         assert reports[1].median_value_residual < reports[0].median_value_residual
         for rep in reports:
             assert len(rep.per_zero) == rep.n
-            assert all(d.branch_distance < mpf("0.5") for d in rep.per_zero)
             assert rep.max_value_residual >= rep.median_value_residual
             with mp.workprec(64):
                 assert rep.min_real_part > mpf(1) / 3
@@ -176,33 +177,62 @@ class TestConvergence:
         # in summary.csv as in lemmas.csv; mpmath's abs rounds |z|^2 first
         # and is one ulp off here
         want = mp.make_mpf(from_man_exp(500080953234530077675562037808928913266794148933, -158))
-        (rep,) = convergence_report(root_cache([30]), branch_samples=64)
+        (rep,) = convergence_report(root_cache([30]))
         (lemma,) = lemma_reports(root_cache([30]))
         assert rep.precision_used == 160
         assert rep.max_modulus.man_exp == lemma.max_modulus.man_exp == want.man_exp
 
-    def test_theta_statistics(self, root_cache):
-        (rep,) = convergence_report(root_cache([12]), branch_samples=256)
-        thetas = [d.theta for d in rep.per_zero if d.theta is not None]
-        assert len(thetas) + rep.excluded_near_pinch == 12
-        assert rep.theta_gap_ratio is not None and 1 <= rep.theta_gap_ratio < 2
+    def test_reads_neither_the_branch_nor_the_cubic_solver(self, root_cache, monkeypatch):
+        def no_branch(*args, **kwargs):
+            raise AssertionError("the report sampled the branch")
 
-    def test_branch_distance_falls_back_to_the_vertex_near_the_pinch(self):
-        # |(1 - z)(1 - 3z)| < 1/10 at z = 1/3 + 0.02: the Newton projection
-        # degenerates there, so the nearest vertex, the pinch, stands
-        polyline = [complex(v) for v in branch_polyline(64)]
-        z = to_mpc(Fraction(1, 3) + Fraction(1, 50), 128)
-        d = analysis._branch_distance(z, polyline, 128)
-        assert d == mpf(min(abs(complex(z) - v) for v in polyline)) == mpf(abs(complex(z) - 1 / 3))
+        monkeypatch.setattr(analysis, "branch_polyline", no_branch)
+        monkeypatch.setattr(rootfinder, "solve_complex_poly", no_branch)
+        reports = convergence_report(root_cache([6, 12]))
+        assert [len(r.per_zero) for r in reports] == [6, 12]
+
+    def test_every_zero_lies_outside_the_loop_in_its_own_sector(self, root_cache):
+        # theta_k in (2 pi k/n, 2 pi (k+1)/n) is |phase_offset| < pi
+        for rep in convergence_report(root_cache(range(2, 61))):
+            assert all(abs(d.phase_offset) < mp.pi for d in rep.per_zero), rep.n
+            assert all(d.log_u > 0 for d in rep.per_zero), rep.n
+            with mp.workprec(rep.precision_used):
+                assert rep.min_n_log_u == rep.n * min(d.log_u for d in rep.per_zero)
+                assert rep.max_abs_phase_offset == max(abs(d.phase_offset) for d in rep.per_zero)
+            if rep.n % 2:  # the real zero near 4/3 has theta = pi, the middle sector's middle
+                assert sorted(abs(d.phase_offset) for d in rep.per_zero)[0] == 0
+
+    def test_value_residual_and_log_u_read_u(self, root_cache):
+        # value_residual = (4/27) | |u|^2 - 1 | and log_u = log|u|, with
+        # u = sqrt(z)(1-z) sqrt(27)/2 taken here at 64 more bits
+        for rep in convergence_report(root_cache([7, 10, 40, 60])):
+            for d in rep.per_zero:
+                with mp.workprec(rep.precision_used + 64):
+                    u = mp.sqrt(d.root) * (1 - d.root) * mp.sqrt(27) / 2
+                    residual = 4 * abs(abs(u) ** 2 - 1) / 27
+                    log_u = mp.log(abs(u))
+                    ulp = mpf(2) ** -rep.precision_used
+                    assert abs(d.value_residual - residual) <= 4 * ulp * mpf(4) / 27
+                    assert abs(d.log_u - log_u) <= 4 * ulp
+
+    def test_degree_one_has_no_log_n_ratio(self, root_cache):
+        (rep,) = convergence_report(root_cache([1]))
+        assert rep.max_n_log_u_over_log_n is None
+        assert summary_csv([rep]).splitlines()[1].split(",")[6] == ""
+        assert rep.per_zero[0].phase_offset == 0  # the zero 2 is real: theta = pi
+
+    def test_summary_csv_bytes_pinned(self, root_cache):
+        text = summary_csv(convergence_report(root_cache([10, 20, 40, 60])))
+        assert sha256(text.encode()).hexdigest() == SUMMARY_SHA256
 
     def test_slope_is_negative(self, root_cache):
-        reports = convergence_report(root_cache([6, 12, 24]), branch_samples=256)
+        reports = convergence_report(root_cache([6, 12, 24]))
         slope = residual_slope(reports)
         assert slope is not None and slope < 0
 
     def test_csv_emission_deterministic(self, root_cache):
         roots = root_cache([6, 12])
-        reports = convergence_report(roots, branch_samples=256)
+        reports = convergence_report(roots)
         a = roots_report_csv(reports, roots)
         b = roots_report_csv(reports, roots)
         assert a == b
@@ -224,7 +254,7 @@ class TestReportsNeverSolve:
 
         assert not hasattr(analysis, "find_roots")
         monkeypatch.setattr(rootfinder, "find_roots", no_solve)
-        reports = convergence_report(roots, branch_samples=64)
+        reports = convergence_report(roots)
         assert [r.n for r in reports] == [6, 12]
         for rep in reports:
             assert [d.root for d in rep.per_zero] == list(roots[rep.n].roots)

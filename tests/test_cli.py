@@ -315,8 +315,10 @@ class TestCommands:
             ("coeffs", "--n", "3", "--precision-bits", "200"),
             ("trace", "--z", "4/3", "--max-bits", "64"),
             ("roots", "--n", "5", "--res", "3"),
+            ("report", "--n", "5", "--theta-grid", "64"),
         ],
-        ids=["zeros-res", "zeros-z", "level-n", "level-theta-grid", "coeffs-bits", "trace-max-bits", "roots-res"],
+        ids=["zeros-res", "zeros-z", "level-n", "level-theta-grid", "coeffs-bits", "trace-max-bits", "roots-res",
+             "report-theta-grid"],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv, monkeypatch, tmp_path, capsys):
         def no_work(*args, **kwargs):
@@ -467,13 +469,13 @@ class TestCommands:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [("report",), ("figure", "--kind", "zeros")])
+    @pytest.mark.parametrize("command", [("figure", "--kind", "zeros")])
     def test_theta_grid_zero_is_a_usage_error(self, command):
         res = run_cli(*command, "--n", "2", "--theta-grid", "0", "--workers", "1")
         assert res.returncode == 2
         assert "empty theta grid" in res.stderr
 
-    @pytest.mark.parametrize("command", [("report",), ("figure", "--kind", "zeros")])
+    @pytest.mark.parametrize("command", [("figure", "--kind", "zeros")])
     def test_theta_grid_zero_is_rejected_before_any_solve(self, command, monkeypatch, tmp_path, capsys):
         def no_solve(*args, **kwargs):
             raise AssertionError("a degree was solved before the theta grid was checked")
@@ -484,14 +486,13 @@ class TestCommands:
         assert "empty theta grid" in capsys.readouterr().err
         # the same grid read from --config
         conf = tmp_path / "run.conf"
-        kind = "kind = zeros\n" if "--kind" in command else ""
-        conf.write_text(f"command = {command[0]}\n{kind}n_list = 60,80,100\ntheta_grid = 0\nworkers = 1\n")
+        conf.write_text("command = figure\nkind = zeros\nn_list = 60,80,100\ntheta_grid = 0\nworkers = 1\n")
         assert cli.main(["--config", str(conf)]) == 2
         assert "empty theta grid" in capsys.readouterr().err
 
     def test_report_and_figures(self, tmp_path):
         res = run_cli(
-            "report", "--n-list", "4,8", "--theta-grid", "128", "--out", str(tmp_path)
+            "report", "--n-list", "4,8", "--out", str(tmp_path)
         )
         assert res.returncode == 0
         sub = next(tmp_path.glob("report-*"))

@@ -12,6 +12,7 @@ from mpmath.libmp import from_man_exp
 
 from lemnizeros import paths
 from lemnizeros.exact import build_polynomial
+from lemnizeros.geometry import basin_classify
 from lemnizeros.numerics import f_eval, principal_sqrt, to_mpc, to_mpf
 from lemnizeros.quadrature import legendre_rule
 from lemnizeros.paths import (
@@ -436,6 +437,20 @@ def _dyadic(x) -> tuple[int, int]:
     """The libmp tuple x as (m, e) with x = m 2^e."""
     sign, man, exp, _ = x
     return (-man if sign else man), exp
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("z", [INF, NAN, complex(1, INF), complex(-INF, 1)],
+                         ids=["inf", "nan", "1+inf-i", "-inf+i"])
+@pytest.mark.parametrize("function", [trace_path, lambda z: segment_integral(5, z), basin_classify],
+                         ids=["trace_path", "segment_integral", "basin_classify"])
+def test_non_finite_z_is_rejected(function, z):
+    # libmp's infinities and nan have mantissa 0: read as integers they
+    # would stand for z = 0 and give a path, an integral or a basin
+    with pytest.raises(ValueError, match="must be finite"):
+        function(z)
 
 
 class TestSegmentIntegral:
