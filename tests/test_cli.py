@@ -469,24 +469,26 @@ class TestCommands:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [("figure", "--kind", "zeros")])
+    # the figure's default degree list, then degrees given on the command line
+    @pytest.mark.parametrize("command", [("figure", "--kind", "zeros"), ("figure", "--kind", "zeros", "--n", "2")])
     def test_theta_grid_zero_is_a_usage_error(self, command):
-        res = run_cli(*command, "--n", "2", "--theta-grid", "0", "--workers", "1")
+        res = run_cli(*command, "--theta-grid", "0", "--workers", "1")
         assert res.returncode == 2
         assert "empty theta grid" in res.stderr
 
-    @pytest.mark.parametrize("command", [("figure", "--kind", "zeros")])
+    @pytest.mark.parametrize("command", [("figure", "--kind", "zeros"),
+                                         ("figure", "--kind", "zeros", "--n-list", "60,80,100")])
     def test_theta_grid_zero_is_rejected_before_any_solve(self, command, monkeypatch, tmp_path, capsys):
         def no_solve(*args, **kwargs):
             raise AssertionError("a degree was solved before the theta grid was checked")
 
         monkeypatch.setattr(cli, "find_roots", no_solve)
-        flags = ["--n-list", "60,80,100", "--theta-grid", "0", "--workers", "1"]
-        assert cli.main([*command, *flags]) == 2
+        assert cli.main([*command, "--theta-grid", "0", "--workers", "1"]) == 2
         assert "empty theta grid" in capsys.readouterr().err
         # the same grid read from --config
         conf = tmp_path / "run.conf"
-        conf.write_text("command = figure\nkind = zeros\nn_list = 60,80,100\ntheta_grid = 0\nworkers = 1\n")
+        n_list = "n_list = 60,80,100\n" if "--n-list" in command else ""
+        conf.write_text(f"command = figure\nkind = zeros\n{n_list}theta_grid = 0\nworkers = 1\n")
         assert cli.main(["--config", str(conf)]) == 2
         assert "empty theta grid" in capsys.readouterr().err
 
